@@ -14,7 +14,7 @@ from holodyn.parabolic import (
     normal_form_family,
     parabolic_stability_experiment,
 )
-from holodyn.serialize import write_json
+from holodyn.serialize import fields, write_json
 
 
 def main() -> int:
@@ -36,21 +36,13 @@ def main() -> int:
                 "c": c,
                 "epsilon": eps,
                 "directions": [
-                    {
-                        "v": [d.direction[0], d.direction[1]],
-                        "lambda": d.lam,
-                        "degenerate": d.degenerate,
-                    }
+                    {"v": d.direction, "lambda": d.lam, "degenerate": d.degenerate}
                     for d in dirs
                 ],
                 "graph": [
                     {"x": g.x, "u": g.u, "radius": g.certified_radius} for g in graph
                 ],
-                "expansion": {
-                    "trials": rep.trials,
-                    "violations": rep.violations,
-                    "min_margin": rep.min_margin,
-                },
+                "expansion": fields(rep, "trials", "violations", "min_margin"),
             },
         )
         print(
@@ -63,12 +55,7 @@ def main() -> int:
         fam, x_mesh=(-0.012, -0.016), t_values=(1e-1, 1e-2, 1e-3),
         epsilon=eps, resolution=1e-8,
     )
-    write_json(
-        out / "stability.json",
-        {"rows": [{"t": r.t, "sup_distance": r.sup_distance,
-                   "max_certified": r.max_certified,
-                   "resolution_limited": r.resolution_limited} for r in rows]},
-    )
+    write_json(out / "stability.json", {"rows": rows})
     print("stability:", ", ".join(f"t={r.t:g}: {r.sup_distance:.3e}" for r in rows))
     return 0
 

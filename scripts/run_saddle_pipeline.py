@@ -17,7 +17,7 @@ from holodyn.manifold import (
     sheary_perturbation_family,
     stability_experiment,
 )
-from holodyn.serialize import write_csv, write_json
+from holodyn.serialize import fields, write_csv, write_json
 
 
 def main() -> int:
@@ -35,8 +35,7 @@ def main() -> int:
     write_csv(
         out / "graph.csv",
         ["s_re", "s_im", "t_re", "t_im"],
-        [(s.real, s.imag, t.real, t.imag)
-         for s, t in zip(graph.s_grid.tolist(), graph.t_values.tolist())],
+        [(s.real, s.imag, t.real, t.imag) for s, t in graph.grid],
     )
 
     rows = []
@@ -51,19 +50,13 @@ def main() -> int:
     reports = density_sweep(chain, graph, range(1, 9), (-2.0, 2.0), 10)
     write_json(
         out / "density.json",
-        {"sweep": [{"depth": r.depth, "occupied": r.occupied, "fraction": r.fraction}
-                   for r in reports]},
+        {"sweep": [fields(r, "depth", "occupied", "fraction") for r in reports]},
     )
     print("density sweep:", ", ".join(f"{r.depth}:{r.fraction:.4f}" for r in reports))
 
     family = sheary_perturbation_family(chain, lambda t: (0.0, 0.0, t))
     stab = stability_experiment(chain, fp, family, [1e-2, 1e-3, 1e-4], delta=0.1)
-    write_json(
-        out / "stability.json",
-        {"rows": [{"t": r.t, "fp_offset": r.fp_offset,
-                   "graph_dist": r.graph_dist, "cloud_dist": r.cloud_dist}
-                  for r in stab]},
-    )
+    write_json(out / "stability.json", {"rows": stab})
     print("stability:", ", ".join(f"t={r.t:g}: {r.graph_dist:.3e}" for r in stab))
     return 0
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .core import AutoChain, DEFAULT_CAP, FixedPointInfo, Point
@@ -235,15 +237,7 @@ def interior_probe(
         )
         return int(np.count_nonzero(codes == VERDICT_CONVERGED))
 
-    bounds = _chunk_bounds(samples, threads)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        counts = [run_chunk(*b) for b in bounds]
-    converged = sum(counts)
+    converged = sum(_map_chunks(run_chunk, samples, threads))
     return InteriorReport(
         samples=samples,
         converged=converged,
@@ -258,6 +252,32 @@ def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, parts)
     size = (n + parts - 1) // parts
     return [(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def _map_chunks(run_chunk: Callable[[int, int], object], n: int, threads: int) -> list:
+    """run_chunk(lo, hi) over contiguous chunks of range(n), in chunk order;
+    threads > 1 runs the chunks on a pool of that many threads."""
+    bounds = _chunk_bounds(n, threads)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda b: run_chunk(*b), bounds))
+    return [run_chunk(*b) for b in bounds]
+
+
+def grid_centres(
+    box: tuple[tuple[float, float], tuple[float, float]], grid: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex x and y of the cell centres of a grid[0] x grid[1] grid on the
+    real 2-D slice of box, flattened row by row (rows indexed by y)."""
+    (a0, a1), (b0, b1) = box
+    na, nb = grid
+    aa = a0 + (np.arange(na) + 0.5) * (a1 - a0) / na
+    bb = b0 + (np.arange(nb) + 0.5) * (b1 - b0) / nb
+    xs = np.repeat(aa[None, :], nb, axis=0).ravel().astype(complex)
+    ys = np.repeat(bb[:, None], na, axis=1).ravel().astype(complex)
+    return xs, ys
 
 
 # -- bounded-orbit set --------------------------------------------------------
@@ -278,26 +298,16 @@ def bounded_set_probe(
     b_i + i*off_y) stays under the cap for max_iter steps.  Returns a bool
     array of shape (grid[1], grid[0]), rows indexed by the y-bound.
     """
-    (a0, a1), (b0, b1) = box
     na, nb = grid
-    aa = a0 + (np.arange(na) + 0.5) * (a1 - a0) / na
-    bb = b0 + (np.arange(nb) + 0.5) * (b1 - b0) / nb
-    xs = (aa[None, :] + 1j * imag_offset[0]).repeat(nb, axis=0).ravel()
-    ys = (bb[:, None] + 1j * imag_offset[1]).repeat(na, axis=1).ravel()
+    xs, ys = grid_centres(box, grid)
+    xs = xs + 1j * imag_offset[0]
+    ys = ys + 1j * imag_offset[1]
 
     def run_chunk(lo: int, hi: int) -> np.ndarray:
         codes, _ = orbit_verdicts(chain, xs[lo:hi], ys[lo:hi], max_iter, target=None, cap=cap)
         return codes != VERDICT_ESCAPED
 
-    bounds = _chunk_bounds(xs.shape[0], threads)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        parts = [run_chunk(*b) for b in bounds]
-    return np.concatenate(parts).reshape(nb, na)
+    return np.concatenate(_map_chunks(run_chunk, xs.shape[0], threads)).reshape(nb, na)
 
 
 # -- gallery: the sphere map -------------------------------------------------

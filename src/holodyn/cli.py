@@ -14,32 +14,12 @@ import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import basin, manifold, nonauto, parabolic
-from .core import AutoChain, EndoChain, find_fixed_point, load_map
+from .core import AutoChain, EndoChain, FixedPointInfo, find_fixed_point, load_map
 from .errors import HolodynError, MapFormatError
-from .serialize import format_float, write_csv, write_json, write_ppm
-
-CLAIMS = {
-    "fixed-point": "Newton location and eigenvalue classification of fixed points",
-    "stable-graph": "the local stable manifold is a graph over the attracting direction",
-    "pullback": "the stable manifold is the union of inverse images of the local graph",
-    "density": "pullback clouds occupy an increasing fraction of a 4-D grid",
-    "stability": "tracked fixed points and local graphs move continuously under perturbation",
-    "char-dirs": "characteristic directions solve P2(v) = lambda v in both blow-up charts",
-    "normalize": "volume-preserving quadratic parts reduce to (x^2+2xy+cy^2, -2xy-y^2)",
-    "parabolic-graph": "exactly one u keeps the blow-up orbit of x in the sector",
-    "expansion-check": "u-differences expand and dominate x-differences in the sector",
-    "dichotomy": "a non-attracting fixed point admits orbits avoiding the r-ball for m steps",
-    "interior": "the attracting set of a volume-preserving map has empty interior",
-    "bounded-set": "occupancy of the bounded-orbit set on a grid slice",
-    "gallery": "closed-form sphere iterate z/(1+mz) and the non-uniform planar map",
-    "nonauto-run": "composition orbits can attract pointwise but not uniformly on compacts",
-    "sector-sets": "the five target components are pairwise disjoint compact sets",
-    "report": "listing of subcommands and the statements they probe",
-}
+from .serialize import fields, format_float, write_csv, write_json, write_ppm
 
 
 def _parse_point(text: str) -> tuple[complex, complex]:
@@ -52,50 +32,64 @@ def _parse_point(text: str) -> tuple[complex, complex]:
         raise MapFormatError(f"bad point {text!r}: {exc}") from exc
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+def _parse_grid(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
-def _parse_complexes(text: str) -> list[complex]:
-    return [complex(v) for v in text.split(",") if v]
-
-
-def _cx(c: complex) -> list[float]:
-    return [c.real, c.imag]
-
-
-def _hash_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for blk in iter(lambda: fh.read(65536), b""):
-            h.update(blk)
-    return h.hexdigest()
+def _point_row(p) -> tuple[float, float, float, float]:
+    return p[0].real, p[0].imag, p[1].real, p[1].imag
 
 
 class Run:
+    """One subcommand invocation: its arguments, inputs and artifacts, and
+    the stages several subcommands share."""
+
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts: list[str] = []
         self.inputs: dict[str, str] = {}
-        self.params: dict = {}
         self.t0 = time.perf_counter()
 
     def note_input(self, path: str) -> None:
-        self.inputs[path] = _hash_file(path)
+        self.inputs[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     def path(self, name: str) -> Path:
         p = self.out / name
         self.artifacts.append(str(p))
         return p
 
-    def finish(self, subcommand: str, summary: str) -> int:
+    def load_map(self) -> AutoChain | EndoChain:
+        self.note_input(self.args.map)
+        return load_map(self.args.map)
+
+    def auto_chain(self) -> AutoChain:
+        m = self.load_map()
+        if not isinstance(m, AutoChain):
+            raise MapFormatError("this subcommand needs an invertible map (no quadratic_jet)")
+        return m
+
+    def chain_and_fixed_point(self) -> tuple[AutoChain, FixedPointInfo]:
+        chain = self.auto_chain()
+        seed_pt = _parse_point(self.args.seed_point or "1.4,1.4")
+        return chain, find_fixed_point(chain, seed_pt, tol=self.args.tol)
+
+    def local_graph(self, chain: AutoChain, fp: FixedPointInfo):
+        a = self.args
+        builder = manifold.local_stable_graph_auto if a.auto_shrink else manifold.local_stable_graph
+        return builder(chain, fp, a.delta, mesh=_parse_grid(a.mesh), tol=a.graph_tol)
+
+    def box(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        side = (self.args.box_min, self.args.box_max)
+        return side, side
+
+    def finish(self, summary: str) -> int:
         manifest = {
-            "subcommand": subcommand,
+            "subcommand": self.args.subcommand,
             "inputs": self.inputs,
-            "seed": getattr(self.args, "seed", None),
-            "params": self.params,
+            "seed": self.args.seed,
+            "params": vars(self.args),
             "artifacts": self.artifacts,
             "wall_time_s": time.perf_counter() - self.t0,
         }
@@ -104,241 +98,193 @@ class Run:
         return 0
 
 
-def _load_chain(run: Run, path: str) -> AutoChain | EndoChain:
-    run.note_input(path)
-    return load_map(path)
+# -- subcommand registry -------------------------------------------------------
 
 
-def _require_auto(m) -> AutoChain:
-    if not isinstance(m, AutoChain):
-        raise MapFormatError("this subcommand needs an invertible map (no quadratic_jet)")
-    return m
+class Subcommand(NamedTuple):
+    claim: str
+    specs: tuple[tuple[str, dict], ...]
+    handler: Callable[[Run], int]
 
 
-def _fp_info_dict(fp) -> dict:
-    return {
-        "location": [_cx(fp.location[0]), _cx(fp.location[1])],
-        "eigenvalues": [_cx(fp.eigenvalues[0]), _cx(fp.eigenvalues[1])],
-        "classification": fp.classification.value,
-        "stable_dim": fp.stable_dim,
-        "residual": fp.residual,
-        "iterations": fp.iterations,
-        "stable_direction": None
-        if fp.stable_direction is None
-        else [_cx(fp.stable_direction[0]), _cx(fp.stable_direction[1])],
-        "unstable_direction": None
-        if fp.unstable_direction is None
-        else [_cx(fp.unstable_direction[0]), _cx(fp.unstable_direction[1])],
-    }
+SUBCOMMANDS: dict[str, Subcommand] = {}
 
 
-def _find_fp(run: Run, chain: AutoChain):
-    seed_pt = _parse_point(run.args.seed_point or "1.4,1.4")
-    return find_fixed_point(chain, seed_pt, tol=run.args.tol)
+def subcommand(name: str, claim: str, *specs: tuple[str, dict]):
+    """Register the decorated handler as `holodyn <name>`, with the statement
+    it probes and its options (built by `arg`)."""
+
+    def register(handler: Callable[[Run], int]) -> Callable[[Run], int]:
+        SUBCOMMANDS[name] = Subcommand(claim, specs, handler)
+        return handler
+
+    return register
 
 
-def _build_graph(run: Run, chain: AutoChain, fp):
-    a = run.args
-    mesh = tuple(int(v) for v in a.mesh.split(","))
-    builder = manifold.local_stable_graph_auto if a.auto_shrink else manifold.local_stable_graph
-    return builder(chain, fp, a.delta, mesh=mesh, tol=a.graph_tol)
+def arg(flag: str, default=None, **kwargs) -> tuple[str, dict]:
+    """One option.  A False default makes a switch and an int or float
+    default sets the type; other keywords go to add_argument."""
+    if default is False:
+        kwargs["action"] = "store_true"
+    elif isinstance(default, (int, float)):
+        kwargs["type"] = type(default)
+    return flag, {"default": default, **kwargs}
 
 
-# -- subcommand handlers -------------------------------------------------------
+COMMON = (
+    arg("--out", "out", help="artifact directory"),
+    arg("--seed", 0, help="RNG seed (counter-based)"),
+    arg("--threads", 1),
+    arg("--tol", 1e-12, help="Newton tolerance"),
+    arg("--epsilon", 0.02),
+    arg("--delta", 0.1),
+)
+MAPPED = (arg("--map", required=True, help="map definition JSON"), *COMMON)
+MAP_OR_C = (arg("--map", help="map definition JSON"), *COMMON)
+SADDLE = (
+    *MAPPED,
+    arg("--seed-point", help="Newton seed 'x,y'"),
+    arg("--mesh", "10,16", help="polar mesh 'n_r,n_theta'"),
+    arg("--graph-tol", 1e-9),
+    arg("--auto-shrink", False),
+)
+FP_FIELDS = ("location", "eigenvalues", "classification", "stable_dim", "residual", "iterations",
+             "stable_direction", "unstable_direction")
 
 
+@subcommand("fixed-point", "Newton location and eigenvalue classification of fixed points", *SADDLE)
 def cmd_fixed_point(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
-    run.params = {"seed_point": run.args.seed_point, "tol": run.args.tol}
-    write_json(run.path("fixed_point.json"), _fp_info_dict(fp))
+    _, fp = run.chain_and_fixed_point()
+    write_json(run.path("fixed_point.json"), fields(fp, *FP_FIELDS))
     loc = fp.location
     return run.finish(
-        "fixed-point",
         f"fixed point ({format_float(loc[0].real)},{format_float(loc[1].real)})"
-        f" {fp.classification.value}",
+        f" {fp.classification.value}"
     )
 
 
+@subcommand(
+    "stable-graph", "the local stable manifold is a graph over the attracting direction", *SADDLE
+)
 def cmd_stable_graph(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
-    graph = _build_graph(run, chain, fp)
+    chain, fp = run.chain_and_fixed_point()
+    graph = run.local_graph(chain, fp)
     res = manifold.graph_residual(chain, graph)
-    run.params = {
-        "delta": run.args.delta,
-        "mesh": run.args.mesh,
-        "graph_tol": run.args.graph_tol,
-    }
-    write_csv(
-        run.path("graph.csv"),
-        ["s_re", "s_im", "t_re", "t_im"],
-        [
-            (s.real, s.imag, t.real, t.imag)
-            for s, t in zip(graph.s_grid.tolist(), graph.t_values.tolist())
-        ],
-    )
+    write_csv(run.path("graph.csv"), ["s_re", "s_im", "t_re", "t_im"], map(_point_row, graph.grid))
     write_json(
         run.path("graph.json"),
         {
-            "fixed_point": _fp_info_dict(fp),
-            "delta": graph.delta,
-            "epsilon": graph.epsilon,
-            "mesh": list(graph.mesh),
-            "iterations": graph.iterations,
+            "fixed_point": fields(fp, *FP_FIELDS),
+            **fields(graph, "delta", "epsilon", "mesh", "iterations"),
             "residual": res,
             "samples": len(graph.s_grid),
         },
     )
     return run.finish(
-        "stable-graph",
         f"graph over delta={graph.delta} converged in {graph.iterations} iterations,"
-        f" residual {res:.3e}",
+        f" residual {res:.3e}"
     )
 
 
-def _cloud_rows(points: np.ndarray, depth: int):
-    for p in points:
-        yield (p[0].real, p[0].imag, p[1].real, p[1].imag, depth)
-
-
+@subcommand(
+    "pullback", "the stable manifold is the union of inverse images of the local graph",
+    *SADDLE, arg("--depth", 4), arg("--cumulative", False),
+)
 def cmd_pullback(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
-    graph = _build_graph(run, chain, fp)
-    depths = range(0, run.args.depth + 1) if run.args.cumulative else [run.args.depth]
-    rows = []
-    dropped = 0
-    for d in depths:
+    chain, fp = run.chain_and_fixed_point()
+    graph = run.local_graph(chain, fp)
+    depth = run.args.depth
+    rows, dropped = [], 0
+    for d in range(depth + 1) if run.args.cumulative else [depth]:
         cloud = manifold.pullback_cloud(chain, graph, d)
         dropped += cloud.dropped
-        rows.extend(
-            (p[0].real, p[0].imag, p[1].real, p[1].imag)
-            for p in cloud.points
-        )
-    run.params = {"depth": run.args.depth, "cumulative": run.args.cumulative}
+        rows.extend(map(_point_row, cloud.points))
     write_csv(run.path("cloud.csv"), ["re_x", "im_x", "re_y", "im_y"], rows)
-    write_json(
-        run.path("cloud.json"),
-        {"depth": run.args.depth, "points": len(rows), "dropped": dropped},
-    )
-    return run.finish("pullback", f"{len(rows)} cloud points, {dropped} dropped")
+    write_json(run.path("cloud.json"), {"depth": depth, "points": len(rows), "dropped": dropped})
+    return run.finish(f"{len(rows)} cloud points, {dropped} dropped")
 
 
+@subcommand(
+    "density", "pullback clouds occupy an increasing fraction of a 4-D grid",
+    *SADDLE, arg("--depth", 4), arg("--cells", 10), arg("--box-min", -2.0), arg("--box-max", 2.0),
+    arg("--plane", "re_x,re_y"),
+)
 def cmd_density(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
-    graph = _build_graph(run, chain, fp)
-    box = (run.args.box_min, run.args.box_max)
-    reports = manifold.density_sweep(
-        chain, graph, range(0, run.args.depth + 1), box, run.args.cells,
-        cumulative=True,
-    )
+    a = run.args
+    chain, fp = run.chain_and_fixed_point()
+    graph = run.local_graph(chain, fp)
+    box = (a.box_min, a.box_max)
+    depths = range(a.depth + 1)
+    reports = manifold.density_sweep(chain, graph, depths, box, a.cells, cumulative=True)
     last = reports[-1]
-    run.params = {
-        "depth": run.args.depth,
-        "cells_per_axis": run.args.cells,
-        "box": [run.args.box_min, run.args.box_max],
-        "plane": run.args.plane,
-    }
     write_json(
         run.path("density.json"),
-        {
-            "box": [list(b) for b in last.box],
-            "cells_per_axis": last.cells_per_axis,
-            "depth": last.depth,
-            "occupied": last.occupied,
-            "total": last.total,
-            "fraction": last.fraction,
-            "sweep": [
-                {"depth": r.depth, "occupied": r.occupied, "fraction": r.fraction}
-                for r in reports
-            ],
-        },
+        {**fields(last), "sweep": [fields(r, "depth", "occupied", "fraction") for r in reports]},
     )
     axes = {"re_x": 0, "im_x": 1, "re_y": 2, "im_y": 3}
     try:
-        a, b = (axes[t] for t in run.args.plane.split(","))
+        i, j = (axes[t] for t in a.plane.split(","))
     except KeyError as exc:
-        raise MapFormatError(f"bad --plane {run.args.plane!r}") from exc
-    cloud = manifold.pullback_cloud(chain, graph, run.args.depth)
-    img = manifold.occupancy_image(cloud.points, box, run.args.cells, (a, b))
-    write_ppm(run.path("density.ppm"), img)
+        raise MapFormatError(f"bad --plane {a.plane!r}") from exc
+    cloud = manifold.pullback_cloud(chain, graph, a.depth)
+    write_ppm(run.path("density.ppm"), manifold.occupancy_image(cloud.points, box, a.cells, (i, j)))
     return run.finish(
-        "density",
-        f"depth {last.depth}: {last.occupied}/{last.total} cells"
-        f" (fraction {last.fraction:.6f})",
+        f"depth {last.depth}: {last.occupied}/{last.total} cells (fraction {last.fraction:.6f})"
     )
 
 
+# stability accepts --mesh with the other SADDLE options but graphs on its own default mesh
+@subcommand(
+    "stability", "tracked fixed points and local graphs move continuously under perturbation",
+    *SADDLE, arg("--t-values", "1e-2,1e-3,1e-4"), arg("--pullback-depth", 3),
+)
 def cmd_stability(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
+    a = run.args
+    chain, fp = run.chain_and_fixed_point()
     family = manifold.sheary_perturbation_family(chain, lambda t: (0.0, 0.0, t))
-    ts = _parse_floats(run.args.t_values)
     rows = manifold.stability_experiment(
-        chain,
-        fp,
-        family,
-        ts,
-        delta=run.args.delta,
-        tol=run.args.graph_tol,
-        pullback_depth=run.args.pullback_depth,
+        chain, fp, family, [float(v) for v in a.t_values.split(",") if v],
+        delta=a.delta, tol=a.graph_tol, pullback_depth=a.pullback_depth,
     )
-    run.params = {"t_values": ts, "delta": run.args.delta, "depth": run.args.pullback_depth}
-    write_json(
-        run.path("stability.json"),
-        {
-            "rows": [
-                {
-                    "t": r.t,
-                    "fp_offset": r.fp_offset,
-                    "graph_dist": r.graph_dist,
-                    "cloud_dist": r.cloud_dist,
-                }
-                for r in rows
-            ]
-        },
-    )
-    return run.finish(
-        "stability",
-        "; ".join(f"t={r.t:g}: graph {r.graph_dist:.3e}" for r in rows),
-    )
+    write_json(run.path("stability.json"), {"rows": rows})
+    return run.finish("; ".join(f"t={r.t:g}: graph {r.graph_dist:.3e}" for r in rows))
 
 
-def _quadratic_from_args(run: Run) -> parabolic.HomogeneousQuadratic:
+def _tangent_map(run: Run):
+    """The map of --map (else the normal form for --c) and its quadratic part."""
     if run.args.map:
-        m = _load_chain(run, run.args.map)
-        return parabolic.quadratic_part(m)
-    return parabolic.HomogeneousQuadratic.normal_form(run.args.c)
+        m = run.load_map()
+        return m, parabolic.quadratic_part(m)
+    p2 = parabolic.HomogeneousQuadratic.normal_form(run.args.c)
+    return p2.to_map(), p2
 
 
-def _directions_payload(p2):
+def _directions(p2):
     dirs = parabolic.characteristic_directions(p2)
     if isinstance(dirs, parabolic.AllDirections):
         return "all"
-    return [
-        {
-            "v": [_cx(d.direction[0]), _cx(d.direction[1])],
-            "lambda": _cx(d.lam),
-            "degenerate": d.degenerate,
-            "chart": d.chart,
-        }
-        for d in dirs
-    ]
+    return [{"v": d.direction, "lambda": d.lam, "degenerate": d.degenerate, "chart": d.chart}
+            for d in dirs]
 
 
+@subcommand(
+    "char-dirs", "characteristic directions solve P2(v) = lambda v in both blow-up charts",
+    *MAP_OR_C, arg("--c", 3.0, help="normal-form parameter"),
+)
 def cmd_char_dirs(run: Run) -> int:
-    p2 = _quadratic_from_args(run)
-    payload = _directions_payload(p2)
-    run.params = {"c": run.args.c if not run.args.map else None}
-    write_json(run.path("directions.json"), {"p": [_cx(v) for v in p2.p], "q": [_cx(v) for v in p2.q], "directions": payload})
+    _, p2 = _tangent_map(run)
+    payload = _directions(p2)
+    write_json(run.path("directions.json"), {**fields(p2, "p", "q"), "directions": payload})
     n = "all" if payload == "all" else len(payload)
-    return run.finish("char-dirs", f"{n} characteristic direction(s)")
+    return run.finish(f"{n} characteristic direction(s)")
 
 
+@subcommand(
+    "normalize", "volume-preserving quadratic parts reduce to (x^2+2xy+cy^2, -2xy-y^2)",
+    *MAP_OR_C, arg("--c", 3.0),
+)
 def cmd_normalize(run: Run) -> int:
-    p2 = _quadratic_from_args(run)
+    _, p2 = _tangent_map(run)
     dirs = parabolic.characteristic_directions(p2)
     if isinstance(dirs, parabolic.AllDirections):
         raise MapFormatError("P2 vanishes; nothing to normalize")
@@ -346,438 +292,226 @@ def cmd_normalize(run: Run) -> int:
     if not nondeg:
         raise parabolic.DegenerateDirection("no non-degenerate direction to normalize")
     res = parabolic.normalize(p2, nondeg[0])
-    run.params = {"c": run.args.c if not run.args.map else None}
     write_json(
         run.path("normalize.json"),
         {
-            "p": [_cx(v) for v in res.quadratic.p],
-            "q": [_cx(v) for v in res.quadratic.q],
-            "c": _cx(res.c),
-            "b_was_zero": res.b_was_zero,
-            "conjugation": [[_cx(res.conjugation.matrix[i, j]) for j in (0, 1)] for i in (0, 1)],
+            **fields(res.quadratic, "p", "q"),
+            **fields(res, "c", "b_was_zero"),
+            "conjugation": res.conjugation.matrix,
         },
     )
-    return run.finish("normalize", f"normal form c = {res.c:.6g}, b_zero={res.b_was_zero}")
+    return run.finish(f"normal form c = {res.c:.6g}, b_zero={res.b_was_zero}")
 
 
+@subcommand(
+    "parabolic-graph", "exactly one u keeps the blow-up orbit of x in the sector",
+    *MAP_OR_C, arg("--c", 0.0), arg("--x-mesh", "-0.01"), arg("--resolution", 1e-6),
+    arg("--expansion-trials", 0),
+)
 def cmd_parabolic_graph(run: Run) -> int:
-    if run.args.map:
-        m = _load_chain(run, run.args.map)
-        p2 = parabolic.quadratic_part(m)
-        c_val = None
-    else:
-        p2 = parabolic.HomogeneousQuadratic.normal_form(run.args.c)
-        m = p2.to_map()
-        c_val = run.args.c
-    xs = _parse_complexes(run.args.x_mesh)
-    graph_rows = []
-    for x in xs:
-        gp = parabolic.graph_point(
-            m, x, epsilon=run.args.epsilon, resolution=run.args.resolution
-        )
-        graph_rows.append({"x": _cx(gp.x), "u": _cx(gp.u), "radius": gp.certified_radius})
+    a = run.args
+    m, p2 = _tangent_map(run)
+    xs = [complex(v) for v in a.x_mesh.split(",") if v]
+    points = [parabolic.graph_point(m, x, epsilon=a.epsilon, resolution=a.resolution) for x in xs]
     expansion = None
-    if run.args.expansion_trials:
-        rep = parabolic.expansion_check(
-            m, run.args.epsilon, trials=run.args.expansion_trials, seed=run.args.seed
-        )
-        expansion = {
-            "trials": rep.trials,
-            "violations": rep.violations,
-            "min_margin": rep.min_margin,
-        }
-    run.params = {
-        "c": c_val,
-        "epsilon": run.args.epsilon,
-        "resolution": run.args.resolution,
-        "x_mesh": run.args.x_mesh,
-    }
+    if a.expansion_trials:
+        rep = parabolic.expansion_check(m, a.epsilon, trials=a.expansion_trials, seed=a.seed)
+        expansion = fields(rep, "trials", "violations", "min_margin")
     write_json(
         run.path("parabolic.json"),
         {
-            "c": None if c_val is None else _cx(complex(c_val)),
-            "epsilon": run.args.epsilon,
-            "directions": _directions_payload(p2),
-            "graph": graph_rows,
+            "c": None if a.map else complex(a.c),
+            "epsilon": a.epsilon,
+            "directions": _directions(p2),
+            "graph": [{"x": g.x, "u": g.u, "radius": g.certified_radius} for g in points],
             "expansion": expansion,
         },
     )
-    us = ", ".join(f"u({r['x'][0]:g})={r['u'][0]:.2e}" for r in graph_rows)
-    return run.finish("parabolic-graph", f"{len(graph_rows)} graph point(s): {us}")
+    us = ", ".join(f"u({g.x.real:g})={g.u.real:.2e}" for g in points)
+    return run.finish(f"{len(points)} graph point(s): {us}")
 
 
+@subcommand(
+    "expansion-check", "u-differences expand and dominate x-differences in the sector",
+    *MAP_OR_C, arg("--c", 0.0), arg("--trials", 10000),
+)
 def cmd_expansion_check(run: Run) -> int:
-    if run.args.map:
-        m = _load_chain(run, run.args.map)
-    else:
-        m = parabolic.HomogeneousQuadratic.normal_form(run.args.c).to_map()
-    rep = parabolic.expansion_check(
-        m, run.args.epsilon, trials=run.args.trials, seed=run.args.seed
-    )
-    run.params = {
-        "c": run.args.c if not run.args.map else None,
-        "epsilon": run.args.epsilon,
-        "trials": run.args.trials,
-    }
-    write_json(
-        run.path("expansion.json"),
-        {
-            "epsilon": rep.epsilon,
-            "trials": rep.trials,
-            "violations": rep.violations,
-            "min_margin": rep.min_margin,
-            "regime_ok": rep.regime_ok,
-        },
-    )
-    return run.finish(
-        "expansion-check",
-        f"{rep.violations} violations over {rep.trials} pairs"
-        f" (min margin {rep.min_margin:.3e})",
-    )
+    a = run.args
+    m = run.load_map() if a.map else parabolic.HomogeneousQuadratic.normal_form(a.c).to_map()
+    rep = parabolic.expansion_check(m, a.epsilon, trials=a.trials, seed=a.seed)
+    write_json(run.path("expansion.json"), rep)
+    summary = f"{rep.violations} violations over {rep.trials} pairs"
+    return run.finish(f"{summary} (min margin {rep.min_margin:.3e})")
 
 
+@subcommand(
+    "dichotomy", "a non-attracting fixed point admits orbits avoiding the r-ball for m steps",
+    *SADDLE, arg("--r", 0.5), arg("--m-max", 50), arg("--samples", 512),
+)
 def cmd_dichotomy(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
-    rep = basin.dichotomy_probe(
-        chain, fp, run.args.r, run.args.m_max, samples=run.args.samples, seed=run.args.seed
-    )
-    run.params = {"r": run.args.r, "m_max": run.args.m_max, "samples": run.args.samples}
+    a = run.args
+    chain, fp = run.chain_and_fixed_point()
+    rep = basin.dichotomy_probe(chain, fp, a.r, a.m_max, samples=a.samples, seed=a.seed)
     write_json(
-        run.path("dichotomy.json"),
-        {
-            "r": rep.r,
-            "m_max": rep.m_max,
-            "largest_witnessed_m": rep.largest_witnessed_m,
-            "cutoff_m0": rep.cutoff_m0,
-        },
+        run.path("dichotomy.json"), fields(rep, "r", "m_max", "largest_witnessed_m", "cutoff_m0")
     )
-    write_csv(
-        run.path("witnesses.csv"),
-        ["m", "re_x", "im_x", "re_y", "im_y"],
-        [
-            (m, w[0].real, w[0].imag, w[1].real, w[1].imag)
-            for m, w in sorted(rep.witnesses.items())
-        ],
-    )
-    return run.finish(
-        "dichotomy",
-        f"largest witnessed m = {rep.largest_witnessed_m}, cutoff = {rep.cutoff_m0}",
-    )
+    rows = [(m, *_point_row(w)) for m, w in sorted(rep.witnesses.items())]
+    write_csv(run.path("witnesses.csv"), ["m", "re_x", "im_x", "re_y", "im_y"], rows)
+    return run.finish(f"largest witnessed m = {rep.largest_witnessed_m}, cutoff = {rep.cutoff_m0}")
 
 
+@subcommand(
+    "interior", "the attracting set of a volume-preserving map has empty interior",
+    *SADDLE, arg("--radius", 2.0), arg("--samples", 100000), arg("--max-iter", 500),
+    arg("--conv-tol", 1e-3),
+)
 def cmd_interior(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    fp = _find_fp(run, chain)
+    a = run.args
+    chain, fp = run.chain_and_fixed_point()
     rep = basin.interior_probe(
-        chain,
-        fp,
-        run.args.radius,
-        run.args.samples,
-        max_iter=run.args.max_iter,
-        conv_tol=run.args.conv_tol,
-        seed=run.args.seed,
-        threads=run.args.threads,
+        chain, fp, a.radius, a.samples,
+        max_iter=a.max_iter, conv_tol=a.conv_tol, seed=a.seed, threads=a.threads,
     )
-    run.params = {
-        "radius": rep.radius,
-        "samples": rep.samples,
-        "max_iter": rep.max_iter,
-        "conv_tol": rep.conv_tol,
-    }
-    write_json(
-        run.path("interior.json"),
-        {
-            "samples": rep.samples,
-            "converged": rep.converged,
-            "fraction": rep.fraction,
-            "radius": rep.radius,
-            "max_iter": rep.max_iter,
-            "conv_tol": rep.conv_tol,
-        },
-    )
-    return run.finish("interior", f"fraction {rep.fraction:.6f} of {rep.samples} samples")
+    write_json(run.path("interior.json"), rep)
+    return run.finish(f"fraction {rep.fraction:.6f} of {rep.samples} samples")
 
 
+def _finish_marked(run: Run, name: str, marked, verdict: str) -> int:
+    write_ppm(run.path(f"{name}.ppm"), marked)
+    write_json(run.path(f"{name}.json"), {"marked": int(marked.sum()), "total": int(marked.size)})
+    return run.finish(f"{int(marked.sum())}/{marked.size} cells {verdict}")
+
+
+@subcommand(
+    "bounded-set", "occupancy of the bounded-orbit set on a grid slice",
+    *MAPPED, arg("--box-min", -2.0), arg("--box-max", 2.0), arg("--grid", "64,64"),
+    arg("--max-iter", 200),
+)
 def cmd_bounded_set(run: Run) -> int:
-    chain = _require_auto(_load_chain(run, run.args.map))
-    box = ((run.args.box_min, run.args.box_max), (run.args.box_min, run.args.box_max))
-    grid = tuple(int(v) for v in run.args.grid.split(","))
     marked = basin.bounded_set_probe(
-        chain, box, grid, max_iter=run.args.max_iter, threads=run.args.threads
+        run.auto_chain(), run.box(), _parse_grid(run.args.grid),
+        max_iter=run.args.max_iter, threads=run.args.threads,
     )
-    run.params = {"box": [run.args.box_min, run.args.box_max], "grid": run.args.grid}
-    write_ppm(run.path("bounded.ppm"), marked)
-    write_json(
-        run.path("bounded.json"),
-        {"marked": int(marked.sum()), "total": int(marked.size)},
-    )
-    return run.finish("bounded-set", f"{int(marked.sum())}/{marked.size} cells bounded")
+    return _finish_marked(run, "bounded", marked, "bounded")
 
 
+@subcommand(
+    "gallery", "closed-form sphere iterate z/(1+mz) and the non-uniform planar map",
+    *COMMON, arg("--example", required=True, choices=["sphere", "psi", "planar", "nonuniformity"]),
+    arg("--z", "0.5"), arg("--m", 3), arg("--theta", 3.141592653589793),
+)
 def cmd_gallery(run: Run) -> int:
     ex = run.args.example
-    run.params = {"example": ex}
     if ex == "sphere":
         z, m = complex(run.args.z), run.args.m
         val = basin.sphere_map(m, z)
-        resid = basin.sphere_map_iterate_check(z, m)
-        run.params.update({"z": _cx(z), "m": m})
-        write_json(
-            run.path("gallery.json"),
-            {"example": "sphere", "value": _cx(val), "residual": resid},
-        )
+        out = {"value": val, "residual": basin.sphere_map_iterate_check(z, m)}
         text = f"{val.real:g}" if val.imag == 0 else f"{val.real:g}{val.imag:+g}j"
-        return run.finish("gallery", text)
-    if ex == "psi":
-        theta = float(run.args.theta)
-        val = float(basin.psi(theta))
-        run.params.update({"theta": theta})
-        write_json(run.path("gallery.json"), {"example": "psi", "value": val})
-        return run.finish("gallery", f"{val:.17g}")
-    if ex == "planar":
-        z = complex(run.args.z)
-        val = basin.planar_homeo(z)
-        run.params.update({"z": _cx(z)})
-        write_json(run.path("gallery.json"), {"example": "planar", "value": _cx(val)})
-        return run.finish("gallery", f"{val.real:.6g}{val.imag:+.6g}j")
-    if ex == "nonuniformity":
+    elif ex == "psi":
+        val = float(basin.psi(run.args.theta))
+        out, text = {"value": val}, f"{val:.17g}"
+    elif ex == "planar":
+        val = basin.planar_homeo(complex(run.args.z))
+        out, text = {"value": val}, f"{val.real:.6g}{val.imag:+.6g}j"
+    else:
         rows = []
         for m in range(1, run.args.m + 1):
-            theta, z = basin.nonuniformity_witness(m)
-            w = z
+            theta, w = basin.nonuniformity_witness(m)
             for _ in range(m):
                 w = basin.planar_homeo(w)
             rows.append((m, theta, abs(w - 1.0)))
-        run.params.update({"m": run.args.m})
         write_csv(run.path("witnesses.csv"), ["m", "theta", "dist"], rows)
-        write_json(
-            run.path("gallery.json"),
-            {"example": "nonuniformity", "witnesses": len(rows)},
-        )
-        return run.finish("gallery", f"{len(rows)} witnesses, all re-verified")
-    raise MapFormatError(f"unknown gallery example {ex!r}")
+        out, text = {"witnesses": len(rows)}, f"{len(rows)} witnesses, all re-verified"
+    write_json(run.path("gallery.json"), {"example": ex, **out})
+    return run.finish(text)
 
 
+@subcommand(
+    "nonauto-run", "composition orbits can attract pointwise but not uniformly on compacts",
+    *COMMON, arg("--sequence", required=True, help="sequence definition JSON"),
+    arg("--mode", "orbit", choices=["orbit", "probe", "report"]), arg("--z", "0,0"),
+    arg("--n", 30), arg("--conv-tol", 1e-3), arg("--box-min", -1.0), arg("--box-max", 1.0),
+    arg("--grid", "21,21"), arg("--with-witnesses", False),
+)
 def cmd_nonauto_run(run: Run) -> int:
-    run.note_input(run.args.sequence)
-    with open(run.args.sequence, "r", encoding="utf-8") as fh:
+    a = run.args
+    run.note_input(a.sequence)
+    with open(a.sequence, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MapFormatError(f"invalid sequence JSON: {exc}") from exc
     seq = nonauto.sequence_from_dict(payload)
-    mode = run.args.mode
-    run.params = {"mode": mode, "n": run.args.n}
-    if mode == "orbit":
-        z = _parse_point(run.args.z)
-        states, overflow = nonauto.nonauto_orbit(seq, z, run.args.n)
-        write_csv(
-            run.path("orbit.csv"),
-            ["n", "re_x", "im_x", "re_y", "im_y"],
-            [
-                (i, p[0].real, p[0].imag, p[1].real, p[1].imag)
-                for i, p in enumerate(states)
-            ],
-        )
+    if a.mode == "orbit":
+        states, overflow = nonauto.nonauto_orbit(seq, _parse_point(a.z), a.n)
+        rows = [(i, *_point_row(p)) for i, p in enumerate(states)]
+        write_csv(run.path("orbit.csv"), ["n", "re_x", "im_x", "re_y", "im_y"], rows)
         note = "" if overflow is None else f" (overflow at step {overflow})"
-        return run.finish("nonauto-run", f"orbit of length {len(states)}{note}")
-    if mode == "probe":
-        box = ((run.args.box_min, run.args.box_max), (run.args.box_min, run.args.box_max))
-        grid = tuple(int(v) for v in run.args.grid.split(","))
+        return run.finish(f"orbit of length {len(states)}{note}")
+    if a.mode == "probe":
         marked = nonauto.nonauto_attracting_probe(
-            seq, box, grid, run.args.n, conv_tol=run.args.conv_tol
+            seq, run.box(), _parse_grid(a.grid), a.n, conv_tol=a.conv_tol
         )
-        write_ppm(run.path("nonauto.ppm"), marked)
-        write_json(
-            run.path("nonauto.json"),
-            {"marked": int(marked.sum()), "total": int(marked.size)},
-        )
-        return run.finish("nonauto-run", f"{int(marked.sum())}/{marked.size} cells attracted")
-    if mode == "report":
-        witnesses = (
-            nonauto.demonstrator_witnesses(run.args.n) if run.args.with_witnesses else []
-        )
-        box = ((run.args.box_min, run.args.box_max), (run.args.box_min, run.args.box_max))
-        rep = nonauto.pointwise_vs_uniform_report(
-            seq, box, run.args.n, conv_tol=run.args.conv_tol, witnesses=witnesses
-        )
-        write_csv(
-            run.path("pointwise.csv"),
-            ["n", "sup_distance", "converged_fraction"],
-            [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows],
-        )
-        last = rep.rows[-1]
-        return run.finish(
-            "nonauto-run",
-            f"n={last.n}: sup {last.sup_distance:.3e}, fraction {last.converged_fraction:.3f}",
-        )
-    raise MapFormatError(f"unknown mode {mode!r}")
-
-
-def cmd_sector_sets(run: Run) -> int:
-    params = nonauto.SectorSetParams(
-        R=run.args.R, epsilon=run.args.epsilon, delta=run.args.delta, rho=run.args.rho
+        return _finish_marked(run, "nonauto", marked, "attracted")
+    witnesses = nonauto.demonstrator_witnesses(a.n) if a.with_witnesses else []
+    rep = nonauto.pointwise_vs_uniform_report(
+        seq, run.box(), a.n, conv_tol=a.conv_tol, witnesses=witnesses
     )
-    rep = nonauto.disjointness_check(params, samples=run.args.check_samples, seed=run.args.seed)
+    rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
+    write_csv(run.path("pointwise.csv"), ["n", "sup_distance", "converged_fraction"], rows)
+    last = rep.rows[-1]
+    return run.finish(
+        f"n={last.n}: sup {last.sup_distance:.3e}, fraction {last.converged_fraction:.3f}"
+    )
+
+
+@subcommand(
+    "sector-sets", "the five target components are pairwise disjoint compact sets",
+    *COMMON, arg("--R", 2.0), arg("--rho", 0.01), arg("--z"), arg("--check-samples", 2000),
+)
+def cmd_sector_sets(run: Run) -> int:
+    a = run.args
+    params = nonauto.SectorSetParams(R=a.R, epsilon=a.epsilon, delta=a.delta, rho=a.rho)
+    rep = nonauto.disjointness_check(params, samples=a.check_samples, seed=a.seed)
     out = {
-        "R": params.R,
-        "epsilon": params.epsilon,
-        "delta": params.delta,
-        "disjoint": rep.disjoint,
-        "min_gap": rep.min_gap,
-        "worst_pair": list(rep.worst_pair),
-        "sampled_min": rep.sampled_min,
+        **fields(params, "R", "epsilon", "delta"),
+        **fields(rep, "disjoint", "min_gap", "worst_pair", "sampled_min"),
     }
-    if run.args.z:
-        z = _parse_point(run.args.z)
-        out["membership"] = nonauto.sector_sets_membership(params, z)
-    run.params = {"R": params.R, "epsilon": params.epsilon, "delta": params.delta}
+    if a.z:
+        out["membership"] = nonauto.sector_sets_membership(params, _parse_point(a.z))
     write_json(run.path("sector_sets.json"), out)
     verdict = "disjoint" if rep.disjoint else f"colliding pair {rep.worst_pair}"
-    return run.finish("sector-sets", f"{verdict}, min gap {rep.min_gap:.5f}")
+    return run.finish(f"{verdict}, min gap {rep.min_gap:.5f}")
 
 
+@subcommand(
+    "report", "listing of subcommands and the statements they probe", *COMMON, arg("--list", False)
+)
 def cmd_report(run: Run) -> int:
-    lines = [f"{name}: {claim}" for name, claim in sorted(CLAIMS.items())]
     if run.args.list:
-        for line in lines:
-            print(line)
+        for name, claim in sorted(CLAIMS.items()):
+            print(f"{name}: {claim}")
     write_json(run.path("report.json"), {"subcommands": CLAIMS})
-    run.params = {"list": run.args.list}
-    return run.finish("report", f"{len(CLAIMS)} subcommands")
+    return run.finish(f"{len(CLAIMS)} subcommands")
 
 
-# -- parser --------------------------------------------------------------------
+CLAIMS = {name: cmd.claim for name, cmd in SUBCOMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="holodyn", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, map_required=True, map_optional=False):
-        if map_optional:
-            p.add_argument("--map", default=None, help="map definition JSON")
-        elif map_required:
-            p.add_argument("--map", required=True, help="map definition JSON")
-        p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (counter-based)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-12, help="Newton tolerance")
-        p.add_argument("--epsilon", type=float, default=0.02)
-        p.add_argument("--delta", type=float, default=0.1)
-        return p
-
-    def graphish(p):
-        p.add_argument("--seed-point", default=None, help="Newton seed 'x,y'")
-        p.add_argument("--mesh", default="10,16", help="polar mesh 'n_r,n_theta'")
-        p.add_argument("--graph-tol", type=float, default=1e-9)
-        p.add_argument("--auto-shrink", action="store_true")
-        return p
-
-    p = graphish(common(sub.add_parser("fixed-point")))
-    p.set_defaults(func=cmd_fixed_point)
-
-    p = graphish(common(sub.add_parser("stable-graph")))
-    p.set_defaults(func=cmd_stable_graph)
-
-    p = graphish(common(sub.add_parser("pullback")))
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--cumulative", action="store_true")
-    p.set_defaults(func=cmd_pullback)
-
-    p = graphish(common(sub.add_parser("density")))
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--cells", type=int, default=10)
-    p.add_argument("--box-min", type=float, default=-2.0)
-    p.add_argument("--box-max", type=float, default=2.0)
-    p.add_argument("--plane", default="re_x,re_y")
-    p.set_defaults(func=cmd_density)
-
-    p = graphish(common(sub.add_parser("stability")))
-    p.add_argument("--t-values", default="1e-2,1e-3,1e-4")
-    p.add_argument("--pullback-depth", type=int, default=3)
-    p.set_defaults(func=cmd_stability)
-
-    p = common(sub.add_parser("char-dirs"), map_optional=True)
-    p.add_argument("--c", type=float, default=3.0, help="normal-form parameter")
-    p.set_defaults(func=cmd_char_dirs)
-
-    p = common(sub.add_parser("normalize"), map_optional=True)
-    p.add_argument("--c", type=float, default=3.0)
-    p.set_defaults(func=cmd_normalize)
-
-    p = common(sub.add_parser("parabolic-graph"), map_optional=True)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--x-mesh", default="-0.01")
-    p.add_argument("--resolution", type=float, default=1e-6)
-    p.add_argument("--expansion-trials", type=int, default=0)
-    p.set_defaults(func=cmd_parabolic_graph)
-
-    p = common(sub.add_parser("expansion-check"), map_optional=True)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--trials", type=int, default=10000)
-    p.set_defaults(func=cmd_expansion_check)
-
-    p = graphish(common(sub.add_parser("dichotomy")))
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--m-max", type=int, default=50)
-    p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(func=cmd_dichotomy)
-
-    p = graphish(common(sub.add_parser("interior")))
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--conv-tol", type=float, default=1e-3)
-    p.set_defaults(func=cmd_interior)
-
-    p = common(sub.add_parser("bounded-set"))
-    p.add_argument("--box-min", type=float, default=-2.0)
-    p.add_argument("--box-max", type=float, default=2.0)
-    p.add_argument("--grid", default="64,64")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.set_defaults(func=cmd_bounded_set)
-
-    p = common(sub.add_parser("gallery"), map_required=False)
-    p.add_argument("--example", required=True, choices=["sphere", "psi", "planar", "nonuniformity"])
-    p.add_argument("--z", default="0.5")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--theta", type=float, default=3.141592653589793)
-    p.set_defaults(func=cmd_gallery)
-
-    p = common(sub.add_parser("nonauto-run"), map_required=False)
-    p.add_argument("--sequence", required=True, help="sequence definition JSON")
-    p.add_argument("--mode", default="orbit", choices=["orbit", "probe", "report"])
-    p.add_argument("--z", default="0,0")
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--conv-tol", type=float, default=1e-3)
-    p.add_argument("--box-min", type=float, default=-1.0)
-    p.add_argument("--box-max", type=float, default=1.0)
-    p.add_argument("--grid", default="21,21")
-    p.add_argument("--with-witnesses", action="store_true")
-    p.set_defaults(func=cmd_nonauto_run)
-
-    p = common(sub.add_parser("sector-sets"), map_required=False)
-    p.add_argument("--R", type=float, default=2.0)
-    p.add_argument("--rho", type=float, default=0.01)
-    p.add_argument("--z", default=None)
-    p.add_argument("--check-samples", type=int, default=2000)
-    p.set_defaults(func=cmd_sector_sets)
-
-    p = common(sub.add_parser("report"), map_required=False)
-    p.add_argument("--list", action="store_true")
-    p.set_defaults(func=cmd_report)
-
+    for name, cmd in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, kwargs in cmd.specs:
+            p.add_argument(flag, **kwargs)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        run = Run(args)
-        return args.func(run)
+        return SUBCOMMANDS[args.subcommand].handler(Run(args))
     except MapFormatError as exc:
         print(f"holodyn: config error: {exc}", file=sys.stderr)
         return 2

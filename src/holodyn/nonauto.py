@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basin import HYSTERESIS, nonuniformity_witness, planar_homeo
+from .basin import HYSTERESIS, grid_centres, nonuniformity_witness, planar_homeo
 from .core import AutoChain, DEFAULT_CAP, EndoChain, Point, map_from_dict
 from .errors import MapFormatError, TangencyViolation
 
@@ -107,14 +107,10 @@ def nonauto_attracting_probe(
 ) -> np.ndarray:
     """Cells (real 2-D slice) whose centre composition-orbit ends within
     conv_tol of 0 at step n_max and for the 20 preceding steps."""
-    (a0, a1), (b0, b1) = box
     na, nb = grid
     if na == 0 or nb == 0:
         return np.zeros((nb, na), dtype=bool)
-    aa = a0 + (np.arange(na) + 0.5) * (a1 - a0) / na
-    bb = b0 + (np.arange(nb) + 0.5) * (b1 - b0) / nb
-    xs = np.repeat(aa[None, :], nb, axis=0).ravel().astype(complex)
-    ys = np.repeat(bb[:, None], na, axis=1).ravel().astype(complex)
+    xs, ys = grid_centres(box, grid)
     alive = np.ones(xs.shape[0], dtype=bool)
     run = np.zeros(xs.shape[0], dtype=np.int64)
     for j in range(1, n_max + 1):
@@ -351,12 +347,7 @@ def pointwise_vs_uniform_report(
     are appended so the sup can expose non-uniform attraction that a coarse
     grid cannot resolve.
     """
-    (a0, a1), (b0, b1) = box
-    na, nb = grid
-    aa = a0 + (np.arange(na) + 0.5) * (a1 - a0) / na
-    bb = b0 + (np.arange(nb) + 0.5) * (b1 - b0) / nb
-    xs = np.repeat(aa[None, :], nb, axis=0).ravel().astype(complex)
-    ys = np.repeat(bb[:, None], na, axis=1).ravel().astype(complex)
+    xs, ys = grid_centres(box, grid)
     if witnesses:
         wx = np.asarray([w[0] for w in witnesses], dtype=complex)
         wy = np.asarray([w[1] for w in witnesses], dtype=complex)
@@ -382,7 +373,7 @@ def pointwise_vs_uniform_report(
         )
     return PointwiseUniformReport(
         rows=rows,
-        grid_points=na * nb,
+        grid_points=grid[0] * grid[1],
         witness_points=len(witnesses),
         conv_tol=conv_tol,
     )

@@ -82,15 +82,6 @@ class Poly2:
             return 0
         return max(i + j for i, j in self.terms)
 
-    def eval(self, x, y):
-        acc = 0j
-        for (i, j), c in self.terms.items():
-            acc = acc + c * x**i * y**j
-        return acc
-
-    def homogeneous_part(self, degree: int) -> dict[tuple[int, int], complex]:
-        return {k: v for k, v in self.terms.items() if k[0] + k[1] == degree}
-
     def max_coeff(self) -> float:
         return max((abs(v) for v in self.terms.values()), default=0.0)
 

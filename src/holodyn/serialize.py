@@ -2,9 +2,13 @@
 
 Floats are rendered with 17 significant digits (round-trip exact for
 doubles) so reruns with identical inputs compare byte-identical.  Complex
-values serialize as [re, im] pairs.
+values serialize as [re, im] pairs, dataclass instances as objects of their
+fields in declaration order, and enum members as their values.
 """
 from __future__ import annotations
+
+import dataclasses
+from enum import Enum
 
 import numpy as np
 
@@ -13,6 +17,13 @@ def format_float(x: float) -> str:
     if x != x:
         return "NaN"
     return "%.17g" % float(x)
+
+
+def fields(obj, *names: str) -> dict:
+    """The named fields of a dataclass instance, in the order named; all of
+    its fields in declaration order when no name is given."""
+    names = names or tuple(f.name for f in dataclasses.fields(obj))
+    return {name: getattr(obj, name) for name in names}
 
 
 def _render(obj, out: list[str]) -> None:
@@ -46,6 +57,10 @@ def _render(obj, out: list[str]) -> None:
                 out.append(", ")
             _render(v, out)
         out.append("]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _render(fields(obj), out)
+    elif isinstance(obj, Enum):
+        _render(obj.value, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

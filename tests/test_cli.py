@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holodyn.cli import CLAIMS, main
-from holodyn.core import henon_chain, map_to_dict
-from holodyn.serialize import write_json
+from holodyn.cli import CLAIMS, build_parser, main
+from holodyn.core import Classification, henon_chain, map_to_dict
+from holodyn.serialize import fields, json_dumps, write_json
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +197,190 @@ def test_sector_sets_membership_flag(tmp_path, capsys):
     data = json.loads((out / "sector_sets.json").read_text())
     assert data["membership"] == "KxDisc"
     assert data["disjoint"] is True
+
+
+@dataclass
+class _Inner:
+    z: complex
+    kind: Classification
+
+
+@dataclass
+class _Outer:
+    b: int
+    a: _Inner
+    rows: list
+
+
+def test_dataclass_and_enum_rendering():
+    rows = [_Inner(2j, Classification.ATTRACTING)]
+    obj = _Outer(b=1, a=_Inner(1 - 0.5j, Classification.SADDLE), rows=rows)
+    assert json_dumps(obj) == (
+        '{"b": 1, "a": {"z": [1, -0.5], "kind": "Saddle"},'
+        ' "rows": [{"z": [0, 2], "kind": "Attracting"}]}'
+    )
+    assert list(fields(obj)) == ["b", "a", "rows"]
+    assert fields(obj, "rows", "b") == {"rows": rows, "b": 1}
+    with pytest.raises(TypeError):
+        json_dumps(_Inner)
+
+
+# -- CLI surface -----------------------------------------------------------------
+
+MAPS = Path(__file__).resolve().parents[1] / "maps"
+REQUIRED = "<required>"
+
+_COMMON = {
+    "--out": "out", "--seed": 0, "--threads": 1, "--tol": 1e-12, "--epsilon": 0.02,
+    "--delta": 0.1,
+}
+_MAPPED = {"--map": REQUIRED, **_COMMON}
+_MAP_OR_C = {"--map": None, **_COMMON}
+_SADDLE = {
+    **_MAPPED, "--seed-point": None, "--mesh": "10,16", "--graph-tol": 1e-9,
+    "--auto-shrink": False,
+}
+
+# Every option each subcommand accepts, with its default, written out by hand so
+# that an edit to the subcommand registry cannot drop or change one unnoticed;
+# subcommands in `report` order.
+OPTIONS = {
+    "fixed-point": _SADDLE,
+    "stable-graph": _SADDLE,
+    "pullback": {**_SADDLE, "--depth": 4, "--cumulative": False},
+    "density": {
+        **_SADDLE, "--depth": 4, "--cells": 10, "--box-min": -2.0, "--box-max": 2.0,
+        "--plane": "re_x,re_y",
+    },
+    # --mesh is accepted but not used by stability
+    "stability": {**_SADDLE, "--t-values": "1e-2,1e-3,1e-4", "--pullback-depth": 3},
+    "char-dirs": {**_MAP_OR_C, "--c": 3.0},
+    "normalize": {**_MAP_OR_C, "--c": 3.0},
+    "parabolic-graph": {
+        **_MAP_OR_C, "--c": 0.0, "--x-mesh": "-0.01", "--resolution": 1e-6,
+        "--expansion-trials": 0,
+    },
+    "expansion-check": {**_MAP_OR_C, "--c": 0.0, "--trials": 10000},
+    "dichotomy": {**_SADDLE, "--r": 0.5, "--m-max": 50, "--samples": 512},
+    "interior": {
+        **_SADDLE, "--radius": 2.0, "--samples": 100000, "--max-iter": 500, "--conv-tol": 1e-3,
+    },
+    "bounded-set": {
+        **_MAPPED, "--box-min": -2.0, "--box-max": 2.0, "--grid": "64,64", "--max-iter": 200,
+    },
+    "gallery": {
+        **_COMMON, "--example": REQUIRED, "--z": "0.5", "--m": 3,
+        "--theta": 3.141592653589793,
+    },
+    "nonauto-run": {
+        **_COMMON, "--sequence": REQUIRED, "--mode": "orbit", "--z": "0,0", "--n": 30,
+        "--conv-tol": 1e-3, "--box-min": -1.0, "--box-max": 1.0, "--grid": "21,21",
+        "--with-witnesses": False,
+    },
+    "sector-sets": {
+        **_COMMON, "--R": 2.0, "--rho": 0.01, "--z": None, "--check-samples": 2000,
+    },
+    "report": {**_COMMON, "--list": False},
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_accepts_exactly_the_known_options():
+    surface = {
+        name: {
+            opt: REQUIRED if action.required else action.default
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for name, sub in _subparsers(build_parser()).items()
+    }
+    assert list(surface) == list(OPTIONS)
+    assert surface == OPTIONS
+    assert list(CLAIMS) == list(OPTIONS)
+
+
+# (argv, artifact, top-level JSON keys in order or CSV header)
+_KEY_CASES = {
+    "normalize-c": (
+        ["normalize", "--c", "3"], "normalize.json", ["p", "q", "c", "b_was_zero", "conjugation"],
+    ),
+    "normalize-map": (
+        ["normalize", "--map", str(MAPS / "tangent_c3_jet.json")],
+        "normalize.json", ["p", "q", "c", "b_was_zero", "conjugation"],
+    ),
+    "char-dirs-c": (["char-dirs", "--c", "3"], "directions.json", ["p", "q", "directions"]),
+    "char-dirs-map": (
+        ["char-dirs", "--map", str(MAPS / "tangent_c3_jet.json")],
+        "directions.json", ["p", "q", "directions"],
+    ),
+    "expansion-check": (
+        ["expansion-check", "--trials", "500"], "expansion.json",
+        ["epsilon", "trials", "violations", "min_margin", "regime_ok"],
+    ),
+    "dichotomy": (
+        ["dichotomy", "--map", str(MAPS / "henon075.json"), "--m-max", "8", "--samples", "32"],
+        "dichotomy.json", ["r", "m_max", "largest_witnessed_m", "cutoff_m0"],
+    ),
+    "dichotomy-csv": (
+        ["dichotomy", "--map", str(MAPS / "henon075.json"), "--m-max", "8", "--samples", "32"],
+        "witnesses.csv", "m,re_x,im_x,re_y,im_y",
+    ),
+    "stable-graph-auto-shrink": (
+        ["stable-graph", "--map", str(MAPS / "henon075.json"), "--mesh", "4,8", "--auto-shrink"],
+        "graph.json",
+        ["fixed_point", "delta", "epsilon", "mesh", "iterations", "residual", "samples"],
+    ),
+    "gallery-psi": (["gallery", "--example", "psi"], "gallery.json", ["example", "value"]),
+    "gallery-planar": (["gallery", "--example", "planar"], "gallery.json", ["example", "value"]),
+    "gallery-nonuniformity": (
+        ["gallery", "--example", "nonuniformity"], "gallery.json", ["example", "witnesses"],
+    ),
+    "gallery-nonuniformity-csv": (
+        ["gallery", "--example", "nonuniformity"], "witnesses.csv", "m,theta,dist",
+    ),
+    "nonauto-orbit": (
+        ["nonauto-run", "--sequence", str(MAPS / "seq_planar_demo.json"), "--mode", "orbit",
+         "--n", "5"],
+        "orbit.csv", "n,re_x,im_x,re_y,im_y",
+    ),
+    "nonauto-probe": (
+        ["nonauto-run", "--sequence", str(MAPS / "seq_planar_demo.json"), "--mode", "probe",
+         "--n", "25", "--grid", "5,5"],
+        "nonauto.json", ["marked", "total"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_CASES))
+def test_artifact_key_order(case, tmp_path):
+    argv, artifact, expected = _KEY_CASES[case]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = (out / artifact).read_text()
+    if artifact.endswith(".csv"):
+        assert text.splitlines()[0] == expected
+    else:
+        assert list(json.loads(text)) == expected
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["subcommand", "inputs", "seed", "params", "artifacts", "wall_time_s"]
+    dests = {opt.lstrip("-").replace("-", "_") for opt in OPTIONS[argv[0]]}
+    assert set(manifest["params"]) == dests | {"subcommand"}
+
+
+def test_nested_report_key_order(henon_file, tmp_path):
+    out = tmp_path / "sg"
+    assert main(["stable-graph", "--map", henon_file, "--mesh", "4,8", "--out", str(out)]) == 0
+    fp = json.loads((out / "graph.json").read_text())["fixed_point"]
+    assert list(fp) == [
+        "location", "eigenvalues", "classification", "stable_dim", "residual", "iterations",
+        "stable_direction", "unstable_direction",
+    ]
+    out = tmp_path / "cd"
+    assert main(["char-dirs", "--c", "3", "--out", str(out)]) == 0
+    dirs = json.loads((out / "directions.json").read_text())["directions"]
+    assert [list(d) for d in dirs] == [["v", "lambda", "degenerate", "chart"]] * len(dirs)
