@@ -4,8 +4,9 @@ Convergence is operationalised with hysteresis: an orbit counts as
 converged once it sits within conv_tol of the target for 20 consecutive
 steps, which keeps transits through a neighbourhood from flagging early.
 Escape means the magnitude cap was exceeded.  All grid/sample probes run
-vectorised and draw their randomness as deterministic counter-based
-batches, so results are independent of chunking.
+vectorised, iterate only the points whose orbit is still undecided (see
+core.iterate_live) and draw their randomness as deterministic
+counter-based batches, so results are independent of chunking.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AutoChain, DEFAULT_CAP, FixedPointInfo, Point
+from .core import AutoChain, DEFAULT_CAP, FixedPointInfo, Point, _escaped, iterate_live
 from .errors import EmptySample, NotFound, PoleHit
 from .rng import ball4_points, make_generator
 
@@ -78,35 +79,27 @@ def orbit_verdicts(
     cap: float = DEFAULT_CAP,
 ):
     """Vectorised orbit verdicts; returns (codes, steps) arrays."""
-    x = np.array(xs, dtype=complex, copy=True)
-    y = np.array(ys, dtype=complex, copy=True)
-    n = x.shape[0]
-    codes = np.zeros(n, dtype=np.int8)
-    steps = np.full(n, -1, dtype=np.int64)
-    run = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    for k in range(1, max_iter + 1):
-        if not active.any():
-            break
-        nx, ny = chain.apply(x, y)
-        with np.errstate(invalid="ignore", over="ignore"):
-            esc = active & (
-                ~(np.isfinite(nx) & np.isfinite(ny))
-                | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
-            )
-        codes[esc] = VERDICT_ESCAPED
-        steps[esc] = k
-        active &= ~esc
-        x = np.where(active, nx, x)
-        y = np.where(active, ny, y)
+    x = np.asarray(xs, dtype=complex)
+    y = np.asarray(ys, dtype=complex)
+    codes = np.zeros(x.shape[0], dtype=np.int8)
+    steps = np.full(x.shape[0], -1, dtype=np.int64)
+
+    def advance(k, idx, xk, yk, run):
+        nx, ny = chain.apply(xk, yk)
+        esc = _escaped(nx, ny, cap)
+        codes[idx[esc]] = VERDICT_ESCAPED
+        steps[idx[esc]] = k
+        keep = ~esc
         if target is not None:
-            d = np.hypot(np.abs(x - target[0]), np.abs(y - target[1]))
-            near = active & (d < conv_tol)
-            run = np.where(near, run + 1, 0)
-            conv = active & (run >= HYSTERESIS)
-            codes[conv] = VERDICT_CONVERGED
-            steps[conv] = k
-            active &= ~conv
+            d = np.hypot(np.abs(nx - target[0]), np.abs(ny - target[1]))
+            run = np.where(keep & (d < conv_tol), run + 1, 0)
+            conv = keep & (run >= HYSTERESIS)
+            codes[idx[conv]] = VERDICT_CONVERGED
+            steps[idx[conv]] = k
+            keep &= ~conv
+        return keep, (nx, ny, run)
+
+    iterate_live(advance, (x, y, np.zeros(x.shape[0], dtype=np.int64)), max_iter)
     return codes, steps
 
 
@@ -153,31 +146,19 @@ def dichotomy_probe(
     xs = np.concatenate([np.asarray(cand_x, dtype=complex), bx])
     ys = np.concatenate([np.asarray(cand_y, dtype=complex), by])
 
-    x = xs.copy()
-    y = ys.copy()
     # exit_run[i]: number of leading iterates strictly outside B_r, capped at m_max
     exit_run = np.zeros(xs.shape[0], dtype=np.int64)
-    alive = np.ones(xs.shape[0], dtype=bool)  # still counting (no return yet)
-    escaped = np.zeros(xs.shape[0], dtype=bool)
-    for _ in range(m_max):
-        if not alive.any():
-            break
-        nx, ny = chain.apply(x, y)
-        with np.errstate(invalid="ignore", over="ignore"):
-            esc = alive & (
-                ~(np.isfinite(nx) & np.isfinite(ny))
-                | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
-            )
+
+    def advance(k, idx, xk, yk):
+        nx, ny = chain.apply(xk, yk)
+        esc = _escaped(nx, ny, cap)
         # escape: every later iterate stays outside the ball
-        escaped |= esc
-        exit_run[esc] = m_max
-        alive &= ~esc
-        x = np.where(alive, nx, x)
-        y = np.where(alive, ny, y)
-        d = np.hypot(np.abs(x - px), np.abs(y - py))
-        outside = d >= r
-        exit_run[alive & outside] += 1
-        alive &= outside
+        exit_run[idx[esc]] = m_max
+        keep = ~esc & (np.hypot(np.abs(nx - px), np.abs(ny - py)) >= r)
+        exit_run[idx[keep]] += 1
+        return keep, (nx, ny)
+
+    iterate_live(advance, (xs, ys), m_max)
 
     witnesses: dict[int, Point] = {}
     largest = int(exit_run.max()) if exit_run.size else 0

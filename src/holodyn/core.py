@@ -358,14 +358,37 @@ def _batch_apply(steps, xs, ys, cap, inverse):
     ok = np.ones(x.shape, dtype=bool)
     for step in steps:
         nx, ny = (step.apply_inv(x, y) if inverse else step.apply(x, y))
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad = ~(np.isfinite(nx) & np.isfinite(ny)) | (
-                np.maximum(np.abs(nx), np.abs(ny)) > cap
-            )
-        ok &= ~bad
+        ok &= ~_escaped(nx, ny, cap)
         x = np.where(ok, nx, 0j)
         y = np.where(ok, ny, 0j)
     return x, y, ok
+
+
+def _escaped(nx, ny, cap):
+    """True where an image is non-finite or has a coordinate above cap."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ~(np.isfinite(nx) & np.isfinite(ny)) | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
+
+
+def iterate_live(advance, arrays, steps: int):
+    """Iterate advance(k, idx, *arrays) -> (keep, arrays) for k = 1..steps on
+    the live points only, stopping once none is left.
+
+    idx holds the original indices of the points whose state is in arrays
+    (np.arange(n) at first); points where keep is false leave both, and
+    advance records their verdicts by scattering through idx.  Returns the
+    final (idx, arrays).
+    """
+    idx = np.arange(len(arrays[0]))
+    for k in range(1, steps + 1):
+        if idx.size == 0:
+            break
+        keep, arrays = advance(k, idx, *arrays)
+        if not keep.all():
+            live = np.flatnonzero(keep)
+            idx = idx[live]
+            arrays = tuple(a[live] for a in arrays)
+    return idx, arrays
 
 
 # -- fixed points ----------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basin import HYSTERESIS, grid_centres, nonuniformity_witness, planar_homeo
-from .core import AutoChain, DEFAULT_CAP, EndoChain, Point, map_from_dict
+from .core import AutoChain, DEFAULT_CAP, EndoChain, Point, _escaped, iterate_live, map_from_dict
 from .errors import MapFormatError, TangencyViolation
 
 MapLike = AutoChain | EndoChain
@@ -111,20 +111,19 @@ def nonauto_attracting_probe(
     if na == 0 or nb == 0:
         return np.zeros((nb, na), dtype=bool)
     xs, ys = grid_centres(box, grid)
-    alive = np.ones(xs.shape[0], dtype=bool)
-    run = np.zeros(xs.shape[0], dtype=np.int64)
-    for j in range(1, n_max + 1):
-        nx, ny = seq.map_at(j).apply(xs, ys)
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad = ~(np.isfinite(nx) & np.isfinite(ny)) | (
-                np.maximum(np.abs(nx), np.abs(ny)) > cap
-            )
-        alive &= ~bad
-        xs = np.where(alive, nx, xs)
-        ys = np.where(alive, ny, ys)
-        near = alive & (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol)
-        run = np.where(near, run + 1, 0)
-    marked = alive & (run >= min(HYSTERESIS + 1, n_max + 1))
+    # resolve every member first, so a late failing index raises even if all cells died
+    maps = [seq.map_at(j) for j in range(1, n_max + 1)]
+
+    def advance(j, idx, xj, yj, run):
+        nx, ny = maps[j - 1].apply(xj, yj)
+        keep = ~_escaped(nx, ny, cap)
+        near = keep & (np.hypot(np.abs(nx), np.abs(ny)) < conv_tol)
+        return keep, (nx, ny, np.where(near, run + 1, 0))
+
+    state = (xs, ys, np.zeros(xs.shape[0], dtype=np.int64))
+    idx, (_, _, run) = iterate_live(advance, state, n_max)
+    marked = np.zeros(xs.shape[0], dtype=bool)
+    marked[idx[run >= min(HYSTERESIS + 1, n_max + 1)]] = True
     return marked.reshape(nb, na)
 
 
@@ -361,10 +360,7 @@ def pointwise_vs_uniform_report(
     )
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad = ~(np.isfinite(nx) & np.isfinite(ny)) | (
-                np.maximum(np.abs(nx), np.abs(ny)) > cap
-            )
+        bad = _escaped(nx, ny, cap)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
         dist = np.hypot(np.abs(xs), np.abs(ys))

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AutoChain, EndoChain, Linear, QuadraticJet, ShearY
+from .core import AutoChain, EndoChain, Linear, QuadraticJet, ShearY, iterate_live
 from .errors import (
     Ambiguous,
     BlowupSingular,
@@ -514,40 +514,55 @@ class GraphPointResult:
 def _survivors(
     map_like: TangentMapLike, x: complex, us: np.ndarray, eps: float, horizon: int
 ) -> np.ndarray:
-    xs = np.full(us.shape, x, dtype=complex)
-    uu = us.astype(complex)
-    alive = _sector_mask(xs, uu, eps)
-    for _ in range(horizon):
-        if not alive.any():
-            break
+    start = np.flatnonzero(_sector_mask(np.full(us.shape, x, dtype=complex), us, eps))
+
+    def advance(k, idx, xs, uu):
         x1, u1, ok = blowup_batch(map_like, xs, uu)
-        alive &= ok
-        xs = np.where(alive, x1, xs)
-        uu = np.where(alive, u1, uu)
-        alive &= _sector_mask(xs, uu, eps)
+        return ok & _sector_mask(x1, u1, eps), (x1, u1)
+
+    idx, _ = iterate_live(
+        advance, (np.full(start.size, x, dtype=complex), us[start].astype(complex)), horizon
+    )
+    alive = np.zeros(us.shape, dtype=bool)
+    alive[start[idx]] = True
     return alive
 
 
-def _clusters(points: np.ndarray, link: float) -> list[np.ndarray]:
-    idx = list(range(len(points)))
-    groups: list[list[int]] = []
-    used = [False] * len(points)
-    for i in idx:
-        if used[i]:
-            continue
-        stack = [i]
-        used[i] = True
-        comp = []
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            close = np.flatnonzero(np.abs(points - points[k]) <= link)
-            for j in close:
-                if not used[j]:
-                    used[j] = True
-                    stack.append(int(j))
-        groups.append(comp)
-    return [points[g] for g in groups]
+# pairwise distances held at once by the survivor geometry below
+_PAIR_BLOCK = 1 << 18
+
+
+def _distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, |a[rows] - b|) over row blocks of at most _PAIR_BLOCK entries."""
+    step = max(1, _PAIR_BLOCK // max(len(b), 1))
+    for lo in range(0, len(a), step):
+        rows = slice(lo, lo + step)
+        yield rows, np.abs(a[rows, None] - b[None, :])
+
+
+def _clusters(points: np.ndarray, link: float) -> tuple[int, float]:
+    """Number of connected components of points under |p - q| <= link, grown
+    by frontier expansion, and the smallest distance between two points of
+    different components (inf for a single component)."""
+    labels = np.full(len(points), -1)
+    count = 0
+    while (labels < 0).any():
+        frontier = np.flatnonzero(labels < 0)[:1]
+        while frontier.size:
+            labels[frontier] = count
+            rest = np.flatnonzero(labels < 0)
+            near = np.zeros(rest.size, dtype=bool)
+            for _, d in _distance_blocks(points[frontier], points[rest]):
+                near |= (d <= link).any(axis=0)
+            frontier = rest[near]
+        count += 1
+    if count == 1:
+        return count, math.inf
+    gap = min(
+        float(d[labels[rows, None] != labels[None, :]].min())
+        for rows, d in _distance_blocks(points, points)
+    )
+    return count, gap
 
 
 def graph_point(
@@ -603,9 +618,7 @@ def graph_point(
                 level,
                 horizon,
             )
-        diam = float(
-            np.max(np.abs(survivors[:, None] - survivors[None, :])) if survivors.size > 1 else 0.0
-        )
+        diam = max(float(d.max()) for _, d in _distance_blocks(survivors, survivors))
         cell_diag = cell * math.sqrt(2.0)
         center = complex(survivors.mean())
         certified = 0.5 * diam + cell_diag
@@ -614,22 +627,13 @@ def graph_point(
                 x=x, u=center, certified_radius=certified, levels=level + 1,
                 final_horizon=horizon,
             )
-        groups = _clusters(survivors, 3.0 * cell)
-        if len(groups) > 1:
-            gaps = []
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    gaps.append(
-                        float(np.min(np.abs(groups[i][:, None] - groups[j][None, :])))
-                    )
-            if min(gaps) > 6.0 * cell:
-                split_seen += 1
-                if split_seen >= 2:
-                    raise Ambiguous(
-                        f"{len(groups)} separated survivor clusters at level {level}"
-                    )
-        else:
+        groups, gap = _clusters(survivors, 3.0 * cell)
+        if groups == 1:
             split_seen = 0
+        elif gap > 6.0 * cell:
+            split_seen += 1
+            if split_seen >= 2:
+                raise Ambiguous(f"{groups} separated survivor clusters at level {level}")
         margin = 1.5 * cell
         lo_re = max(float(survivors.real.min()) - margin, -r0)
         hi_re = min(float(survivors.real.max()) + margin, r0)

@@ -1,0 +1,491 @@
+"""Live-set iteration against the full-array loops it replaced.
+
+The reference functions below are the loops that swept every point each step
+and masked the dead ones out with np.where.  Compaction changes no arithmetic,
+so every output must be identical, not merely close.
+"""
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from holodyn import parabolic
+from holodyn.basin import (
+    HYSTERESIS,
+    VERDICT_CONVERGED,
+    VERDICT_ESCAPED,
+    dichotomy_probe,
+    orbit,
+    orbit_verdicts,
+)
+from holodyn.core import (
+    DEFAULT_CAP,
+    AutoChain,
+    EndoChain,
+    Linear,
+    QuadraticJet,
+    ShearX,
+    diag_linear_chain,
+    henon_chain,
+    iterate_live,
+)
+from holodyn.nonauto import (
+    MapSequence,
+    PlanarDemo,
+    constant_sequence,
+    grid_centres,
+    list_sequence,
+    nonauto_attracting_probe,
+)
+from holodyn.parabolic import (
+    _clusters,
+    _sector_mask,
+    _survivors,
+    blowup_batch,
+    graph_point,
+    normal_form_family,
+    tangent_shear_chain,
+)
+from holodyn.rng import ball4_points
+
+# -- reference loops ------------------------------------------------------------
+
+
+def _escaped_ref(nx, ny, cap):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ~(np.isfinite(nx) & np.isfinite(ny)) | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
+
+
+def survivors_ref(map_like, x, us, eps, horizon):
+    xs = np.full(us.shape, x, dtype=complex)
+    uu = us.astype(complex)
+    alive = _sector_mask(xs, uu, eps)
+    for _ in range(horizon):
+        if not alive.any():
+            break
+        x1, u1, ok = blowup_batch(map_like, xs, uu)
+        alive &= ok
+        xs = np.where(alive, x1, xs)
+        uu = np.where(alive, u1, uu)
+        alive &= _sector_mask(xs, uu, eps)
+    return alive
+
+
+def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3, cap=DEFAULT_CAP):
+    x = np.array(xs, dtype=complex, copy=True)
+    y = np.array(ys, dtype=complex, copy=True)
+    n = x.shape[0]
+    codes = np.zeros(n, dtype=np.int8)
+    steps = np.full(n, -1, dtype=np.int64)
+    run = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    for k in range(1, max_iter + 1):
+        if not active.any():
+            break
+        nx, ny = chain.apply(x, y)
+        esc = active & _escaped_ref(nx, ny, cap)
+        codes[esc] = VERDICT_ESCAPED
+        steps[esc] = k
+        active &= ~esc
+        x = np.where(active, nx, x)
+        y = np.where(active, ny, y)
+        if target is not None:
+            d = np.hypot(np.abs(x - target[0]), np.abs(y - target[1]))
+            near = active & (d < conv_tol)
+            run = np.where(near, run + 1, 0)
+            conv = active & (run >= HYSTERESIS)
+            codes[conv] = VERDICT_CONVERGED
+            steps[conv] = k
+            active &= ~conv
+    return codes, steps
+
+
+def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11, cap=DEFAULT_CAP):
+    px, py = fp.location
+    cand_x, cand_y = [], []
+    if fp.unstable_direction is not None:
+        vu = fp.unstable_direction
+        for rho in np.linspace(0.05 * r, r, 30):
+            for ph in np.exp(2j * np.pi * np.arange(12) / 12):
+                cand_x.append(px + rho * ph * vu[0])
+                cand_y.append(py + rho * ph * vu[1])
+    bx, by = ball4_points(seed, samples, r, center=(px, py))
+    xs = np.concatenate([np.asarray(cand_x, dtype=complex), bx])
+    ys = np.concatenate([np.asarray(cand_y, dtype=complex), by])
+    x, y = xs.copy(), ys.copy()
+    exit_run = np.zeros(xs.shape[0], dtype=np.int64)
+    alive = np.ones(xs.shape[0], dtype=bool)
+    for _ in range(m_max):
+        if not alive.any():
+            break
+        nx, ny = chain.apply(x, y)
+        esc = alive & _escaped_ref(nx, ny, cap)
+        exit_run[esc] = m_max
+        alive &= ~esc
+        x = np.where(alive, nx, x)
+        y = np.where(alive, ny, y)
+        outside = np.hypot(np.abs(x - px), np.abs(y - py)) >= r
+        exit_run[alive & outside] += 1
+        alive &= outside
+    witnesses = {}
+    cutoff = None
+    for m in range(1, m_max + 1):
+        ok = exit_run >= m
+        if not ok.any():
+            cutoff = m
+            break
+        i = int(np.argmax(ok))
+        witnesses[m] = (complex(xs[i]), complex(ys[i]))
+    largest = int(exit_run.max()) if exit_run.size else 0
+    return min(largest, m_max), cutoff, witnesses
+
+
+def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3, cap=DEFAULT_CAP):
+    na, nb = grid
+    if na == 0 or nb == 0:
+        return np.zeros((nb, na), dtype=bool)
+    xs, ys = grid_centres(box, grid)
+    alive = np.ones(xs.shape[0], dtype=bool)
+    run = np.zeros(xs.shape[0], dtype=np.int64)
+    for j in range(1, n_max + 1):
+        nx, ny = seq.map_at(j).apply(xs, ys)
+        alive &= ~_escaped_ref(nx, ny, cap)
+        xs = np.where(alive, nx, xs)
+        ys = np.where(alive, ny, ys)
+        near = alive & (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol)
+        run = np.where(near, run + 1, 0)
+    return (alive & (run >= min(HYSTERESIS + 1, n_max + 1))).reshape(nb, na)
+
+
+def clusters_ref(points, link):
+    """Stack-based components and their pairwise gaps, one point at a time."""
+    used = [False] * len(points)
+    groups = []
+    for i in range(len(points)):
+        if used[i]:
+            continue
+        stack, comp = [i], []
+        used[i] = True
+        while stack:
+            k = stack.pop()
+            comp.append(k)
+            for j in np.flatnonzero(np.abs(points - points[k]) <= link):
+                if not used[j]:
+                    used[j] = True
+                    stack.append(int(j))
+        groups.append(comp)
+    gaps = [
+        float(np.min(np.abs(points[a][:, None] - points[b][None, :])))
+        for i, a in enumerate(groups)
+        for b in groups[i + 1 :]
+    ]
+    return len(groups), min(gaps) if gaps else math.inf
+
+
+# -- inputs -----------------------------------------------------------------------
+
+_seeds = st.integers(0, 2**32 - 1)
+
+# x + 128 x^2 vanishes exactly at x = -2^-7, so blowup_batch reports ok=False
+# for every u there: all cells die at the first step
+_JET_ZERO = EndoChain((QuadraticJet((128.0, 0.0, 0.0), (0.0, -2.0, -1.0)),))
+# with an xy term the image x is 0 at u = 0 and a nonzero x1 with |x1| <= 1e-300
+# at u = -1e-303, which would pass the sector test if ok were ignored
+_JET_ZERO_AT_U0 = EndoChain((QuadraticJet((128.0, 64.0, 0.0), (0.0, -2.0, -1.0)),))
+_X_ZERO = -(2.0**-7)
+
+_PARABOLIC_MAPS = [
+    normal_form_family(0.0),
+    normal_form_family(1.0),
+    normal_form_family(3.0 + 0.5j),
+    tangent_shear_chain(3.0),
+    _JET_ZERO,
+    _JET_ZERO_AT_U0,
+]
+
+
+def _sector_inputs(seed, n, x, spread):
+    """u in the disc 2|u| <= spread |x|, led by u = 0 and u = -1e-303."""
+    g = np.random.default_rng(seed)
+    rho = 0.5 * spread * abs(x) * np.sqrt(g.random(n))
+    us = rho * np.exp(2j * np.pi * g.random(n))
+    us[:2] = (0.0, -1e-303)[:n]
+    return us
+
+
+# the swap map (x, y) -> (a y, b x) with ab < 1 converges to 0 while its
+# distance to 0 alternates, so runs in a conv_tol ball start and reset
+def _swap(a, b):
+    return AutoChain.of(Linear(0.0, a, b, 0.0))
+
+
+_ORBIT_CHAINS = [
+    henon_chain(0.75),
+    henon_chain(-0.3 + 0.2j),
+    diag_linear_chain(0.5, 0.9j),
+    _swap(0.5, 1.9),
+    AutoChain.of(ShearX((0.0, 0.0, 1.0))),
+]
+
+
+def _orbit_inputs(seed, n, scale, huge):
+    g = np.random.default_rng(seed)
+    xs = scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
+    ys = scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
+    if huge and n:
+        xs[::3] = 1e200  # squares to inf: a non-finite image under cap = inf
+    return xs, ys
+
+
+# -- the kernel itself ------------------------------------------------------------
+
+
+def test_iterate_live_scatters_through_original_indices():
+    seen = []
+
+    def advance(k, idx, v):
+        seen.append(idx.copy())
+        return v > k, (v,)
+
+    idx, (v,) = iterate_live(advance, (np.array([3, 1, 5, 0, 4]),), 10)
+    assert [s.tolist() for s in seen] == [[0, 1, 2, 3, 4], [0, 2, 4], [0, 2, 4], [2, 4], [2]]
+    assert idx.tolist() == [] and v.size == 0
+
+
+def test_iterate_live_zero_steps_and_empty_input():
+    def advance(k, idx, v):  # pragma: no cover - must not run
+        raise AssertionError("advance called")
+
+    idx, (v,) = iterate_live(advance, (np.arange(3.0),), 0)
+    assert idx.tolist() == [0, 1, 2] and v.tolist() == [0.0, 1.0, 2.0]
+    idx, (v,) = iterate_live(advance, (np.empty(0),), 5)
+    assert idx.size == 0
+
+
+# -- parabolic._survivors ---------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(0, len(_PARABOLIC_MAPS) - 1),
+    r=st.floats(0.004, 0.019),
+    phi=st.floats(-0.01, 0.01),
+    seed=_seeds,
+    n=st.integers(0, 300),
+    spread=st.floats(0.5, 3.0),
+    eps=st.floats(0.01, 0.03),
+    horizon=st.integers(0, 200),
+)
+def test_survivors_match_full_array_loop(m, r, phi, seed, n, spread, eps, horizon):
+    map_like = _PARABOLIC_MAPS[m]
+    x = _X_ZERO if map_like in (_JET_ZERO, _JET_ZERO_AT_U0) else -r * np.exp(1j * phi)
+    us = _sector_inputs(seed, n, x, spread)
+    got = _survivors(map_like, x, us, eps, horizon)
+    assert got.dtype == bool and np.array_equal(got, survivors_ref(map_like, x, us, eps, horizon))
+
+
+@pytest.mark.parametrize(
+    "map_like, x, n, horizon",
+    [
+        (_JET_ZERO, _X_ZERO, 200, 5),  # every image x is exactly 0
+        (_JET_ZERO_AT_U0, _X_ZERO, 200, 5),  # only the first two cells get ok=False
+        (normal_form_family(0.0), -0.01, 200, 0),  # horizon 0
+        (normal_form_family(0.0), -0.01, 200, 50),
+        (normal_form_family(0.0), -0.03, 200, 50),  # x outside W_eps: no live cell
+        (normal_form_family(0.0), -0.01, 0, 50),  # empty input
+    ],
+)
+def test_survivors_edge_cases(map_like, x, n, horizon):
+    us = _sector_inputs(5, n, x, 1.5)
+    got = _survivors(map_like, x, us, 0.02, horizon)
+    assert np.array_equal(got, survivors_ref(map_like, x, us, 0.02, horizon))
+    if abs(x) >= 0.02:
+        assert not got.any()
+
+
+def test_survivors_first_step_kills_cells_with_vanishing_image():
+    us = _sector_inputs(9, 50, _X_ZERO, 1.0)
+    assert not _survivors(_JET_ZERO, _X_ZERO, us, 0.02, 3).any()
+    got = _survivors(_JET_ZERO_AT_U0, _X_ZERO, us, 0.02, 1)
+    assert np.array_equal(got, survivors_ref(_JET_ZERO_AT_U0, _X_ZERO, us, 0.02, 1))
+    x1, u1, ok = blowup_batch(_JET_ZERO_AT_U0, np.full(2, _X_ZERO, dtype=complex), us[:2])
+    assert x1[0] == 0 and 0 < abs(x1[1]) <= 1e-300 and not ok.any()
+    assert _sector_mask(x1, u1, 0.02)[1]  # only ok=False removes this cell
+    assert not got[:2].any()
+
+
+# -- basin.orbit_verdicts ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(0, len(_ORBIT_CHAINS) - 1),
+    seed=_seeds,
+    n=st.integers(0, 200),
+    scale=st.sampled_from([0.05, 0.5, 2.0]),
+    huge=st.booleans(),
+    max_iter=st.integers(0, 150),
+    target=st.sampled_from([None, (0j, 0j), (0.1 + 0j, -0.2j)]),
+    conv_tol=st.floats(1e-3, 1.0),
+    cap=st.sampled_from([DEFAULT_CAP, 10.0, math.inf]),
+)
+def test_orbit_verdicts_match_full_array_loop(
+    c, seed, n, scale, huge, max_iter, target, conv_tol, cap
+):
+    chain = _ORBIT_CHAINS[c]
+    xs, ys = _orbit_inputs(seed, n, scale, huge)
+    args = (chain, xs, ys, max_iter)
+    kw = {"target": target, "conv_tol": conv_tol, "cap": cap}
+    codes, steps = orbit_verdicts(*args, **kw)
+    ref_codes, ref_steps = orbit_verdicts_ref(*args, **kw)
+    assert codes.dtype == ref_codes.dtype and steps.dtype == ref_steps.dtype
+    assert np.array_equal(codes, ref_codes) and np.array_equal(steps, ref_steps)
+
+
+def test_orbit_verdicts_escape_through_cap_and_non_finite_images():
+    xs = np.array([0.1, 3.0, 1e200, 0.2 + 0.1j])
+    ys = np.array([0.0, 0.0, 0.0, 0.1])
+    chain = henon_chain(0.75)
+    for cap in (DEFAULT_CAP, 10.0, math.inf):
+        got = orbit_verdicts(chain, xs, ys, 60, cap=cap)
+        ref = orbit_verdicts_ref(chain, xs, ys, 60, cap=cap)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[0][2] == VERDICT_ESCAPED and got[1][2] == 1
+    assert orbit_verdicts(chain, xs, ys, 0)[1].tolist() == [-1] * 4
+
+
+def test_orbit_verdicts_hysteresis_resets_when_leaving_the_ball():
+    chain, tol = _swap(0.5, 1.9), 0.5
+    xs, ys = np.array([1.0 + 0j]), np.array([0j])
+    codes, steps = orbit_verdicts(chain, xs, ys, 200, target=(0j, 0j), conv_tol=tol)
+    ref = orbit_verdicts_ref(chain, xs, ys, 200, target=(0j, 0j), conv_tol=tol)
+    assert np.array_equal(codes, ref[0]) and np.array_equal(steps, ref[1])
+    rec = orbit(chain, (1.0, 0.0), 200, target=(0j, 0j), conv_tol=tol)
+    first_in = next(k for k, (x, y) in enumerate(rec.states) if math.hypot(abs(x), abs(y)) < tol)
+    assert codes[0] == VERDICT_CONVERGED and steps[0] == rec.step
+    assert steps[0] > first_in + HYSTERESIS  # the run restarted at least once
+
+
+# -- basin.dichotomy_probe --------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.integers(0, len(_ORBIT_CHAINS) - 1),
+    loc=st.sampled_from([(0j, 0j), (0.5 + 0.1j, 0.5 - 0.2j), (1.5, 1.5)]),
+    unstable=st.booleans(),
+    r=st.floats(0.05, 2.0),
+    m_max=st.integers(0, 60),
+    samples=st.integers(0, 128),
+    seed=_seeds,
+    cap=st.sampled_from([DEFAULT_CAP, 5.0, math.inf]),
+)
+def test_dichotomy_matches_full_array_loop(c, loc, unstable, r, m_max, samples, seed, cap):
+    chain = _ORBIT_CHAINS[c]
+    vu = np.array([0.6, 0.8j]) if unstable else None
+    fp = SimpleNamespace(location=loc, unstable_direction=vu)
+    rep = dichotomy_probe(chain, fp, r, m_max, samples=samples, seed=seed, cap=cap)
+    largest, cutoff, witnesses = dichotomy_ref(chain, fp, r, m_max, samples, seed, cap)
+    assert (rep.largest_witnessed_m, rep.cutoff_m0, rep.witnesses) == (largest, cutoff, witnesses)
+
+
+def test_dichotomy_empty_input_and_zero_steps():
+    fp = SimpleNamespace(location=(0j, 0j), unstable_direction=None)
+    chain = henon_chain(0.75)
+    for samples, m_max in ((0, 10), (16, 0)):
+        rep = dichotomy_probe(chain, fp, 1.0, m_max, samples=samples)
+        ref = dichotomy_ref(chain, fp, 1.0, m_max, samples)
+        assert (rep.largest_witnessed_m, rep.cutoff_m0, rep.witnesses) == ref
+
+
+# -- nonauto.nonauto_attracting_probe ---------------------------------------------
+
+
+def _alternating(coeffs):
+    fwd = AutoChain.of(ShearX(coeffs))
+    back = fwd.inverted()
+    return MapSequence(lambda j: fwd if j % 2 == 1 else back)
+
+
+_SEQUENCES = [
+    constant_sequence(diag_linear_chain(0.5, 0.5)),
+    constant_sequence(_swap(0.5, 1.9)),
+    constant_sequence(henon_chain(0.75)),
+    constant_sequence(PlanarDemo()),
+    _alternating((0.0, 1.0)),
+    MapSequence(lambda j: diag_linear_chain(0.9 if j % 3 else 3.0, 0.8)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.integers(0, len(_SEQUENCES) - 1),
+    half=st.floats(0.1, 3.0),
+    grid=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    n_max=st.integers(0, 80),
+    conv_tol=st.floats(1e-3, 1.0),
+    cap=st.sampled_from([DEFAULT_CAP, 4.0, math.inf]),
+)
+def test_nonauto_probe_matches_full_array_loop(s, half, grid, n_max, conv_tol, cap):
+    box = ((-half, half), (-half, 0.5 * half))
+    args = (_SEQUENCES[s], box, grid, n_max)
+    got = nonauto_attracting_probe(*args, conv_tol=conv_tol, cap=cap)
+    ref = nonauto_probe_ref(*args, conv_tol=conv_tol, cap=cap)
+    assert got.dtype == bool and got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_nonauto_probe_requests_every_member_after_all_cells_died():
+    seq = list_sequence([diag_linear_chain(100.0, 100.0)] * 3)
+    # all cells pass cap 1e3 at step 2, yet the list has no 5th map
+    with pytest.raises(IndexError):
+        nonauto_probe_ref(seq, ((-1, 1), (-1, 1)), (4, 4), 5, cap=1e3)
+    with pytest.raises(IndexError):
+        nonauto_attracting_probe(seq, ((-1, 1), (-1, 1)), (4, 4), 5, cap=1e3)
+
+
+# -- survivor clusters, diameter and gap -------------------------------------------
+
+
+def _cluster_points(seed, n, blobs, lattice):
+    """Points in a few blobs; on the lattice, neighbours lie exactly 1 apart."""
+    g = np.random.default_rng(seed)
+    if lattice:
+        return g.integers(0, 3 * blobs, n) + 1j * g.integers(0, 3, n)
+    centres = 10 * (g.random(blobs) + 1j * g.random(blobs))
+    return centres[g.integers(0, blobs, n)] + g.random(n) + 1j * g.random(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_seeds,
+    n=st.integers(1, 120),
+    blobs=st.integers(1, 5),
+    link=st.floats(0.01, 2.0),
+    lattice=st.booleans(),
+    block=st.sampled_from([1, 7, 1 << 18]),
+)
+def test_clusters_match_point_by_point_search(seed, n, blobs, link, lattice, block):
+    pts = _cluster_points(seed, n, blobs, lattice)
+    if lattice:
+        link = 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parabolic, "_PAIR_BLOCK", block)
+        assert _clusters(pts, link) == clusters_ref(pts, link)
+        dense = float(np.max(np.abs(pts[:, None] - pts[None, :])))
+        blocked = max(float(d.max()) for _, d in parabolic._distance_blocks(pts, pts))
+        assert blocked == dense
+
+
+def test_graph_point_unchanged_by_block_size():
+    m = normal_form_family(1.0)
+    ref = graph_point(m, -0.01, resolution=1e-5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parabolic, "_PAIR_BLOCK", 3)
+        got = graph_point(m, -0.01, resolution=1e-5)
+    assert (got.u, got.certified_radius, got.levels, got.final_horizon) == (
+        ref.u, ref.certified_radius, ref.levels, ref.final_horizon,
+    )
