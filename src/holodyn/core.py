@@ -9,7 +9,12 @@ inverse) are supported through :class:`EndoChain` for local computations
 that only need forward evaluation.
 
 All step methods accept either python complex scalars or numpy arrays, so
-grid sweeps can run vectorised over sample batches.
+grid sweeps can run vectorised over sample batches.  Steps leave out
+multiplications by an exact 0, 1 or -1 and leading zero Horner
+coefficients, and keep every other operation of the literal formula in
+its order: for finite inputs the results are the formula's except possibly
+the sign of an exactly-zero component, a non-finite image still counts as
+an escape, and a step may return an input array as one of its outputs.
 """
 from __future__ import annotations
 
@@ -34,6 +39,29 @@ DEFAULT_CAP = 1e12
 NEUTRAL_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 _DET_ONE_TOL = 1e-12
+
+
+def _sum_terms(acc, *terms):
+    """acc + c * f (* g) over terms (c, f) or (c, f, g), left to right.
+
+    A term whose c is exactly 0 is left out, and one whose c is exactly 1
+    or -1 is added or subtracted without multiplying by c; acc None stands
+    for an exact 0 that the first kept term replaces.  c stays the left
+    operand: complex products rounded with fused multiply-adds can differ
+    in the last bit when the operands swap.
+    """
+    for term in terms:
+        c = term[0]
+        if c == 0:
+            continue
+        v = term[1] if c == 1 or c == -1 else c * term[1]
+        if len(term) == 3:
+            v = v * term[2]
+        if c == -1:
+            acc = -v if acc is None else acc - v
+        else:
+            acc = v if acc is None else acc + v
+    return acc
 
 
 def _check_finite(z: Point) -> None:
@@ -115,11 +143,18 @@ class Linear:
         return self.a * self.d - self.b * self.c
 
     def apply(self, x, y):
-        return self.a * x + self.b * y, self.c * x + self.d * y
+        return (
+            _sum_terms(None, (self.a, x), (self.b, y)),
+            _sum_terms(None, (self.c, x), (self.d, y)),
+        )
 
     def apply_inv(self, x, y):
         det = self.det()
-        return (self.d * x - self.b * y) / det, (-self.c * x + self.a * y) / det
+        u = _sum_terms(None, (self.d, x), (-self.b, y))
+        v = _sum_terms(None, (-self.c, x), (self.a, y))
+        if det == 1:
+            return u, v
+        return u / det, v / det
 
     def jacobian(self, x, y):
         return self.a, self.b, self.c, self.d
@@ -168,8 +203,8 @@ class QuadraticJet:
         pa, pxy, pc = self.p
         qa, qxy, qc = self.q
         return (
-            x + pa * x * x + pxy * x * y + pc * y * y,
-            y + qa * x * x + qxy * x * y + qc * y * y,
+            _sum_terms(x, (pa, x, x), (pxy, x, y), (pc, y, y)),
+            _sum_terms(y, (qa, x, x), (qxy, x, y), (qc, y, y)),
         )
 
     def jacobian(self, x, y):

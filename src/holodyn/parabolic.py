@@ -330,9 +330,9 @@ class SectorPoint:
 
 def arg_deviation_from_pi(x) -> float | np.ndarray:
     """|arg(x) - pi| with arg taken in [0, 2pi); equals |arg(-x)| principal."""
-    return np.abs(np.angle(-np.asarray(x))) if isinstance(x, np.ndarray) else abs(
-        cmath.phase(-complex(x))
-    )
+    if isinstance(x, np.ndarray):
+        return np.abs(np.arctan2(-x.imag, -x.real))
+    return abs(cmath.phase(-complex(x)))
 
 
 def in_sector(pt: SectorPoint) -> bool:
@@ -361,18 +361,15 @@ def blowup_batch(map_like: TangentMapLike, xs: np.ndarray, us: np.ndarray):
     ys = us * xs
     fx, fy = map_like.apply(xs, ys)
     ok = np.abs(fx) > 1e-300
-    u1 = np.where(ok, fy / np.where(ok, fx, 1.0), 0j)
+    u1 = np.divide(fy, fx, out=np.zeros(np.shape(fx), dtype=complex), where=ok)
     return fx, u1, ok
 
 
 def _sector_mask(xs: np.ndarray, us: np.ndarray, eps: float) -> np.ndarray:
+    # 2|u| < |x| also excludes x = 0, where the blow-up chart breaks down
     with np.errstate(invalid="ignore"):
-        return (
-            (np.abs(xs) < eps)
-            & (np.abs(np.angle(-xs)) < eps)
-            & (2 * np.abs(us) < np.abs(xs))
-            & (np.abs(xs) > 0)
-        )
+        ax = np.abs(xs)
+        return (ax < eps) & (arg_deviation_from_pi(xs) < eps) & (2 * np.abs(us) < ax)
 
 
 @dataclass(eq=False)

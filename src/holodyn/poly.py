@@ -21,10 +21,29 @@ def normalize_coeffs(coeffs: Iterable[complex]) -> tuple[complex, ...]:
 
 
 def polyval(coeffs: Sequence[complex], z):
-    """Evaluate degree-ascending coefficients at z (scalar or ndarray)."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    """Evaluate degree-ascending coefficients at z (scalar or ndarray).
+
+    Horner's rule ((c_n z + c_(n-1)) z + ...) z + c_0 without its exact
+    no-op arithmetic: leading zero coefficients are skipped, a leading
+    coefficient of exactly 1 or -1 is not multiplied by z, and a zero
+    coefficient is not added.  The remaining operations run in the same
+    order, so for finite z the value is the literal formula's but for the
+    sign of an exactly-zero component.  A constant polynomial evaluates to
+    its coefficient, a scalar even when z is an array.
+    """
+    top = len(coeffs) - 1
+    while top >= 0 and coeffs[top] == 0:
+        top -= 1
+    if top < 0:
+        return 0j
+    acc = coeffs[top]
+    for k in range(top - 1, -1, -1):
+        if k == top - 1:  # acc is still the leading coefficient
+            acc = z if acc == 1 else -z if acc == -1 else acc * z
+        else:
+            acc = acc * z
+        if coeffs[k] != 0:
+            acc = acc + coeffs[k]
     return acc
 
 

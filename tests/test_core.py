@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holodyn import parabolic
+from holodyn.basin import orbit_verdicts
 from holodyn.core import (
     AutoChain,
     Classification,
+    EndoChain,
     Linear,
     Overflow,
     QuadraticJet,
     ShearX,
     ShearY,
     Translation,
+    _escaped,
     diag_linear_chain,
     find_fixed_point,
     henon_chain,
@@ -23,6 +27,7 @@ from holodyn.core import (
     map_to_dict,
 )
 from holodyn.errors import NoConvergence, SingularDifferential
+from holodyn.poly import polyder, polyval
 from holodyn.rng import bidisc_points
 
 from conftest import finite_difference_jacobian, quadratic_roots
@@ -233,3 +238,189 @@ def test_to_polynomial_exact_for_henon(henon075):
     assert fx.coefficient(0, 0) == 0.75
     assert fy.coefficient(1, 0) == 1.0
     assert fy.total_degree() == 1
+
+
+# -- steps against their literal formulas ------------------------------------------
+#
+# The steps leave out multiplications by an exact 0, 1 or -1 and leading zero
+# Horner coefficients.  The functions below are the literal formulas they
+# replaced, kept as the oracle: for finite inputs the values must be equal
+# (== ignores only the sign of a zero), and for non-finite inputs the escape
+# verdict must be the same.
+
+
+def polyval_ref(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _shear_x_ref(s):
+    return (
+        lambda x, y: (x + polyval_ref(s.coeffs, y), y),
+        lambda x, y: (x - polyval_ref(s.coeffs, y), y),
+        lambda x, y: (1.0, polyval_ref(polyder(s.coeffs), y), 0.0, 1.0),
+    )
+
+
+def _shear_y_ref(s):
+    return (
+        lambda x, y: (x, y + polyval_ref(s.coeffs, x)),
+        lambda x, y: (x, y - polyval_ref(s.coeffs, x)),
+        lambda x, y: (1.0, 0.0, polyval_ref(polyder(s.coeffs), x), 1.0),
+    )
+
+
+def _linear_ref(s):
+    def apply_inv(x, y):
+        det = s.det()
+        return (s.d * x - s.b * y) / det, (-s.c * x + s.a * y) / det
+
+    return (
+        lambda x, y: (s.a * x + s.b * y, s.c * x + s.d * y),
+        apply_inv,
+        lambda x, y: (s.a, s.b, s.c, s.d),
+    )
+
+
+def _jet_ref(s):
+    pa, pxy, pc = s.p
+    qa, qxy, qc = s.q
+    return (
+        lambda x, y: (
+            x + pa * x * x + pxy * x * y + pc * y * y,
+            y + qa * x * x + qxy * x * y + qc * y * y,
+        ),
+        None,
+        lambda x, y: (
+            1.0 + 2 * pa * x + pxy * y,
+            pxy * x + 2 * pc * y,
+            2 * qa * x + qxy * y,
+            1.0 + qxy * x + 2 * qc * y,
+        ),
+    )
+
+
+_REFS = {ShearX: _shear_x_ref, ShearY: _shear_y_ref, Linear: _linear_ref, QuadraticJet: _jet_ref}
+
+
+def _ref(step):
+    return _REFS[type(step)](step)
+
+
+_special = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0j, complex(-0.0, -0.0), complex(1.0, -0.0), complex(-1.0, 0.0)]
+)
+_cx = st.one_of(_special, _coeff)
+
+
+def _linear_or_none(a, b, c, d):
+    try:
+        return Linear(a, b, c, d)
+    except ValueError:  # singular
+        return None
+
+
+_leading_zero_shear = st.tuples(st.integers(2, 3), _cx).map(lambda t: (0.0,) * t[0] + (t[1],))
+_shear_coeffs = st.one_of(st.lists(_cx, min_size=1, max_size=5).map(tuple), _leading_zero_shear)
+_oracle_steps = st.one_of(
+    _shear_coeffs.map(ShearX),
+    _shear_coeffs.map(ShearY),
+    st.tuples(_cx, _cx, _cx, _cx).map(lambda t: _linear_or_none(*t)).filter(bool),
+    st.sampled_from(
+        [Linear(0.0, -1.0, 1.0, 0.0), Linear(0.0, 1.0, 1.0, 0.0), Linear(1.0, -1.0, 1.0, 0.0)]
+    ),
+    st.tuples(st.tuples(_cx, _cx, _cx), st.tuples(_cx, _cx, _cx)).map(lambda t: QuadraticJet(*t)),
+)
+_finite_z = st.one_of(
+    _special, st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+)
+_inf, _nan = math.inf, math.nan
+_non_finite_z = st.one_of(
+    _finite_z,
+    st.sampled_from(
+        [complex(_inf, 0.0), complex(-_inf, 1.0), complex(0.0, _inf), complex(_nan, 0.0),
+         complex(1.0, _nan), complex(_inf, _nan), complex(_inf, -_inf), complex(1e300, 1e300)]
+    ),
+)
+
+
+def _same_values(got, want):
+    for g, w in zip(got, want):
+        g, w = np.broadcast_arrays(np.asarray(g, dtype=complex), np.asarray(w, dtype=complex))
+        assert np.array_equal(g, w), (g, w)
+
+
+def _methods(step):
+    yield "apply", step.apply
+    if not isinstance(step, QuadraticJet):
+        yield "apply_inv", step.apply_inv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    step=_oracle_steps,
+    xs=st.lists(_finite_z, min_size=1, max_size=8),
+    ys=st.lists(_finite_z, min_size=1, max_size=8),
+)
+def test_steps_equal_their_literal_formulas_on_finite_inputs(step, xs, ys):
+    n = min(len(xs), len(ys))
+    x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
+    ref_apply, ref_inv, ref_jac = _ref(step)
+    refs = {"apply": ref_apply, "apply_inv": ref_inv}
+    for name, method in _methods(step):
+        _same_values(method(x, y), refs[name](x, y))
+        x0, y0 = complex(xs[0]), complex(ys[0])
+        _same_values(method(x0, y0), refs[name](x0, y0))
+    _same_values(step.jacobian(x, y), ref_jac(x, y))
+    if isinstance(step, (ShearX, ShearY)):
+        _same_values((polyval(step.coeffs, x),), (polyval_ref(step.coeffs, x),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    step=_oracle_steps,
+    xs=st.lists(_non_finite_z, min_size=1, max_size=8),
+    ys=st.lists(_non_finite_z, min_size=1, max_size=8),
+    cap=st.sampled_from([1e12, math.inf]),
+)
+def test_steps_keep_the_escape_verdict_on_non_finite_inputs(step, xs, ys, cap):
+    n = min(len(xs), len(ys))
+    x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
+    ref_apply, ref_inv, _ = _ref(step)
+    refs = {"apply": ref_apply, "apply_inv": ref_inv}
+    with np.errstate(all="ignore"):
+        for name, method in _methods(step):
+            gx, gy = np.broadcast_arrays(*method(x, y))
+            wx, wy = np.broadcast_arrays(*refs[name](x, y))
+            assert np.array_equal(_escaped(gx, gy, cap), _escaped(wx, wy, cap)), name
+
+
+# steps that are exact no-ops, so apply returns its input arrays
+_NO_OPS = (Linear(1.0, 0.0, 0.0, 1.0), ShearX((0.0, 0.0)), Linear(0.0, 1.0, 1.0, 0.0))
+
+
+def test_callers_keep_their_input_arrays_when_a_step_returns_them():
+    xs, ys = bidisc_points(13, 200, 1.5)
+    x0, y0 = xs.copy(), ys.copy()
+    chain = AutoChain.of(*_NO_OPS, *henon_chain(0.75).steps, *_NO_OPS)
+    assert chain.steps[0].apply(xs, ys)[0] is xs
+    fx, fy, _ = chain.evaluate_batch(xs, ys)
+    chain.inverse_batch(fx, fy)
+    orbit_verdicts(chain, xs, ys, 40, target=(0.5 + 0j, 0.5 + 0j))
+    orbit_verdicts(AutoChain.of(*_NO_OPS), xs, ys, 40, target=(0j, 0j))
+    assert np.array_equal(xs, x0) and np.array_equal(ys, y0)
+
+    nf = parabolic.normal_form_family(1.0)
+    padded = EndoChain((*_NO_OPS[:1], *nf.steps, *_NO_OPS[:1]))
+    us = 0.004 * np.exp(2j * np.pi * np.arange(64) / 64)
+    u0 = us.copy()
+    alive = parabolic._survivors(padded, -0.01, us, 0.02, 40)
+    assert np.array_equal(alive, parabolic._survivors(nf, -0.01, us, 0.02, 40))
+    assert np.array_equal(us, u0)
+    got = parabolic.graph_point(padded, -0.01, resolution=1e-5)
+    want = parabolic.graph_point(nf, -0.01, resolution=1e-5)
+    assert (got.u, got.certified_radius, got.levels, got.final_horizon) == (
+        want.u, want.certified_radius, want.levels, want.final_horizon,
+    )

@@ -28,6 +28,7 @@ def _tree(root: Path) -> dict[str, bytes]:
     }
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_script_reproduces_golden_artifacts(script, tmp_path):
     env = dict(os.environ)

@@ -2,7 +2,9 @@
 
 The reference functions below are the loops that swept every point each step
 and masked the dead ones out with np.where.  Compaction changes no arithmetic,
-so every output must be identical, not merely close.
+so every output must be identical, not merely close.  The blow-up step and
+the sector test they call are frozen copies too, so the oracle does not
+share code with what it checks.
 """
 from __future__ import annotations
 
@@ -60,18 +62,36 @@ def _escaped_ref(nx, ny, cap):
         return ~(np.isfinite(nx) & np.isfinite(ny)) | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
 
 
+def blowup_batch_ref(map_like, xs, us):
+    ys = us * xs
+    fx, fy = map_like.apply(xs, ys)
+    ok = np.abs(fx) > 1e-300
+    u1 = np.where(ok, fy / np.where(ok, fx, 1.0), 0j)
+    return fx, u1, ok
+
+
+def sector_mask_ref(xs, us, eps):
+    with np.errstate(invalid="ignore"):
+        return (
+            (np.abs(xs) < eps)
+            & (np.abs(np.angle(-xs)) < eps)
+            & (2 * np.abs(us) < np.abs(xs))
+            & (np.abs(xs) > 0)
+        )
+
+
 def survivors_ref(map_like, x, us, eps, horizon):
     xs = np.full(us.shape, x, dtype=complex)
     uu = us.astype(complex)
-    alive = _sector_mask(xs, uu, eps)
+    alive = sector_mask_ref(xs, uu, eps)
     for _ in range(horizon):
         if not alive.any():
             break
-        x1, u1, ok = blowup_batch(map_like, xs, uu)
+        x1, u1, ok = blowup_batch_ref(map_like, xs, uu)
         alive &= ok
         xs = np.where(alive, x1, xs)
         uu = np.where(alive, u1, uu)
-        alive &= _sector_mask(xs, uu, eps)
+        alive &= sector_mask_ref(xs, uu, eps)
     return alive
 
 
@@ -288,6 +308,31 @@ def test_survivors_match_full_array_loop(m, r, phi, seed, n, spread, eps, horizo
     assert got.dtype == bool and np.array_equal(got, survivors_ref(map_like, x, us, eps, horizon))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(0, len(_PARABOLIC_MAPS) - 1),
+    r=st.floats(0.004, 0.019),
+    phi=st.floats(-0.01, 0.01),
+    seed=_seeds,
+    n=st.integers(0, 300),
+    spread=st.floats(0.5, 3.0),
+    eps=st.floats(0.01, 0.03),
+)
+def test_blowup_step_and_sector_test_match_their_reference_bytes(m, r, phi, seed, n, spread, eps):
+    map_like = _PARABOLIC_MAPS[m]
+    x = _X_ZERO if map_like in (_JET_ZERO, _JET_ZERO_AT_U0) else -r * np.exp(1j * phi)
+    xs = np.full(n, x, dtype=complex)
+    us = _sector_inputs(seed, n, x, spread)
+    for _ in range(3):  # later steps start from images outside the sector too
+        got, want = blowup_batch(map_like, xs, us), blowup_batch_ref(map_like, xs, us)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        mask = _sector_mask(*got[:2], eps)
+        assert mask.tobytes() == sector_mask_ref(*want[:2], eps).tobytes()
+        xs, us = got[:2]
+    odd = np.array([0j, -0.0 - 0.0j, complex(math.inf, 0), complex(math.nan, 1), -0.01 + 0j])
+    assert _sector_mask(odd, odd[::-1], eps).tobytes() == sector_mask_ref(odd, odd[::-1], eps).tobytes()
+
+
 @pytest.mark.parametrize(
     "map_like, x, n, horizon",
     [
@@ -313,6 +358,8 @@ def test_survivors_first_step_kills_cells_with_vanishing_image():
     got = _survivors(_JET_ZERO_AT_U0, _X_ZERO, us, 0.02, 1)
     assert np.array_equal(got, survivors_ref(_JET_ZERO_AT_U0, _X_ZERO, us, 0.02, 1))
     x1, u1, ok = blowup_batch(_JET_ZERO_AT_U0, np.full(2, _X_ZERO, dtype=complex), us[:2])
+    ref = blowup_batch_ref(_JET_ZERO_AT_U0, np.full(2, _X_ZERO, dtype=complex), us[:2])
+    assert [a.tobytes() for a in (x1, u1, ok)] == [a.tobytes() for a in ref]
     assert x1[0] == 0 and 0 < abs(x1[1]) <= 1e-300 and not ok.any()
     assert _sector_mask(x1, u1, 0.02)[1]  # only ok=False removes this cell
     assert not got[:2].any()
