@@ -1,73 +1,4 @@
 """holodyn: a numerical laboratory for attracting sets of polynomial
 automorphisms of C^2."""
-from .core import (
-    AutoChain,
-    Classification,
-    EndoChain,
-    FixedPointInfo,
-    Linear,
-    QuadraticJet,
-    ShearX,
-    ShearY,
-    Translation,
-    conjugate_by_translation,
-    diag_linear_chain,
-    find_fixed_point,
-    henon_chain,
-    identity_chain,
-    load_map,
-    map_from_dict,
-    map_to_dict,
-)
-from .manifold import (
-    LocalGraph,
-    PointCloud,
-    density_probe,
-    density_sweep,
-    graph_distance,
-    graph_residual,
-    hausdorff_distance,
-    is_in_stable,
-    local_stable_graph,
-    local_stable_graph_auto,
-    pullback_cloud,
-    stability_experiment,
-)
-from .parabolic import (
-    CharacteristicDirection,
-    HomogeneousQuadratic,
-    SectorPoint,
-    blowup_step,
-    characteristic_directions,
-    expansion_check,
-    graph_point,
-    in_sector,
-    make_nondegenerate,
-    normalize,
-    quadratic_part,
-    sector_orbit,
-    tangent_shear_chain,
-)
-from .basin import (
-    OrbitRecord,
-    bounded_set_probe,
-    dichotomy_probe,
-    interior_probe,
-    nonuniformity_witness,
-    orbit,
-    planar_homeo,
-    psi,
-    sphere_map,
-    sphere_map_iterate_check,
-)
-from .nonauto import (
-    MapSequence,
-    SectorSetParams,
-    disjointness_check,
-    nonauto_attracting_probe,
-    nonauto_orbit,
-    pointwise_vs_uniform_report,
-    sector_sets_membership,
-)
 
 __version__ = "0.1.0"

@@ -135,10 +135,6 @@ class Linear:
         if abs(det) <= 1e-15 * scale * scale:
             raise ValueError(f"linear step is singular (det = {det!r})")
 
-    @classmethod
-    def from_matrix(cls, m) -> "Linear":
-        return cls(complex(m[0][0]), complex(m[0][1]), complex(m[1][0]), complex(m[1][1]))
-
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 

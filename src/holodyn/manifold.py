@@ -104,9 +104,6 @@ class LocalGraph:
     def gamma(self, s):
         return _horner(self.fit_coeffs, s)
 
-    def gamma_prime(self, s):
-        return _horner(_deriv_coeffs(self.fit_coeffs), s)
-
     def to_ambient(self, s, t):
         bx, by = self.base_point
         vs, vu = self.stable_direction, self.unstable_direction
@@ -409,7 +406,6 @@ def density_sweep(
     depths: Sequence[int],
     box,
     cells_per_axis: int,
-    cumulative: bool = True,
 ) -> list[DensityReport]:
     """Density per pullback depth; cumulative unions make growth structural.
 
@@ -422,11 +418,7 @@ def density_sweep(
     reports = []
     for depth in depths:
         cloud = pullback_cloud(chain, graph, depth)
-        new_cells = occupied_cells(cloud.points, box, cells_per_axis)
-        if cumulative:
-            cells |= new_cells
-        else:
-            cells = new_cells
+        cells |= occupied_cells(cloud.points, box, cells_per_axis)
         reports.append(
             DensityReport(
                 box=_normalize_box(box),

@@ -135,11 +135,10 @@ class SectorSetParams:
     R: float
     epsilon: float
     delta: float
-    rho: float = 0.0
 
     def __post_init__(self):
-        if self.delta <= 0 or self.epsilon <= 0 or (self.rho < 0):
-            raise ValueError("delta, epsilon must be positive and rho >= 0")
+        if self.delta <= 0 or self.epsilon <= 0:
+            raise ValueError("delta, epsilon must be positive")
         if not self.R > self.epsilon:
             raise ValueError("R must exceed epsilon")
 

@@ -97,10 +97,6 @@ class HomogeneousQuadratic:
         pa, pxy, pc = self.p
         return pa * x * x + pxy * x * y + pc * y * y
 
-    def q_at(self, x, y):
-        qa, qxy, qc = self.q
-        return qa * x * x + qxy * x * y + qc * y * y
-
     def to_map(self) -> EndoChain:
         return EndoChain((QuadraticJet(self.p, self.q),))
 
@@ -265,14 +261,6 @@ class Conjugation:
 
     matrix: np.ndarray
     inverse: np.ndarray
-
-    def push_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        m = self.inverse
-        return m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
-
-    def pull_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        m = self.matrix
-        return m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
 
 
 @dataclass(frozen=True, eq=False)

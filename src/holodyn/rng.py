@@ -30,14 +30,6 @@ def ball4_points(seed: int, n: int, radius: float, center=(0j, 0j)):
     return xs, ys
 
 
-def disc_points(seed: int, n: int, radius: float, center: complex = 0j) -> np.ndarray:
-    """Uniform samples in a disc of the complex plane."""
-    g = make_generator(seed)
-    rho = radius * np.sqrt(g.random(n))
-    phi = 2.0 * np.pi * g.random(n)
-    return center + rho * np.exp(1j * phi)
-
-
 def bidisc_points(seed: int, n: int, radius: float):
     """Independent uniform samples in the bidisc {|x|<=r} x {|y|<=r}."""
     g = make_generator(seed)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holodyn.cli import CLAIMS, build_parser, main
+from holodyn.cli import CLAIMS, SUBCOMMANDS, Run, build_parser, main
 from holodyn.core import Classification, henon_chain, map_to_dict
 from holodyn.serialize import fields, json_dumps, write_json
 
@@ -230,58 +230,64 @@ def test_dataclass_and_enum_rendering():
 MAPS = Path(__file__).resolve().parents[1] / "maps"
 REQUIRED = "<required>"
 
-_COMMON = {
-    "--out": "out", "--seed": 0, "--threads": 1, "--tol": 1e-12, "--epsilon": 0.02,
-    "--delta": 0.1,
-}
-_MAPPED = {"--map": REQUIRED, **_COMMON}
-_MAP_OR_C = {"--map": None, **_COMMON}
-_SADDLE = {
-    **_MAPPED, "--seed-point": None, "--mesh": "10,16", "--graph-tol": 1e-9,
-    "--auto-shrink": False,
-}
+HENON = str(MAPS / "henon075.json")
+SEQUENCE = str(MAPS / "seq_planar_demo.json")
+
+_OUT = {"--out": "out"}
+_NEWTON = {"--map": REQUIRED, "--seed-point": None, "--tol": 1e-12}
+_GRAPH = {**_NEWTON, "--delta": 0.1, "--mesh": "10,16", "--graph-tol": 1e-9, "--auto-shrink": False}
+_TANGENT = {"--map": None}
+_RANDOM = {"--epsilon": 0.02, "--seed": 0}
 
 # Every option each subcommand accepts, with its default, written out by hand so
 # that an edit to the subcommand registry cannot drop or change one unnoticed;
 # subcommands in `report` order.
 OPTIONS = {
-    "fixed-point": _SADDLE,
-    "stable-graph": _SADDLE,
-    "pullback": {**_SADDLE, "--depth": 4, "--cumulative": False},
+    "fixed-point": {**_NEWTON, **_OUT},
+    "stable-graph": {**_GRAPH, **_OUT},
+    "pullback": {**_GRAPH, "--depth": 4, "--cumulative": False, "--threads": 1, **_OUT},
     "density": {
-        **_SADDLE, "--depth": 4, "--cells": 10, "--box-min": -2.0, "--box-max": 2.0,
-        "--plane": "re_x,re_y",
+        **_GRAPH, "--depth": 4, "--cells": 10, "--box-min": -2.0, "--box-max": 2.0,
+        "--plane": "re_x,re_y", **_OUT,
     },
-    # --mesh is accepted but not used by stability
-    "stability": {**_SADDLE, "--t-values": "1e-2,1e-3,1e-4", "--pullback-depth": 3},
-    "char-dirs": {**_MAP_OR_C, "--c": 3.0},
-    "normalize": {**_MAP_OR_C, "--c": 3.0},
+    "stability": {
+        **_NEWTON, "--delta": 0.1, "--mesh": "10,16", "--graph-tol": 1e-9,
+        "--t-values": "1e-2,1e-3,1e-4", "--pullback-depth": 3, **_OUT,
+    },
+    "char-dirs": {**_TANGENT, "--c": 3.0, **_OUT},
+    "normalize": {**_TANGENT, "--c": 3.0, **_OUT},
     "parabolic-graph": {
-        **_MAP_OR_C, "--c": 0.0, "--x-mesh": "-0.01", "--resolution": 1e-6,
-        "--expansion-trials": 0,
+        **_TANGENT, "--c": 0.0, "--x-mesh": "-0.01", "--resolution": 1e-6,
+        "--expansion-trials": 0, **_RANDOM, **_OUT,
     },
-    "expansion-check": {**_MAP_OR_C, "--c": 0.0, "--trials": 10000},
-    "dichotomy": {**_SADDLE, "--r": 0.5, "--m-max": 50, "--samples": 512},
+    "expansion-check": {**_TANGENT, "--c": 0.0, "--trials": 10000, **_RANDOM, **_OUT},
+    "dichotomy": {**_NEWTON, "--r": 0.5, "--m-max": 50, "--samples": 512, "--seed": 0, **_OUT},
     "interior": {
-        **_SADDLE, "--radius": 2.0, "--samples": 100000, "--max-iter": 500, "--conv-tol": 1e-3,
+        **_NEWTON, "--radius": 2.0, "--samples": 100000, "--max-iter": 500, "--conv-tol": 1e-3,
+        "--seed": 0, "--threads": 1, **_OUT,
     },
     "bounded-set": {
-        **_MAPPED, "--box-min": -2.0, "--box-max": 2.0, "--grid": "64,64", "--max-iter": 200,
+        "--map": REQUIRED, "--box-min": -2.0, "--box-max": 2.0, "--grid": "64,64",
+        "--max-iter": 200, "--threads": 1, **_OUT,
     },
     "gallery": {
-        **_COMMON, "--example": REQUIRED, "--z": "0.5", "--m": 3,
-        "--theta": 3.141592653589793,
+        "--example": REQUIRED, "--z": "0.5", "--m": 3, "--theta": 3.141592653589793, **_OUT,
     },
     "nonauto-run": {
-        **_COMMON, "--sequence": REQUIRED, "--mode": "orbit", "--z": "0,0", "--n": 30,
+        "--sequence": REQUIRED, "--mode": "orbit", "--z": "0,0", "--n": 30,
         "--conv-tol": 1e-3, "--box-min": -1.0, "--box-max": 1.0, "--grid": "21,21",
-        "--with-witnesses": False,
+        "--with-witnesses": False, **_OUT,
     },
     "sector-sets": {
-        **_COMMON, "--R": 2.0, "--rho": 0.01, "--z": None, "--check-samples": 2000,
+        "--R": 2.0, "--epsilon": 0.02, "--delta": 0.1, "--z": None, "--check-samples": 2000,
+        "--seed": 0, **_OUT,
     },
-    "report": {**_COMMON, "--list": False},
+    "report": {"--list": False, **_OUT},
 }
+# Options accepted although the handler never reads them, kept for existing callers:
+# acceptance criterion 12 passes --threads to pullback, and the saddle benchmark
+# passes --mesh to stability (which graphs on its own default mesh).
+KEPT_UNREAD = {("pullback", "--threads"), ("stability", "--mesh")}
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -323,15 +329,15 @@ _KEY_CASES = {
         ["epsilon", "trials", "violations", "min_margin", "regime_ok"],
     ),
     "dichotomy": (
-        ["dichotomy", "--map", str(MAPS / "henon075.json"), "--m-max", "8", "--samples", "32"],
+        ["dichotomy", "--map", HENON, "--m-max", "8", "--samples", "32"],
         "dichotomy.json", ["r", "m_max", "largest_witnessed_m", "cutoff_m0"],
     ),
     "dichotomy-csv": (
-        ["dichotomy", "--map", str(MAPS / "henon075.json"), "--m-max", "8", "--samples", "32"],
+        ["dichotomy", "--map", HENON, "--m-max", "8", "--samples", "32"],
         "witnesses.csv", "m,re_x,im_x,re_y,im_y",
     ),
     "stable-graph-auto-shrink": (
-        ["stable-graph", "--map", str(MAPS / "henon075.json"), "--mesh", "4,8", "--auto-shrink"],
+        ["stable-graph", "--map", HENON, "--mesh", "4,8", "--auto-shrink"],
         "graph.json",
         ["fixed_point", "delta", "epsilon", "mesh", "iterations", "residual", "samples"],
     ),
@@ -344,12 +350,12 @@ _KEY_CASES = {
         ["gallery", "--example", "nonuniformity"], "witnesses.csv", "m,theta,dist",
     ),
     "nonauto-orbit": (
-        ["nonauto-run", "--sequence", str(MAPS / "seq_planar_demo.json"), "--mode", "orbit",
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "orbit",
          "--n", "5"],
         "orbit.csv", "n,re_x,im_x,re_y,im_y",
     ),
     "nonauto-probe": (
-        ["nonauto-run", "--sequence", str(MAPS / "seq_planar_demo.json"), "--mode", "probe",
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe",
          "--n", "25", "--grid", "5,5"],
         "nonauto.json", ["marked", "total"],
     ),
@@ -370,6 +376,7 @@ def test_artifact_key_order(case, tmp_path):
     assert list(manifest) == ["subcommand", "inputs", "seed", "params", "artifacts", "wall_time_s"]
     dests = {opt.lstrip("-").replace("-", "_") for opt in OPTIONS[argv[0]]}
     assert set(manifest["params"]) == dests | {"subcommand"}
+    assert manifest["seed"] == (0 if "--seed" in OPTIONS[argv[0]] else None)
 
 
 def test_nested_report_key_order(henon_file, tmp_path):
@@ -384,3 +391,95 @@ def test_nested_report_key_order(henon_file, tmp_path):
     assert main(["char-dirs", "--c", "3", "--out", str(out)]) == 0
     dirs = json.loads((out / "directions.json").read_text())["directions"]
     assert [list(d) for d in dirs] == [["v", "lambda", "degenerate", "chart"]] * len(dirs)
+
+
+def _choices(name: str, flag: str) -> list[str]:
+    sub = _subparsers(build_parser())[name]
+    return next(a for a in sub._actions if flag in a.option_strings).choices
+
+
+# Small runs that together reach every branch that reads an option.
+_READ_RUNS = {
+    "fixed-point": [["--map", HENON]],
+    "stable-graph": [["--map", HENON, "--mesh", "4,8"]],
+    "pullback": [["--map", HENON, "--mesh", "4,8", "--depth", "1"]],
+    "density": [["--map", HENON, "--mesh", "4,8", "--depth", "1", "--cells", "4"]],
+    "stability": [["--map", HENON, "--t-values", "1e-2", "--pullback-depth", "0"]],
+    "char-dirs": [[]],
+    "normalize": [[]],
+    "parabolic-graph": [["--resolution", "1e-3", "--expansion-trials", "100"]],
+    "expansion-check": [["--trials", "100"]],
+    "dichotomy": [["--map", HENON, "--m-max", "4", "--samples", "16"]],
+    "interior": [["--map", HENON, "--samples", "100", "--max-iter", "10"]],
+    "bounded-set": [["--map", HENON, "--grid", "4,4", "--max-iter", "10"]],
+    "gallery": [["--example", ex] for ex in _choices("gallery", "--example")],
+    "nonauto-run": [
+        ["--sequence", SEQUENCE, "--mode", mode, "--n", "4", "--grid", "3,3"]
+        for mode in _choices("nonauto-run", "--mode")
+    ],
+    "sector-sets": [["--check-samples", "100"]],
+    "report": [[]],
+}
+
+
+def _options_read(name: str, argv: list[str], out: Path) -> tuple[set[str], set[str]]:
+    """(options parsed, options the handler read) for one run of `name`."""
+    reads: set[str] = set()
+
+    class Recorder(argparse.Namespace):
+        recording = False
+
+        def __getattribute__(self, attr):
+            if type(self).recording:
+                reads.add(attr)
+            return super().__getattribute__(attr)
+
+    parser = build_parser()
+    sub = _subparsers(parser)[name]
+    ns = parser.parse_args([name, *argv, "--out", str(out)], namespace=Recorder())
+    handler = SUBCOMMANDS[name].handler
+    Recorder.recording = True
+    try:
+        assert handler(Run(ns)) == 0
+    finally:
+        Recorder.recording = False
+    options = {a.dest: a.option_strings[0] for a in sub._actions if a.dest != "help"}
+    return set(options.values()), {options[d] for d in reads if d in options}
+
+
+def test_every_accepted_option_is_read(tmp_path):
+    assert set(_READ_RUNS) == set(SUBCOMMANDS)
+    unread = set()
+    for name, runs in _READ_RUNS.items():
+        parsed, read = set(), set()
+        for k, argv in enumerate(runs):
+            p, r = _options_read(name, argv, tmp_path / f"{name}{k}")
+            parsed |= p
+            read |= r
+        unread |= {(name, opt) for opt in parsed - read}
+    assert unread == KEPT_UNREAD
+
+
+_CONFIG_ERRORS = {
+    "bounded-set-grid-one": ["bounded-set", "--map", HENON, "--grid", "64"],
+    "bounded-set-grid-words": ["bounded-set", "--map", HENON, "--grid", "a,b"],
+    "nonauto-grid-one": ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid", "64"],
+    "nonauto-grid-words": [
+        "nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid", "a,b",
+    ],
+    "mesh-one": ["stable-graph", "--map", HENON, "--mesh", "10"],
+    "x-mesh": ["parabolic-graph", "--x-mesh=abc"],
+    "t-values": ["stability", "--map", HENON, "--t-values", "x"],
+    "gallery-sphere-z": ["gallery", "--example", "sphere", "--z", "abc"],
+    "gallery-planar-z": ["gallery", "--example", "planar", "--z", "abc"],
+    "seed-point": ["fixed-point", "--map", HENON, "--seed-point", "1.4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_malformed_values_are_config_errors(case, tmp_path, capsys):
+    rc = main([*_CONFIG_ERRORS[case], "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("holodyn: config error: bad value")
+    assert "Traceback" not in err
