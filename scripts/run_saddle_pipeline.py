@@ -13,7 +13,7 @@ from holodyn.manifold import (
     density_sweep,
     graph_residual,
     local_stable_graph,
-    pullback_cloud,
+    pullback_clouds,
     sheary_perturbation_family,
     stability_experiment,
 )
@@ -38,13 +38,11 @@ def main() -> int:
         [(s.real, s.imag, t.real, t.imag) for s, t in graph.grid],
     )
 
-    rows = []
-    for depth in range(0, 9):
-        cloud = pullback_cloud(chain, graph, depth)
-        rows.extend(
-            (p[0].real, p[0].imag, p[1].real, p[1].imag)
-            for p in cloud.points
-        )
+    rows = [
+        (p[0].real, p[0].imag, p[1].real, p[1].imag)
+        for cloud in pullback_clouds(chain, graph, 8)
+        for p in cloud.points
+    ]
     write_csv(out / "cloud.csv", ["re_x", "im_x", "re_y", "im_y"], rows)
 
     reports = density_sweep(chain, graph, range(1, 9), (-2.0, 2.0), 10)

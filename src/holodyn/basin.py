@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import AutoChain, DEFAULT_CAP, FixedPointInfo, Point, _escaped, iterate_live
-from .errors import EmptySample, NotFound, PoleHit
+from .errors import EmptySample, InvalidParameter, NotFound, PoleHit
 from .rng import ball4_points, make_generator
 
 HYSTERESIS = 20
@@ -407,7 +407,7 @@ def nonuniformity_witness(m: int, precision: float = 1e-15) -> tuple[float, comp
     bracket collapses below floating-point resolution.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParameter("m must be >= 1")
     lo, hi = 0.0, 2.0 * math.pi * 0.999
     if psi_iterate(hi, m) < math.pi:
         raise NotFound("psi^m never reaches pi on the bracket", deepest=hi)

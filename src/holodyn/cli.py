@@ -4,7 +4,7 @@ Every run writes its artifacts plus a manifest (input hashes, seed,
 parameters, artifact paths, wall time) into --out.  Artifact bytes are
 deterministic for identical manifest inputs regardless of --threads; the
 manifest itself records wall time and is excluded from byte comparisons.
-Exit codes: 0 success, 1 domain error, 2 I/O or configuration error.
+Exit codes: 0 success, 1 domain error, 2 I/O, configuration or parameter error.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import basin, manifold, nonauto, parabolic
 from .core import AutoChain, EndoChain, FixedPointInfo, find_fixed_point, load_map
-from .errors import HolodynError, MapFormatError
+from .errors import HolodynError, InvalidParameter, MapFormatError
 from .serialize import fields, format_float, write_csv, write_json, write_ppm
 
 
@@ -193,9 +193,10 @@ def cmd_pullback(run: Run) -> int:
     chain, fp = run.chain_and_fixed_point()
     graph = run.local_graph(chain, fp)
     depth = run.args.depth
+    clouds = (manifold.pullback_clouds(chain, graph, depth) if run.args.cumulative
+              else [manifold.pullback_cloud(chain, graph, depth)])
     rows, dropped = [], 0
-    for d in range(depth + 1) if run.args.cumulative else [depth]:
-        cloud = manifold.pullback_cloud(chain, graph, d)
+    for cloud in clouds:
         dropped += cloud.dropped
         rows.extend(map(_point_row, cloud.points))
     write_csv(run.path("cloud.csv"), ["re_x", "im_x", "re_y", "im_y"], rows)
@@ -213,8 +214,7 @@ def cmd_density(run: Run) -> int:
     chain, fp = run.chain_and_fixed_point()
     graph = run.local_graph(chain, fp)
     box = (a.box_min, a.box_max)
-    depths = range(a.depth + 1)
-    reports = manifold.density_sweep(chain, graph, depths, box, a.cells)
+    reports = manifold.density_sweep(chain, graph, range(a.depth + 1), box, a.cells)
     last = reports[-1]
     write_json(
         run.path("density.json"),
@@ -297,7 +297,7 @@ def cmd_normalize(run: Run) -> int:
         {
             **fields(res.quadratic, "p", "q"),
             **fields(res, "c", "b_was_zero"),
-            "conjugation": res.conjugation.matrix,
+            "conjugation": res.conjugation,
         },
     )
     return run.finish(f"normal form c = {res.c:.6g}, b_zero={res.b_was_zero}")
@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return SUBCOMMANDS[args.subcommand].handler(Run(args))
-    except MapFormatError as exc:
+    except (MapFormatError, InvalidParameter) as exc:
         print(f"holodyn: config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    InvalidParameter,
     MapFormatError,
     NoConvergence,
     Overflow,
@@ -67,7 +68,7 @@ def _sum_terms(acc, *terms):
 def _check_finite(z: Point) -> None:
     for part in (z[0].real, z[0].imag, z[1].real, z[1].imag):
         if not math.isfinite(part):
-            raise ValueError(f"point has non-finite coordinate: {z!r}")
+            raise InvalidParameter(f"point has non-finite coordinate: {z!r}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class Linear:
         det = self.det()
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
         if abs(det) <= 1e-15 * scale * scale:
-            raise ValueError(f"linear step is singular (det = {det!r})")
+            raise InvalidParameter(f"linear step is singular (det = {det!r})")
 
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
@@ -321,13 +322,13 @@ class AutoChain(_ChainOps):
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
             if not isinstance(step, _INVERTIBLE_KINDS):
-                raise ValueError(
+                raise InvalidParameter(
                     f"AutoChain accepts only invertible steps, got {type(step).__name__}"
                 )
         if self.volume_preserving:
             for step in self.steps:
                 if isinstance(step, Linear) and abs(step.det() - 1.0) > _DET_ONE_TOL:
-                    raise ValueError(
+                    raise InvalidParameter(
                         f"volume-preserving chain has linear step with det {step.det()!r}"
                     )
 
@@ -509,7 +510,7 @@ def find_fixed_point(
     Newton matrix df - I degenerates (conditioning info attached).
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidParameter("tol must be positive")
     _check_finite(seed)
     z = (complex(seed[0]), complex(seed[1]))
     try:

@@ -107,5 +107,9 @@ class TangencyViolation(HolodynError):
     pass
 
 
+class InvalidParameter(HolodynError, ValueError):
+    """A parameter outside its domain (CLI maps this to exit code 2)."""
+
+
 class MapFormatError(HolodynError):
     """Malformed map/sequence definition (CLI maps this to exit code 2)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .core import (
 from .errors import (
     DeltaTooLarge,
     Inconclusive,
+    InvalidParameter,
     MeshMismatch,
     NoConvergence,
     NotASaddle,
@@ -160,7 +161,7 @@ def local_stable_graph(
     if fp.classification is not Classification.SADDLE:
         raise NotASaddle(f"fixed point is {fp.classification.value}")
     if delta <= 0 or tol <= 0:
-        raise ValueError("delta and tol must be positive")
+        raise InvalidParameter("delta and tol must be positive")
     n_r, n_theta = mesh
     vs, vu = fp.stable_direction, fp.unstable_direction
     bx, by = fp.location
@@ -262,14 +263,39 @@ def graph_residual(chain: AutoChain, graph: LocalGraph) -> float:
 
 @dataclass(eq=False)
 class PointCloud:
-    """Points in C^2 with a record of how they were produced."""
+    """Points in C^2 and the number of samples dropped on the way."""
 
     points: np.ndarray  # shape (n, 2) complex
-    provenance: dict
     dropped: int = 0
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def pullback_clouds(
+    chain: AutoChain,
+    graph: LocalGraph,
+    depth: int,
+    cap: float = DEFAULT_CAP,
+) -> Iterator[PointCloud]:
+    """Yield the clouds f^{-n}(graph samples) for n = 0..depth.
+
+    Depth n applies the exact inverse once to the state depth n-1 reached,
+    so the whole sweep costs depth inverse passes.  Points that overflow
+    the cap are dropped and counted, not fatal.
+    """
+    if depth < 0:
+        raise InvalidParameter("depth must be >= 0")
+    xs, ys = graph.to_ambient(graph.s_grid, graph.t_values)
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    ok = np.ones(xs.shape, dtype=bool)
+    inv = chain.inverted()
+    for n in range(depth + 1):
+        if n:
+            xs, ys, step_ok = inv.evaluate_batch(xs, ys, cap=cap)
+            ok &= step_ok
+        yield PointCloud(np.stack([xs[ok], ys[ok]], axis=1), int(np.count_nonzero(~ok)))
 
 
 def pullback_cloud(
@@ -278,31 +304,10 @@ def pullback_cloud(
     depth: int,
     cap: float = DEFAULT_CAP,
 ) -> PointCloud:
-    """Apply the exact inverse depth times to every graph sample.
-
-    Points that overflow the cap are dropped and counted, not fatal.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    xs, ys = graph.to_ambient(graph.s_grid, graph.t_values)
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    ok = np.ones(xs.shape, dtype=bool)
-    inv = chain.inverted()
-    for _ in range(depth):
-        xs, ys, step_ok = inv.evaluate_batch(xs, ys, cap=cap)
-        ok &= step_ok
-    pts = np.stack([xs[ok], ys[ok]], axis=1)
-    return PointCloud(
-        points=pts,
-        provenance={
-            "depth": depth,
-            "mesh": graph.mesh,
-            "delta": graph.delta,
-            "base_point": graph.base_point,
-        },
-        dropped=int(np.count_nonzero(~ok)),
-    )
+    """The last cloud of pullback_clouds: every graph sample pulled back depth times."""
+    for cloud in pullback_clouds(chain, graph, depth, cap):
+        pass
+    return cloud
 
 
 def is_in_stable(
@@ -336,68 +341,43 @@ def is_in_stable(
 
 @dataclass(eq=False)
 class DensityReport:
-    box: tuple[tuple[float, float], ...]
+    box: tuple[tuple[float, float], ...]  # (lo, hi) per real axis
     cells_per_axis: int
-    depth: int | None
+    depth: int
     occupied: int
     total: int
     fraction: float
 
 
-def _normalize_box(box) -> tuple[tuple[float, float], ...]:
-    if (
-        isinstance(box, (tuple, list))
-        and len(box) == 2
-        and all(isinstance(v, (int, float)) for v in box)
-    ):
-        b = (float(box[0]), float(box[1]))
-        return (b, b, b, b)
-    out = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(out) != 4:
-        raise ValueError("box must be one (lo, hi) pair or four of them")
-    for lo, hi in out:
-        if not hi > lo:
-            raise ValueError("box must be nondegenerate")
-    return out
-
-
-def occupied_cells(points: np.ndarray, box, cells_per_axis: int) -> set[tuple[int, ...]]:
-    """Indices of 4-real-dimensional grid cells hit by at least one point."""
-    bounds = _normalize_box(box)
-    if len(points) == 0:
-        return set()
-    comps = [points[:, 0].real, points[:, 0].imag, points[:, 1].real, points[:, 1].imag]
-    idx = []
-    inside = np.ones(len(points), dtype=bool)
-    for comp, (lo, hi) in zip(comps, bounds):
-        k = np.floor((comp - lo) / (hi - lo) * cells_per_axis).astype(int)
-        on_hi = comp == hi
-        k[on_hi] = cells_per_axis - 1
-        inside &= (comp >= lo) & (comp <= hi)
-        idx.append(k)
-    cells = set()
-    stacked = np.stack(idx, axis=1)
-    for row in stacked[inside]:
-        cells.add(tuple(int(v) for v in row))
-    return cells
-
-
-def density_probe(cloud: PointCloud | np.ndarray, box, cells_per_axis: int) -> DensityReport:
-    """Fraction of 4-D grid cells containing at least one cloud point."""
+def _bounds(box, cells_per_axis: int) -> tuple[float, float]:
+    """The validated (lo, hi) that bounds all four real axes of the grid."""
+    lo, hi = (float(v) for v in box)
     if cells_per_axis <= 0:
-        raise ValueError("cells_per_axis must be positive")
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
-    depth = cloud.provenance.get("depth") if isinstance(cloud, PointCloud) else None
-    cells = occupied_cells(pts, box, cells_per_axis)
-    total = cells_per_axis**4
-    return DensityReport(
-        box=_normalize_box(box),
-        cells_per_axis=cells_per_axis,
-        depth=depth,
-        occupied=len(cells),
-        total=total,
-        fraction=len(cells) / total,
-    )
+        raise InvalidParameter("cells_per_axis must be positive")
+    if not hi > lo:
+        raise InvalidParameter(f"box needs lo < hi, got ({lo:g}, {hi:g})")
+    return lo, hi
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of nonnegative ids.  This is np.unique by sorting:
+    numpy 2.4's hash-based np.unique is ~10x slower on clouds of this size and
+    loads ~2 MB of extension code on its first call."""
+    ids = np.sort(ids)
+    return ids[np.diff(ids, prepend=-1) > 0]
+
+
+def occupied_cells(points: np.ndarray, box, cells_per_axis: int) -> np.ndarray:
+    """Sorted flat ids of the 4-real-dimensional grid cells hit by at least one point.
+
+    box = (lo, hi) bounds each of Re x, Im x, Re y, Im y; points outside it
+    are ignored, and a point on hi (or rounding up to it) lies in the last cell.
+    """
+    lo, hi = _bounds(box, cells_per_axis)
+    comps = np.stack([points[:, 0].real, points[:, 0].imag, points[:, 1].real, points[:, 1].imag])
+    comps = comps[:, np.all((comps >= lo) & (comps <= hi), axis=0)]
+    k = np.floor((comps - lo) / (hi - lo) * cells_per_axis).astype(np.intp)
+    return _distinct(np.ravel_multi_index(k, (cells_per_axis,) * 4, mode="clip"))
 
 
 def density_sweep(
@@ -411,17 +391,23 @@ def density_sweep(
 
     The depth-n stage measures the union of clouds at depths <= n (the local
     graph is forward invariant, so the union is the honest discrete stand-in
-    for the increasing sets f^{-n}(graph)).
+    for the increasing sets f^{-n}(graph)).  depths must increase; one
+    pullback pass up to the last of them serves them all.
     """
+    depths = list(depths)
+    if not depths or depths[0] < 0 or any(b <= a for a, b in zip(depths, depths[1:])):
+        raise InvalidParameter(f"depths must be a nonempty increasing sequence >= 0, got {depths}")
+    lo, hi = _bounds(box, cells_per_axis)
     total = cells_per_axis**4
-    cells: set[tuple[int, ...]] = set()
+    cells = np.empty(0, dtype=np.intp)
     reports = []
-    for depth in depths:
-        cloud = pullback_cloud(chain, graph, depth)
-        cells |= occupied_cells(cloud.points, box, cells_per_axis)
+    for depth, cloud in enumerate(pullback_clouds(chain, graph, depths[-1])):
+        if depth not in depths:
+            continue
+        cells = _distinct(np.concatenate([cells, occupied_cells(cloud.points, box, cells_per_axis)]))
         reports.append(
             DensityReport(
-                box=_normalize_box(box),
+                box=((lo, hi),) * 4,
                 cells_per_axis=cells_per_axis,
                 depth=depth,
                 occupied=len(cells),
@@ -434,11 +420,10 @@ def density_sweep(
 
 def occupancy_image(points: np.ndarray, box, cells_per_axis: int, plane: tuple[int, int]):
     """2-D projected occupancy (bool grid) of the 4-D cell set."""
-    cells = occupied_cells(points, box, cells_per_axis)
+    idx = np.unravel_index(occupied_cells(points, box, cells_per_axis), (cells_per_axis,) * 4)
     img = np.zeros((cells_per_axis, cells_per_axis), dtype=bool)
     a, b = plane
-    for cell in cells:
-        img[cell[b], cell[a]] = True
+    img[idx[b], idx[a]] = True
     return img
 
 
@@ -461,7 +446,7 @@ def graph_distance(g1: LocalGraph, g2: LocalGraph) -> float:
 def hausdorff_distance(a: np.ndarray, b: np.ndarray, chunk: int = 4096) -> float:
     """Symmetric max-min distance between point clouds in C^2 (brute force)."""
     if len(a) == 0 or len(b) == 0:
-        raise ValueError("hausdorff_distance needs nonempty clouds")
+        raise InvalidParameter("hausdorff_distance needs nonempty clouds")
 
     def directed(p: np.ndarray, q: np.ndarray) -> float:
         worst = 0.0

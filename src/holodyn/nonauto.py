@@ -26,7 +26,7 @@ import numpy as np
 
 from .basin import HYSTERESIS, grid_centres, nonuniformity_witness, planar_homeo
 from .core import AutoChain, DEFAULT_CAP, EndoChain, Point, _escaped, iterate_live, map_from_dict
-from .errors import MapFormatError, TangencyViolation
+from .errors import InvalidParameter, MapFormatError, TangencyViolation
 
 MapLike = AutoChain | EndoChain
 
@@ -85,7 +85,7 @@ def nonauto_orbit(
     stayed under the cap.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidParameter("n must be >= 0")
     x, y = complex(z[0]), complex(z[1])
     states: list[Point] = [(x, y)]
     for j in range(1, n + 1):
@@ -138,9 +138,9 @@ class SectorSetParams:
 
     def __post_init__(self):
         if self.delta <= 0 or self.epsilon <= 0:
-            raise ValueError("delta, epsilon must be positive")
+            raise InvalidParameter("delta, epsilon must be positive")
         if not self.R > self.epsilon:
-            raise ValueError("R must exceed epsilon")
+            raise InvalidParameter("R must exceed epsilon")
 
 
 COMPONENTS = ("Ball_delta", "KxDisc", "Lx{0}", "{0}xK", "{0}xL", "Outside")

@@ -37,6 +37,7 @@ from .errors import (
     Ambiguous,
     BlowupSingular,
     DegenerateDirection,
+    InvalidParameter,
     NoConvergence,
     NoSurvivor,
     NotTangentToIdentity,
@@ -62,7 +63,7 @@ class HomogeneousQuadratic:
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
         if self.volume_preserving and not self.is_divergence_free():
-            raise ValueError(
+            raise InvalidParameter(
                 "flagged volume-preserving but div P2 != 0 "
                 f"(needs q_xy = -2 p_a and q_c = -p_xy / 2): p={self.p} q={self.q}"
             )
@@ -247,7 +248,7 @@ def make_nondegenerate(
     px, qx = p2.eval(1.0, 0.0)
     scale = max(p2.norm(), 1.0)
     if max(abs(px), abs(qx)) > 1e-10 * scale:
-        raise ValueError("(1, 0) is not a degenerate characteristic direction of P2")
+        raise InvalidParameter("(1, 0) is not a degenerate characteristic direction of P2")
     return HomogeneousQuadratic(
         (p2.p[0] + eps, p2.p[1], p2.p[2]),
         (p2.q[0], p2.q[1] - 2 * eps, p2.q[2]),
@@ -256,18 +257,10 @@ def make_nondegenerate(
 
 
 @dataclass(frozen=True, eq=False)
-class Conjugation:
-    """Linear change of variables: normalized P2 is z -> L^{-1} P2(L z)."""
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class NormalizeResult:
     quadratic: HomogeneousQuadratic
     c: complex
-    conjugation: Conjugation
+    conjugation: np.ndarray  # L: the normalized P2 is z -> L^{-1} P2(L z)
     b_was_zero: bool
 
 
@@ -283,7 +276,7 @@ def normalize(
     branch skips the rescale and is flagged.
     """
     if not p2.is_divergence_free():
-        raise ValueError("normalize expects a divergence-free quadratic part")
+        raise InvalidParameter("normalize expects a divergence-free quadratic part")
     lam = complex(v.lam)
     if v.degenerate or abs(lam) <= 1e-14 * max(p2.norm(), 1.0):
         raise DegenerateDirection("cannot normalize a degenerate direction")
@@ -295,13 +288,12 @@ def normalize(
     b = q1.p[1] / 2.0
     if abs(b) <= b_tol * max(q1.norm(), 1.0):
         quad = HomogeneousQuadratic(q1.p, q1.q, volume_preserving=True)
-        minv = np.linalg.inv(m1)
-        return NormalizeResult(quad, q1.p[2], Conjugation(m1, minv), b_was_zero=True)
+        return NormalizeResult(quad, q1.p[2], m1, b_was_zero=True)
     m2 = np.array([[1.0, 0.0], [0.0, 1.0 / b]], dtype=complex)
     m = m1 @ m2
     q2 = p2.conjugate_linear(m)
     quad = HomogeneousQuadratic(q2.p, q2.q, volume_preserving=True)
-    return NormalizeResult(quad, q2.p[2], Conjugation(m, np.linalg.inv(m)), b_was_zero=False)
+    return NormalizeResult(quad, q2.p[2], m, b_was_zero=False)
 
 
 # -- blow-up dynamics --------------------------------------------------------
@@ -569,7 +561,7 @@ def graph_point(
     """
     x = complex(x)
     if not (abs(x) < epsilon and arg_deviation_from_pi(x) < epsilon):
-        raise ValueError("x must satisfy |x| < eps and |arg(x) - pi| < eps")
+        raise InvalidParameter("x must satisfy |x| < eps and |arg(x) - pi| < eps")
     r0 = abs(x) / 2.0
     lo_re, hi_re = -r0, r0
     lo_im, hi_im = -r0, r0
@@ -697,13 +689,13 @@ def tangent_shear_chain(c: complex) -> AutoChain:
     """
     c = complex(c)
     if abs(c - 1.0) < 1e-12:
-        raise ValueError("c = 1 is degenerate for the two-shear construction")
+        raise InvalidParameter("c = 1 is degenerate for the two-shear construction")
     alpha = 1.0 / (1.0 - c)
     disc = cmath.sqrt(alpha * alpha - 4 * alpha)
     m1 = (-alpha + disc) / 2.0
     m2 = (-alpha - disc) / 2.0
     if abs(m1 - m2) < 1e-12:
-        raise ValueError("double shear direction (c = 3/4); pick another c")
+        raise InvalidParameter("double shear direction (c = 3/4); pick another c")
     t1 = (-1.0 - c * m2) / (m1 - m2)
     t2 = c - t1
     chain = AutoChain.of(*(quadratic_shear(m1, t1).steps + quadratic_shear(m2, t2).steps))

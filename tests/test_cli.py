@@ -460,26 +460,42 @@ def test_every_accepted_option_is_read(tmp_path):
     assert unread == KEPT_UNREAD
 
 
+BAD_VALUE = "bad value"
+_DENSITY = ["density", "--map", HENON, "--seed-point", "1.4,1.4"]
 _CONFIG_ERRORS = {
-    "bounded-set-grid-one": ["bounded-set", "--map", HENON, "--grid", "64"],
-    "bounded-set-grid-words": ["bounded-set", "--map", HENON, "--grid", "a,b"],
-    "nonauto-grid-one": ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid", "64"],
-    "nonauto-grid-words": [
-        "nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid", "a,b",
-    ],
-    "mesh-one": ["stable-graph", "--map", HENON, "--mesh", "10"],
-    "x-mesh": ["parabolic-graph", "--x-mesh=abc"],
-    "t-values": ["stability", "--map", HENON, "--t-values", "x"],
-    "gallery-sphere-z": ["gallery", "--example", "sphere", "--z", "abc"],
-    "gallery-planar-z": ["gallery", "--example", "planar", "--z", "abc"],
-    "seed-point": ["fixed-point", "--map", HENON, "--seed-point", "1.4"],
+    "bounded-set-grid-one": (["bounded-set", "--map", HENON, "--grid", "64"], BAD_VALUE),
+    "bounded-set-grid-words": (["bounded-set", "--map", HENON, "--grid", "a,b"], BAD_VALUE),
+    "nonauto-grid-one": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid", "64"], BAD_VALUE,
+    ),
+    "nonauto-grid-words": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid", "a,b"], BAD_VALUE,
+    ),
+    "mesh-one": (["stable-graph", "--map", HENON, "--mesh", "10"], BAD_VALUE),
+    "x-mesh": (["parabolic-graph", "--x-mesh=abc"], BAD_VALUE),
+    "t-values": (["stability", "--map", HENON, "--t-values", "x"], BAD_VALUE),
+    "gallery-sphere-z": (["gallery", "--example", "sphere", "--z", "abc"], BAD_VALUE),
+    "gallery-planar-z": (["gallery", "--example", "planar", "--z", "abc"], BAD_VALUE),
+    "seed-point": (["fixed-point", "--map", HENON, "--seed-point", "1.4"], BAD_VALUE),
+    # parameters outside their domain (InvalidParameter)
+    "x-mesh-outside-sector": (["parabolic-graph", "--x-mesh=-0.02"], "x must satisfy"),
+    "sector-sets-epsilon": (["sector-sets", "--epsilon=-0.1"], "delta, epsilon must be positive"),
+    "pullback-depth": (
+        ["pullback", "--map", HENON, "--seed-point", "1.4,1.4", "--depth", "-1"],
+        "depth must be >= 0",
+    ),
+    "density-depth": ([*_DENSITY, "--depth", "-1"], "depths must be"),
+    "density-cells": ([*_DENSITY, "--cells", "0"], "cells_per_axis must be positive"),
+    "density-box-empty": ([*_DENSITY, "--box-min", "1", "--box-max", "1"], "box needs lo < hi"),
+    "density-box-reversed": ([*_DENSITY, "--box-min", "2", "--box-max", "-2"], "box needs lo < hi"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
 def test_malformed_values_are_config_errors(case, tmp_path, capsys):
-    rc = main([*_CONFIG_ERRORS[case], "--out", str(tmp_path / "o")])
+    argv, message = _CONFIG_ERRORS[case]
+    rc = main([*argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("holodyn: config error: bad value")
+    assert err.startswith(f"holodyn: config error: {message}")
     assert "Traceback" not in err

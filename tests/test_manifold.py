@@ -6,8 +6,6 @@ import pytest
 from holodyn.core import diag_linear_chain, find_fixed_point
 from holodyn.errors import DeltaTooLarge, Inconclusive, MeshMismatch, NotASaddle
 from holodyn.manifold import (
-    PointCloud,
-    density_probe,
     density_sweep,
     graph_distance,
     graph_residual,
@@ -15,6 +13,7 @@ from holodyn.manifold import (
     is_in_stable,
     local_stable_graph,
     local_stable_graph_auto,
+    occupied_cells,
     pullback_cloud,
     sheary_perturbation_family,
     stability_experiment,
@@ -148,7 +147,7 @@ def test_is_in_stable_inconclusive():
         is_in_stable(neutral, fp, g, (40.0, 40.0), max_iter=30)
 
 
-def test_density_probe_extremes():
+def test_occupied_cells_extremes():
     cells = 4
     lo, hi = -1.0, 1.0
     width = (hi - lo) / cells
@@ -160,10 +159,9 @@ def test_density_probe_extremes():
                 for d in centers:
                     pts.append((a + 1j * b, c + 1j * d))
     full = np.array(pts, dtype=complex)
-    rep = density_probe(full, (lo, hi), cells)
-    assert rep.fraction == 1.0
-    empty = PointCloud(points=np.empty((0, 2), dtype=complex), provenance={})
-    assert density_probe(empty, (lo, hi), cells).fraction == 0.0
+    assert np.array_equal(occupied_cells(full, (lo, hi), cells), np.arange(cells**4))
+    empty = np.empty((0, 2), dtype=complex)
+    assert occupied_cells(empty, (lo, hi), cells).size == 0
 
 
 def test_density_monotone_in_depth(henon075, henon_saddle, henon_graph):
