@@ -214,7 +214,9 @@ def cmd_density(run: Run) -> int:
     chain, fp = run.chain_and_fixed_point()
     graph = run.local_graph(chain, fp)
     box = (a.box_min, a.box_max)
-    reports = manifold.density_sweep(chain, graph, range(a.depth + 1), box, a.cells)
+    reports = []  # the loop leaves cloud at the last depth, which density.ppm draws
+    for report, cloud in manifold.density_stages(chain, graph, range(a.depth + 1), box, a.cells):
+        reports.append(report)
     last = reports[-1]
     write_json(
         run.path("density.json"),
@@ -225,7 +227,6 @@ def cmd_density(run: Run) -> int:
         i, j = (axes[t] for t in a.plane.split(","))
     except KeyError as exc:
         raise MapFormatError(f"bad --plane {a.plane!r}") from exc
-    cloud = manifold.pullback_cloud(chain, graph, a.depth)
     write_ppm(run.path("density.ppm"), manifold.occupancy_image(cloud.points, box, a.cells, (i, j)))
     return run.finish(
         f"depth {last.depth}: {last.occupied}/{last.total} cells (fraction {last.fraction:.6f})"

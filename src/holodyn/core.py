@@ -15,6 +15,13 @@ coefficients, and keep every other operation of the literal formula in
 its order: for finite inputs the results are the formula's except possibly
 the sign of an exactly-zero component, a non-finite image still counts as
 an escape, and a step may return an input array as one of its outputs.
+
+Each step also has a private scalar _push(x, y, dx, dy): the image of
+(x, y), equal bit for bit to apply's, together with the tangent (dx, dy)
+pushed forward by the step's Jacobian.  Orbits that need a derivative
+(the shooting in parabolic.graph_point) carry it through the steps this
+way; linear steps skip the same exact 0 and +-1 arithmetic in the tangent
+as in the value, so padding a chain with identity steps changes neither.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from .errors import (
     Overflow,
     SingularDifferential,
 )
-from .poly import Poly2, normalize_coeffs, poly_of_poly, polyder, polyval
+from .poly import Poly2, normalize_coeffs, poly_of_poly, polyder, polyval, polyval_dual
 
 Point = tuple[complex, complex]
 
@@ -65,6 +72,25 @@ def _sum_terms(acc, *terms):
     return acc
 
 
+def _lincomb(a, f, b, g):
+    """a * f + b * g with the skips of _sum_terms(None, (a, f), (b, g)).
+
+    The two-term rows of linear steps run once per step of every scalar
+    orbit, where the generic term loop costs twice as much.
+    """
+    if a == 0:
+        acc = None
+    else:
+        acc = f if a == 1 else -f if a == -1 else a * f
+    if b == 0:
+        return acc
+    if b == 1:
+        return g if acc is None else acc + g
+    if b == -1:
+        return -g if acc is None else acc - g
+    return b * g if acc is None else acc + b * g
+
+
 def _check_finite(z: Point) -> None:
     for part in (z[0].real, z[0].imag, z[1].real, z[1].imag):
         if not math.isfinite(part):
@@ -88,6 +114,10 @@ class ShearX:
 
     def jacobian(self, x, y):
         return 1.0, polyval(polyder(self.coeffs), y), 0.0, 1.0
+
+    def _push(self, x, y, dx, dy):
+        p, dp = polyval_dual(self.coeffs, y)
+        return x + p, y, dx + dp * dy, dy
 
     def inverted(self) -> "ShearX":
         return ShearX(tuple(-c for c in self.coeffs))
@@ -113,6 +143,10 @@ class ShearY:
 
     def jacobian(self, x, y):
         return 1.0, 0.0, polyval(polyder(self.coeffs), x), 1.0
+
+    def _push(self, x, y, dx, dy):
+        q, dq = polyval_dual(self.coeffs, x)
+        return x, y + q, dx, dy + dq * dx
 
     def inverted(self) -> "ShearY":
         return ShearY(tuple(-c for c in self.coeffs))
@@ -140,21 +174,25 @@ class Linear:
         return self.a * self.d - self.b * self.c
 
     def apply(self, x, y):
-        return (
-            _sum_terms(None, (self.a, x), (self.b, y)),
-            _sum_terms(None, (self.c, x), (self.d, y)),
-        )
+        return _lincomb(self.a, x, self.b, y), _lincomb(self.c, x, self.d, y)
 
     def apply_inv(self, x, y):
         det = self.det()
-        u = _sum_terms(None, (self.d, x), (-self.b, y))
-        v = _sum_terms(None, (-self.c, x), (self.a, y))
+        u = _lincomb(self.d, x, -self.b, y)
+        v = _lincomb(-self.c, x, self.a, y)
         if det == 1:
             return u, v
         return u / det, v / det
 
     def jacobian(self, x, y):
         return self.a, self.b, self.c, self.d
+
+    def _push(self, x, y, dx, dy):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (
+            _lincomb(a, x, b, y), _lincomb(c, x, d, y),
+            _lincomb(a, dx, b, dy), _lincomb(c, dx, d, dy),
+        )
 
     def inverted(self) -> "Linear":
         det = self.det()
@@ -174,6 +212,9 @@ class Translation:
 
     def jacobian(self, x, y):
         return 1.0, 0.0, 0.0, 1.0
+
+    def _push(self, x, y, dx, dy):
+        return x + self.bx, y + self.by, dx, dy
 
     def inverted(self) -> "Translation":
         return Translation(-self.bx, -self.by)
@@ -213,6 +254,10 @@ class QuadraticJet:
             2 * qa * x + qxy * y,
             1.0 + qxy * x + 2 * qc * y,
         )
+
+    def _push(self, x, y, dx, dy):
+        a, b, c, d = self.jacobian(x, y)
+        return (*self.apply(x, y), a * dx + b * dy, c * dx + d * dy)
 
 
 _INVERTIBLE_KINDS = (ShearX, ShearY, Linear, Translation)

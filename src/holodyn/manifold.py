@@ -380,6 +380,39 @@ def occupied_cells(points: np.ndarray, box, cells_per_axis: int) -> np.ndarray:
     return _distinct(np.ravel_multi_index(k, (cells_per_axis,) * 4, mode="clip"))
 
 
+def density_stages(
+    chain: AutoChain,
+    graph: LocalGraph,
+    depths: Sequence[int],
+    box,
+    cells_per_axis: int,
+) -> Iterator[tuple[DensityReport, PointCloud]]:
+    """Yield (report, cloud) at each depth of density_sweep, from one pass.
+
+    The cloud is the depth's own pullback cloud, the report measures the
+    union of the clouds up to it.
+    """
+    depths = list(depths)
+    if not depths or depths[0] < 0 or any(b <= a for a, b in zip(depths, depths[1:])):
+        raise InvalidParameter(f"depths must be a nonempty increasing sequence >= 0, got {depths}")
+    lo, hi = _bounds(box, cells_per_axis)
+    total = cells_per_axis**4
+    cells = np.empty(0, dtype=np.intp)
+    for depth, cloud in enumerate(pullback_clouds(chain, graph, depths[-1])):
+        if depth not in depths:
+            continue
+        cells = _distinct(np.concatenate([cells, occupied_cells(cloud.points, box, cells_per_axis)]))
+        report = DensityReport(
+            box=((lo, hi),) * 4,
+            cells_per_axis=cells_per_axis,
+            depth=depth,
+            occupied=len(cells),
+            total=total,
+            fraction=len(cells) / total,
+        )
+        yield report, cloud
+
+
 def density_sweep(
     chain: AutoChain,
     graph: LocalGraph,
@@ -394,28 +427,7 @@ def density_sweep(
     for the increasing sets f^{-n}(graph)).  depths must increase; one
     pullback pass up to the last of them serves them all.
     """
-    depths = list(depths)
-    if not depths or depths[0] < 0 or any(b <= a for a, b in zip(depths, depths[1:])):
-        raise InvalidParameter(f"depths must be a nonempty increasing sequence >= 0, got {depths}")
-    lo, hi = _bounds(box, cells_per_axis)
-    total = cells_per_axis**4
-    cells = np.empty(0, dtype=np.intp)
-    reports = []
-    for depth, cloud in enumerate(pullback_clouds(chain, graph, depths[-1])):
-        if depth not in depths:
-            continue
-        cells = _distinct(np.concatenate([cells, occupied_cells(cloud.points, box, cells_per_axis)]))
-        reports.append(
-            DensityReport(
-                box=((lo, hi),) * 4,
-                cells_per_axis=cells_per_axis,
-                depth=depth,
-                occupied=len(cells),
-                total=total,
-                fraction=len(cells) / total,
-            )
-        )
-    return reports
+    return [report for report, _ in density_stages(chain, graph, depths, box, cells_per_axis)]
 
 
 def occupancy_image(points: np.ndarray, box, cells_per_axis: int, plane: tuple[int, int]):

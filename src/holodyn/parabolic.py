@@ -18,10 +18,12 @@ direction u.  In the sector
 
 the x-dynamics creeps to 0 like a parabolic petal while differences in u
 expand, which pins down a unique graph point u(x) for each admissible x.
-The graph point is located by survival-set refinement: keep grid cells in
-the u-disc whose centre orbit stays in W_eps over growing horizons, then
-refine the surviving box.  This mirrors the nested compact sets of the
-uniqueness argument and needs no derivatives of the neutral dynamics.
+The graph point is located in two stages.  Coarse survival grids keep the
+cells of the u-disc whose centre orbit stays in W_eps over growing
+horizons, mirroring the nested compact sets of the uniqueness argument.
+Then, since u -> u_N(u) is holomorphic and expanding, Newton's method
+solves u_N = 0, and the argument principle on a ring about the root
+certifies its radius.
 """
 from __future__ import annotations
 
@@ -93,10 +95,6 @@ class HomogeneousQuadratic:
             pa * x * x + pxy * x * y + pc * y * y,
             qa * x * x + qxy * x * y + qc * y * y,
         )
-
-    def p_at(self, x, y):
-        pa, pxy, pc = self.p
-        return pa * x * x + pxy * x * y + pc * y * y
 
     def to_map(self) -> EndoChain:
         return EndoChain((QuadraticJet(self.p, self.q),))
@@ -211,7 +209,7 @@ def characteristic_directions(
             v = v / scale
             # homogeneity: P2((1,u)/s) = (p(1,u)/s) * (1,u)/s, so the
             # eigenvalue of the stored unit vector is the chart value / s
-            lam = p2.p_at(1.0, u) / scale
+            lam = p2.eval(1.0, u)[0] / scale
             found.append(
                 CharacteristicDirection(
                     direction=v,
@@ -315,13 +313,13 @@ def arg_deviation_from_pi(x) -> float | np.ndarray:
     return abs(cmath.phase(-complex(x)))
 
 
+def _in_sector(x: complex, u, eps: float) -> bool:
+    ax = abs(x)
+    return ax != 0 and max(ax, abs(cmath.phase(-x))) < eps and 2 * abs(u) < ax
+
+
 def in_sector(pt: SectorPoint) -> bool:
-    x = complex(pt.x)
-    if x == 0:
-        return False
-    return (
-        max(abs(x), arg_deviation_from_pi(x)) < pt.epsilon and 2 * abs(pt.u) < abs(x)
-    )
+    return _in_sector(complex(pt.x), pt.u, pt.epsilon)
 
 
 def blowup_step(map_like: TangentMapLike, pt: SectorPoint) -> SectorPoint:
@@ -542,6 +540,42 @@ def _clusters(points: np.ndarray, link: float) -> tuple[int, float]:
     return count, gap
 
 
+# graph_point: grid levels run while a cell is wider than |x| / _COARSE; the
+# ring has _RING samples and radius _RING_MARGIN times |x_N| / (2 |du_N/du|);
+# Newton stops below _NEWTON_TOL ring radii and fails after _NEWTON_MAX steps
+_COARSE, _RING, _RING_MARGIN, _NEWTON_TOL, _NEWTON_MAX = 100.0, 32, 1.5, 1e-2, 30
+
+
+def _shoot(steps, x: complex, u: complex, n: int, eps: float):
+    """(x_n, u_n, du_n/du, stayed in W_eps) of n blowup_step calls, bit for bit."""
+    pushes = [s._push for s in steps]
+    dx, du, stayed = 0j, 1.0 + 0j, True
+    for _ in range(n):
+        y, dy = u * x, du * x + u * dx
+        for push in pushes:
+            x, y, dx, dy = push(x, y, dx, dy)
+        if abs(x) <= 1e-300:
+            raise BlowupSingular(f"image x-coordinate vanished (x1 = {x!r})")
+        u = y / x
+        du = (dy - u * dx) / x
+        stayed = stayed and _in_sector(x, u, eps)
+    return x, u, du, stayed
+
+
+def _ring_winds_once(map_like, x: complex, u: complex, rho: float, n: int, eps: float) -> bool:
+    """After n steps the circle |u0 - u| = rho is outside W_eps and u_n winds once
+    around 0, sampled at _RING points with each phase step below pi / 2."""
+    us = u + rho * np.exp(2j * np.pi * np.arange(_RING) / _RING)
+    xs = np.full(_RING, x, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            xs, us, _ok = blowup_batch(map_like, xs, us)
+        if not (np.isfinite(us).all() and us.all()) or _sector_mask(xs, us, eps).any():
+            return False
+    turns = np.angle(np.roll(us, -1) / us)
+    return bool(np.abs(turns).max() < np.pi / 2) and round(turns.sum() / (2 * np.pi)) == 1
+
+
 def graph_point(
     map_like: TangentMapLike,
     x: complex,
@@ -551,72 +585,73 @@ def graph_point(
     horizon0: int = 10,
     max_levels: int = 40,
 ) -> GraphPointResult:
-    """Survival-set refinement for the unique u with orbit staying in W_eps.
+    """The unique u whose blow-up orbit from (x, u) stays in W_eps.
 
-    Covers the disc 2|u| <= |x| with a grid, keeps cells whose centre orbit
-    stays in the sector for the level horizon (10 * 2^level), then refines
-    the surviving box; stops once the survivor cluster is smaller than
-    resolution.  Two separated surviving clusters raise Ambiguous, an empty
-    level raises NoSurvivor.
+    Level k has horizon N = horizon0 * 2^k.  While a cell is wider than
+    |x| / 100, a grid_n^2 grid over the disc 2|u| <= |x| keeps the cells whose
+    centre orbit stays in W_eps for N steps and shrinks to them; an empty level
+    raises NoSurvivor, separated survivor clusters on two levels in a row
+    raise Ambiguous.
+    Then Newton's method solves u_N(u) = 0 from the survivors' centre, one
+    step per level while rho = 1.5 |x_N| / (2 |du_N/du|) >= resolution, then
+    to convergence; a converged root whose orbit leaves W_eps within N steps
+    raises NoSurvivor.  The root is returned with certified_radius rho once,
+    on the ring |u0 - u| = rho, u_N winds once around 0 with no sample in
+    W_eps at step N (its own orbit stays in W_eps for N steps): by the argument
+    principle the ring holds exactly one zero of u_N, and no sampled orbit
+    through it stays N steps.  levels counts grid levels, final_horizon is N.
     """
     x = complex(x)
     if not (abs(x) < epsilon and arg_deviation_from_pi(x) < epsilon):
         raise InvalidParameter("x must satisfy |x| < eps and |arg(x) - pi| < eps")
     r0 = abs(x) / 2.0
-    lo_re, hi_re = -r0, r0
-    lo_im, hi_im = -r0, r0
-    split_seen = 0
-    for level in range(max_levels):
+    lo, hi = complex(-r0, -r0), complex(r0, r0)
+    split_seen, level, cell = 0, 0, math.inf
+    while cell >= abs(x) / _COARSE:
+        if level == max_levels:
+            raise NoConvergence(f"survival grid still coarse after {level} levels")
         horizon = horizon0 * (2**level)
-        # survivor regions shrink faster than the box tracks them (quartic
-        # vs geometric), so an empty discrete survivor set is a grid
-        # artifact: retry the same level with a denser grid before giving up
-        survivors = np.empty(0, dtype=complex)
-        cell = 0.0
-        for refine in range(4):
-            n = grid_n * (2**refine)
-            re = np.linspace(lo_re, hi_re, n + 1)
-            im = np.linspace(lo_im, hi_im, n + 1)
-            cre = 0.5 * (re[:-1] + re[1:])
-            cim = 0.5 * (im[:-1] + im[1:])
-            cell = max(re[1] - re[0], im[1] - im[0])
-            uu = (cre[None, :] + 1j * cim[:, None]).ravel()
-            uu = uu[2 * np.abs(uu) <= abs(x)]
-            if uu.size == 0:
-                continue
-            alive = _survivors(map_like, x, uu, epsilon, horizon)
-            survivors = uu[alive]
-            if survivors.size:
-                break
+        re = np.linspace(lo.real, hi.real, grid_n + 1)
+        im = np.linspace(lo.imag, hi.imag, grid_n + 1)
+        cre = 0.5 * (re[:-1] + re[1:])
+        cim = 0.5 * (im[:-1] + im[1:])
+        cell = max(re[1] - re[0], im[1] - im[0])
+        uu = (cre[None, :] + 1j * cim[:, None]).ravel()
+        uu = uu[2 * np.abs(uu) <= abs(x)]
+        survivors = uu[_survivors(map_like, x, uu, epsilon, horizon)]
         if survivors.size == 0:
-            raise NoSurvivor(
-                f"no surviving cells at level {level} (horizon {horizon}); "
-                "eps may be too large or x outside the regime",
-                level,
-                horizon,
-            )
-        diam = max(float(d.max()) for _, d in _distance_blocks(survivors, survivors))
-        cell_diag = cell * math.sqrt(2.0)
-        center = complex(survivors.mean())
-        certified = 0.5 * diam + cell_diag
-        if certified < resolution:
-            return GraphPointResult(
-                x=x, u=center, certified_radius=certified, levels=level + 1,
-                final_horizon=horizon,
-            )
+            raise NoSurvivor(f"no surviving cells at level {level} (horizon {horizon}); eps may "
+                             "be too large or x outside the regime", level, horizon)
         groups, gap = _clusters(survivors, 3.0 * cell)
-        if groups == 1:
-            split_seen = 0
-        elif gap > 6.0 * cell:
-            split_seen += 1
-            if split_seen >= 2:
-                raise Ambiguous(f"{groups} separated survivor clusters at level {level}")
-        margin = 1.5 * cell
-        lo_re = max(float(survivors.real.min()) - margin, -r0)
-        hi_re = min(float(survivors.real.max()) + margin, r0)
-        lo_im = max(float(survivors.imag.min()) - margin, -r0)
-        hi_im = min(float(survivors.imag.max()) + margin, r0)
-    raise NoConvergence(f"refinement did not reach resolution {resolution:.1e}")
+        split_seen = 0 if groups == 1 else split_seen + (gap > 6.0 * cell)
+        if split_seen >= 2:
+            raise Ambiguous(f"{groups} separated survivor clusters at level {level}")
+        m = 1.5 * cell
+        lo = complex(max(survivors.real.min() - m, -r0), max(survivors.imag.min() - m, -r0))
+        hi = complex(min(survivors.real.max() + m, r0), min(survivors.imag.max() + m, r0))
+        level += 1
+    levels, u = level, complex(survivors.mean())
+    for level in range(levels, max_levels):
+        n = horizon0 * (2**level)
+        for _ in range(_NEWTON_MAX):
+            if not 2 * abs(u) < abs(x):
+                raise NoConvergence(f"Newton left the disc 2|u| < |x| at N = {n}")
+            xn, un, dun, stayed = _shoot(map_like.steps, x, u, n, epsilon)
+            if not 0 < abs(dun) < math.inf:
+                raise NoConvergence(f"du_N/du is 0 or not finite at N = {n}")
+            step, rho = un / dun, _RING_MARGIN * abs(xn) / (2 * abs(dun))
+            if rho >= resolution or abs(step) <= _NEWTON_TOL * rho:
+                break
+            u -= step
+        else:
+            raise NoConvergence(f"Newton did not converge at N = {n}")
+        if rho < resolution and not stayed:
+            raise NoSurvivor(f"the root of u_N leaves W_eps within N = {n} steps; eps may "
+                             "be too large or x outside the regime", level, n)
+        if rho < resolution and _ring_winds_once(map_like, x, u, rho, n, epsilon):
+            return GraphPointResult(x, u, rho, levels, n)
+        u -= step
+    raise NoConvergence(f"no certificate below resolution {resolution:.1e} in {max_levels} levels")
 
 
 @dataclass(eq=False)

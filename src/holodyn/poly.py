@@ -47,6 +47,31 @@ def polyval(coeffs: Sequence[complex], z):
     return acc
 
 
+def polyval_dual(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
+    """(p(z), p'(z)) for a scalar z; p(z) is computed exactly as polyval does.
+
+    The derivative runs the Horner recurrence d <- d z + acc alongside the
+    value, so both cost one pass over the coefficients.
+    """
+    top = len(coeffs) - 1
+    while top >= 0 and coeffs[top] == 0:
+        top -= 1
+    if top < 0:
+        return 0j, 0j
+    acc = coeffs[top]
+    der = 0j
+    for k in range(top - 1, -1, -1):
+        if k == top - 1:
+            der = acc
+            acc = z if acc == 1 else -z if acc == -1 else acc * z
+        else:
+            der = der * z + acc
+            acc = acc * z
+        if coeffs[k] != 0:
+            acc = acc + coeffs[k]
+    return acc, der
+
+
 def polyder(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     if len(coeffs) <= 1:
         return (0j,)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from holodyn.errors import NoConvergence, SingularDifferential
 from holodyn.poly import polyder, polyval
 from holodyn.rng import bidisc_points
 
+import mp_oracle
 from conftest import finite_difference_jacobian, quadratic_roots
 
 
@@ -93,6 +95,124 @@ def _steps_strategy():
     return st.lists(st.one_of(shear_x, shear_y, linear, translation), max_size=4)
 
 
+# -- rounding-error bounds along the orbit the chain reaches -------------------
+#
+# A step evaluates its formula in complex doubles.  With u = 2^-53 a complex
+# product rounds within 2 sqrt(2) u and a sum within sqrt(2) u of its exact
+# value, relative to the operands' moduli, so the computed image of a step
+# differs from the exact image of the same computed input by at most K u S:
+# S sums |term| over the terms the formula adds (for ShearX, x + c_0 + c_1 y
+# + ... + c_d y^d gives S = |x| + sum |c_i| |y|^i, Horner's rule included)
+# and K = 8 (d + 2) counts d + 1 multiply-adds at under 4.3 u each, with
+# twice that to spare.  Linear rows a x + b y take K = 8; the inverse
+# (d x - b y) / det takes K = 16 times 1 + (|ad| + |bc|) / |det| for the
+# rounded determinant, which also covers inverted() rounding d / det once.
+# Each operation may also lose up to 2^-1075 on the subnormal grid, so every
+# bound adds K ETA with ETA = 2^-1074.
+#
+# An error e in a step's input leaves it as J e, so with the max-row-sum
+# norm |J| the errors of one pass add up as F_k = |J_k| F_(k-1) + e_k.  In a
+# round trip the inverse pass returns each forward error e_k to level k - 1
+# through the inverse Jacobian there:  E_(k-1) = |J_k^-1| (E_k + e_k) + e'_k
+# from E_n = 0 down to E_0, with e'_k the inverse step's own rounding.  A
+# Jacobian product adds, per step, its own rounding (8 u |M| |J| entrywise),
+# the rounding of the entries p'(w), and |p''(w)| F_(k-1) for evaluating them
+# on the computed orbit rather than the exact one.  These are first-order
+# bounds, so the tests allow a factor 2; every intermediate the chain
+# reaches enters S, so a cubic shear that takes |x| = 2 to |y| ~ 10 before
+# the inverse subtracts it again is charged for that size, which a bound
+# relative to |z| is not.
+
+U = 2.0**-53
+ETA = 2.0**-1074
+
+
+def _terms(coeffs, w):
+    return sum(abs(c) * abs(w) ** i for i, c in enumerate(coeffs))
+
+
+def _rounding(step, x, y, inverse=False):
+    """K u S for one step (inverse: its inverse formula) at the input (x, y)."""
+    if isinstance(step, (ShearX, ShearY)):
+        keep, w = (x, y) if isinstance(step, ShearX) else (y, x)
+        k = 8 * (len(step.coeffs) + 1)
+        return k * (U * (abs(keep) + _terms(step.coeffs, w)) + ETA)
+    if isinstance(step, Translation):
+        return 4 * (U * max(abs(x) + abs(step.bx), abs(y) + abs(step.by)) + ETA)
+    a, b, c, d = (abs(v) for v in (step.a, step.b, step.c, step.d))
+    if not inverse:
+        return 8 * (U * max(a * abs(x) + b * abs(y), c * abs(x) + d * abs(y)) + ETA)
+    det = abs(step.det())
+    rows = max(d * abs(x) + b * abs(y), c * abs(x) + a * abs(y))
+    return 16 * (U * rows / det * (1 + (a * d + b * c) / det) + ETA)
+
+
+def _jac_norm(step, x, y, inverse=False):
+    """|J| of the step at its input (x, y), or with inverse |J^-1|: the norm of
+    the inverse step's Jacobian at the image of (x, y)."""
+    a, b, c, d = step.jacobian(x, y)
+    if inverse:
+        a, b, c, d = (v / (a * d - b * c) for v in (d, b, c, a))
+    return max(abs(a) + abs(b), abs(c) + abs(d))
+
+
+def _orbit(steps, z):
+    points = [z]
+    for s in steps:
+        points.append(s.apply(*points[-1]))
+    return points
+
+
+def _forward_bound(steps, z):
+    bound = 0.0
+    for s, p in zip(steps, _orbit(steps, z)):
+        bound = _jac_norm(s, *p) * bound + _rounding(s, *p)
+    return bound
+
+
+def _inverse_bound(steps, w):
+    bound = 0.0
+    for s in reversed(steps):
+        prev = s.apply_inv(*w)
+        bound = _jac_norm(s, *prev, inverse=True) * bound + _rounding(s, *w, inverse=True)
+        w = prev
+    return bound
+
+
+def _round_trip_bound(steps, z, inverse_steps):
+    """E_0 for the forward steps, then inverse_steps: the functions that undo
+    them, last step first."""
+    points = _orbit(steps, z)
+    bound, w = 0.0, points[-1]
+    for s, p, back in zip(reversed(steps), reversed(points[:-1]), inverse_steps):
+        e = _rounding(s, *p)
+        bound = _jac_norm(s, *p, inverse=True) * (bound + e) + _rounding(s, *w, inverse=True)
+        w = back(*w)
+    return bound
+
+
+def _differential_bound(steps, z):
+    """Entrywise bound on |differential(z) - exact Jacobian| (2x2 array)."""
+    err, j, forward = np.zeros((2, 2)), np.eye(2, dtype=complex), 0.0
+    for s, p in zip(steps, _orbit(steps, z)):
+        m = np.array(s.jacobian(*p), dtype=complex).reshape(2, 2)
+        entry = np.zeros((2, 2))
+        if isinstance(s, (ShearX, ShearY)):
+            w = p[1] if isinstance(s, ShearX) else p[0]
+            der = polyder(s.coeffs)
+            off = (0, 1) if isinstance(s, ShearX) else (1, 0)
+            rounding = 8 * len(der) * (U * _terms(der, w) + ETA)
+            entry[off] = rounding + _terms(polyder(der), w) * forward
+        err = np.abs(m) @ err + (entry + 8 * U * np.abs(m)) @ np.abs(j) + 8 * ETA
+        j = m @ j
+        forward = _jac_norm(s, *p) * forward + _rounding(s, *p)
+    return err
+
+
+def _dist(got, want):
+    return max(abs(g - w) for g, w in zip(got, want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     steps=_steps_strategy(),
@@ -102,10 +222,16 @@ def _steps_strategy():
 def test_inverse_round_trip_property(steps, x, y):
     ch = AutoChain.of(*steps)
     w = ch.evaluate((x, y), cap=1e15)
+    assert _dist(w, mp_oracle.forward(ch, (x, y))) <= 2 * _forward_bound(ch.steps, (x, y))
     back = ch.inverse_evaluate(w, cap=1e15)
-    scale = 1.0 + math.hypot(abs(x), abs(y))
-    assert abs(back[0] - x) < 1e-9 * scale
-    assert abs(back[1] - y) < 1e-9 * scale
+    assert _dist(back, mp_oracle.inverse(ch, w)) <= 2 * _inverse_bound(ch.steps, w)
+    applied_inv = [s.apply_inv for s in reversed(ch.steps)]
+    assert _dist(back, (x, y)) <= 2 * _round_trip_bound(ch.steps, (x, y), applied_inv)
+    # the inverted chain runs each step's inverse formula with rounded coefficients
+    inv = ch.inverted()
+    back = inv.evaluate(w, cap=1e15)
+    inverted = [s.apply for s in inv.steps]
+    assert _dist(back, (x, y)) <= 2 * _round_trip_bound(ch.steps, (x, y), inverted)
 
 
 def test_round_trip_thousand_points(henon075):
@@ -126,8 +252,23 @@ def test_volume_preserving_determinant_property(steps, x, y):
     if not ch.volume_preserving:
         return
     j = ch.differential((x, y))
+    err = _differential_bound(ch.steps, (x, y))
+    ref = mp_oracle.differential(ch, (x, y))
+    for r in range(2):
+        for c in range(2):
+            assert abs(j[r, c] - ref[r][c]) <= 2 * err[r, c]
+    # each step's determinant is constant: 1 for shears, within _DET_ONE_TOL
+    # of 1 for the linear steps of a volume-preserving chain
+    with mp.workdps(mp_oracle.DPS):
+        det_exact = ref[0][0] * ref[1][1] - ref[0][1] * ref[1][0]
+    assert abs(det_exact - 1) <= 1e-12 * len(ch.steps)
     det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    assert abs(det - 1.0) < 1e-9
+    aj = np.abs(j)
+    det_err = (
+        aj[1, 1] * err[0, 0] + aj[0, 0] * err[1, 1] + aj[1, 0] * err[0, 1] + aj[0, 1] * err[1, 0]
+        + 8 * (U * (aj[0, 0] * aj[1, 1] + aj[0, 1] * aj[1, 0]) + ETA)
+    )
+    assert abs(det - det_exact) <= 2 * det_err
 
 
 def test_volume_preserving_det_at_hundred_points(henon075):

@@ -20,7 +20,6 @@ SCRIPTS = {
     "run_gallery.py": "out-gallery",
     "run_parabolic_suite.py": "out-parabolic",
 }
-SLOW = {"run_parabolic_suite.py"}  # the saddle and gallery scripts take under a second
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -29,10 +28,7 @@ def _tree(root: Path) -> dict[str, bytes]:
     }
 
 
-@pytest.mark.parametrize(
-    "script",
-    [pytest.param(s, marks=[pytest.mark.slow] if s in SLOW else []) for s in sorted(SCRIPTS)],
-)
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_script_reproduces_golden_artifacts(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -166,7 +166,7 @@ def test_cumulative_pullback_takes_one_pass_per_depth(passes, tmp_path):
     assert passes[0] == 12
 
 
-def test_density_takes_at_most_two_passes_per_depth(passes, tmp_path):
+def test_density_takes_one_pass_per_depth(passes, tmp_path):
     argv = ["density", "--map", HENON, "--seed-point", "1.4,1.4", "--depth", "12"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert passes[0] <= 24
+    assert passes[0] == 12
