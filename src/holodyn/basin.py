@@ -46,7 +46,6 @@ def orbit(
     max_iter: int,
     target: Point | None = None,
     conv_tol: float = 1e-3,
-    cap: float = DEFAULT_CAP,
     keep_states: int = 512,
 ) -> OrbitRecord:
     """Iterate a single point, recording (possibly truncated) states."""
@@ -56,7 +55,7 @@ def orbit(
     for n in range(1, max_iter + 1):
         nx, ny = chain.apply(x, y)
         m = max(abs(nx), abs(ny))
-        if not math.isfinite(m) or m > cap:
+        if not math.isfinite(m) or m > DEFAULT_CAP:
             return OrbitRecord((z[0], z[1]), states, "escaped", n, target)
         x, y = nx, ny
         if len(states) < keep_states:
@@ -269,23 +268,19 @@ def bounded_set_probe(
     box: tuple[tuple[float, float], tuple[float, float]],
     grid: tuple[int, int],
     max_iter: int = 200,
-    cap: float = DEFAULT_CAP,
-    imag_offset: tuple[float, float] = (0.0, 0.0),
     threads: int = 1,
 ) -> np.ndarray:
     """Occupancy of the bounded-orbit set on a real 2-D slice.
 
-    Cell (i, j) is marked when the orbit of the centre (a_j + i*off_x,
-    b_i + i*off_y) stays under the cap for max_iter steps.  Returns a bool
-    array of shape (grid[1], grid[0]), rows indexed by the y-bound.
+    Cell (i, j) is marked when the orbit of the centre (a_j, b_i) stays under
+    DEFAULT_CAP for max_iter steps.  Returns a bool array of shape
+    (grid[1], grid[0]), rows indexed by the y-bound.
     """
     na, nb = grid
     xs, ys = grid_centres(box, grid)
-    xs = xs + 1j * imag_offset[0]
-    ys = ys + 1j * imag_offset[1]
 
     def run_chunk(lo: int, hi: int) -> np.ndarray:
-        codes, _ = orbit_verdicts(chain, xs[lo:hi], ys[lo:hi], max_iter, target=None, cap=cap)
+        codes, _ = orbit_verdicts(chain, xs[lo:hi], ys[lo:hi], max_iter, target=None)
         return codes != VERDICT_ESCAPED
 
     return np.concatenate(_map_chunks(run_chunk, xs.shape[0], threads)).reshape(nb, na)
@@ -327,10 +322,11 @@ def sphere_residuals_batch(zs: np.ndarray, m: int) -> np.ndarray:
     return np.abs(w - closed)
 
 
-def sample_unit_disc_away_from_poles(
-    seed: int, n: int, m: int, min_pole_distance: float = 1e-3
-) -> np.ndarray:
-    """Uniform unit-disc samples at distance >= min_pole_distance from every
+_MIN_POLE_DISTANCE = 1e-3
+
+
+def sample_unit_disc_away_from_poles(seed: int, n: int, m: int) -> np.ndarray:
+    """Uniform unit-disc samples at distance >= _MIN_POLE_DISTANCE from every
     pole -1/k, k = 1..m, of the closed-form iterate."""
     g = make_generator(seed)
     poles = -1.0 / np.arange(1, m + 1)
@@ -344,7 +340,7 @@ def sample_unit_disc_away_from_poles(
         ok = np.ones(batch, dtype=bool)
         for lo in range(0, len(poles), 2048):
             blk = poles[lo : lo + 2048]
-            ok &= np.min(np.abs(z[:, None] - blk[None, :]), axis=1) >= min_pole_distance
+            ok &= np.min(np.abs(z[:, None] - blk[None, :]), axis=1) >= _MIN_POLE_DISTANCE
         z = z[ok]
         take = min(len(z), n - got)
         out[got : got + take] = z[:take]
@@ -398,7 +394,7 @@ def planar_homeo(z):
     return complex(out[()]) if scalar else out
 
 
-def nonuniformity_witness(m: int, precision: float = 1e-15) -> tuple[float, complex]:
+def nonuniformity_witness(m: int) -> tuple[float, complex]:
     """Unit-circle point near 1 whose m-th planar image has angle near pi.
 
     Bisection on theta: psi^m is increasing from 0, so the smallest theta

@@ -332,12 +332,13 @@ class _ChainOps:
                 raise TypeError(f"unknown step {step!r}")
         return fx, fy
 
-    def is_tangent_to_identity(self, tol: float = IDENTITY_TOL) -> bool:
+    def is_tangent_to_identity(self) -> bool:
+        """f(0) = 0 and df(0) = I, each entry within IDENTITY_TOL."""
         x0, y0 = self.apply(0j, 0j)
-        if max(abs(x0), abs(y0)) > tol:
+        if max(abs(x0), abs(y0)) > IDENTITY_TOL:
             return False
         j = self.differential((0j, 0j))
-        return float(np.max(np.abs(j - np.eye(2)))) <= tol
+        return float(np.max(np.abs(j - np.eye(2)))) <= IDENTITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,8 +426,8 @@ class AutoChain(_ChainOps):
         """Vectorised evaluation; returns (xs, ys, ok) with escapers frozen at 0."""
         return _batch_apply(self.steps, xs, ys, cap, inverse=False)
 
-    def inverse_batch(self, xs, ys, cap: float = DEFAULT_CAP):
-        return _batch_apply(tuple(reversed(self.steps)), xs, ys, cap, inverse=True)
+    def inverse_batch(self, xs, ys):
+        return _batch_apply(tuple(reversed(self.steps)), xs, ys, DEFAULT_CAP, inverse=True)
 
 
 def _batch_apply(steps, xs, ys, cap, inverse):
@@ -536,8 +537,8 @@ class FixedPointInfo:
     iterations: int
 
 
-def _residual(chain: AutoChain, z: Point, cap: float) -> tuple[Point, float]:
-    fz = chain.evaluate(z, cap=cap)
+def _residual(chain: AutoChain, z: Point) -> tuple[Point, float]:
+    fz = chain.evaluate(z)
     g = (fz[0] - z[0], fz[1] - z[1])
     return g, math.hypot(abs(g[0]), abs(g[1]))
 
@@ -547,7 +548,6 @@ def find_fixed_point(
     seed: Point,
     tol: float = 1e-12,
     max_iter: int = 100,
-    cap: float = DEFAULT_CAP,
 ) -> FixedPointInfo:
     """Newton iteration on f(z) - z with residual-halving damping.
 
@@ -559,7 +559,7 @@ def find_fixed_point(
     _check_finite(seed)
     z = (complex(seed[0]), complex(seed[1]))
     try:
-        g, r = _residual(chain, z, cap)
+        g, r = _residual(chain, z)
     except Overflow as exc:
         raise NoConvergence(f"seed escapes under f: {exc}") from exc
 
@@ -579,7 +579,7 @@ def find_fixed_point(
         for _ in range(40):
             cand = (z[0] - step * dx, z[1] - step * dy)
             try:
-                g_cand, r_cand = _residual(chain, cand, cap)
+                g_cand, r_cand = _residual(chain, cand)
             except Overflow:
                 step *= 0.5
                 continue

@@ -146,16 +146,17 @@ class LocalGraph:
         )
 
 
+# graph transform: step budget, sup-change ratio limit, bound on |t| / delta;
+# local_stable_graph_auto halves delta at most _MAX_HALVINGS times
+_MAX_ITER, _CONTRACTION_LIMIT, _SLOPE_CAP, _MAX_HALVINGS = 80, 0.95, 1.0, 6
+
+
 def local_stable_graph(
     chain: AutoChain,
     fp: FixedPointInfo,
     delta: float,
     mesh: tuple[int, int] = (10, 16),
     tol: float = 1e-9,
-    max_iter: int = 80,
-    epsilon: float | None = None,
-    contraction_limit: float = 0.95,
-    slope_cap: float = 1.0,
 ) -> LocalGraph:
     """Graph-transform fixed point; see the module docstring for the scheme."""
     if fp.classification is not Classification.SADDLE:
@@ -175,7 +176,7 @@ def local_stable_graph(
     changes: list[float] = []
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         coeffs = _lsq_fit(s_grid, t_vals, degree)
         dcoeffs = _deriv_coeffs(coeffs)
         t_cur = t_vals.copy()
@@ -202,9 +203,9 @@ def local_stable_graph(
         t_vals = t_cur
         if changes and changes[-1] > 10 * tol and changes[-1] > 0:
             ratio = change / changes[-1]
-            if ratio > contraction_limit:
+            if ratio > _CONTRACTION_LIMIT:
                 raise DeltaTooLarge(
-                    f"contraction estimate {ratio:.3f} exceeds {contraction_limit}; shrink delta",
+                    f"contraction estimate {ratio:.3f} exceeds {_CONTRACTION_LIMIT}; shrink delta",
                     ratio=ratio,
                 )
         changes.append(change)
@@ -212,13 +213,13 @@ def local_stable_graph(
             break
     else:
         raise NoConvergence(
-            f"graph transform did not reach tol {tol:.1e} in {max_iter} iterations",
+            f"graph transform did not reach tol {tol:.1e} in {_MAX_ITER} iterations",
             residual=changes[-1] if changes else None,
         )
 
-    if float(np.max(np.abs(t_vals))) > delta * slope_cap:
+    if float(np.max(np.abs(t_vals))) > delta * _SLOPE_CAP:
         raise DeltaTooLarge(
-            f"graph exceeds slope cap {slope_cap} over the {delta}-disc; shrink delta"
+            f"graph exceeds slope cap {_SLOPE_CAP} over the {delta}-disc; shrink delta"
         )
 
     return LocalGraph(
@@ -226,7 +227,7 @@ def local_stable_graph(
         stable_direction=vs,
         unstable_direction=vu,
         delta=delta,
-        epsilon=epsilon if epsilon is not None else 2.0 * delta,
+        epsilon=2.0 * delta,
         s_grid=s_grid,
         t_values=t_vals,
         mesh=mesh,
@@ -236,11 +237,11 @@ def local_stable_graph(
     )
 
 
-def local_stable_graph_auto(chain, fp, delta, max_halvings: int = 6, **kwargs) -> LocalGraph:
+def local_stable_graph_auto(chain, fp, delta, **kwargs) -> LocalGraph:
     """local_stable_graph with automatic delta halving on DeltaTooLarge."""
     last: DeltaTooLarge | None = None
     d = delta
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         try:
             return local_stable_graph(chain, fp, d, **kwargs)
         except DeltaTooLarge as exc:
@@ -310,32 +311,33 @@ def pullback_cloud(
     return cloud
 
 
+_LANDING_TOL = 1e-6
+
+
 def is_in_stable(
     chain: AutoChain,
     fp: FixedPointInfo,
     graph: LocalGraph,
     z: Point,
     max_iter: int = 200,
-    tol: float = 1e-6,
-    cap: float = DEFAULT_CAP,
 ) -> bool:
-    """True iff some forward iterate lands on the local graph within tol.
+    """True iff some forward iterate lands within _LANDING_TOL of the local graph.
 
-    Returns False when the orbit escapes the cap; raises Inconclusive when
-    the budget runs out with neither outcome.
+    Returns False when the orbit escapes DEFAULT_CAP; raises Inconclusive
+    when the budget runs out with neither outcome.
     """
     x, y = complex(z[0]), complex(z[1])
     for _ in range(max_iter + 1):
         s, t = graph.to_coords(x, y)
         if abs(s) <= graph.delta and abs(t) <= graph.delta:
-            if abs(t - graph.gamma(s)) < tol:
+            if abs(t - graph.gamma(s)) < _LANDING_TOL:
                 return True
         try:
-            x, y = chain.evaluate((x, y), cap=cap)
+            x, y = chain.evaluate((x, y))
         except Overflow:
             return False
     raise Inconclusive(
-        f"orbit neither escaped nor landed within {tol:.1e} of the graph in {max_iter} steps"
+        f"orbit neither escaped nor landed within {_LANDING_TOL:.1e} of the graph in {max_iter} steps"
     )
 
 
@@ -455,23 +457,30 @@ def graph_distance(g1: LocalGraph, g2: LocalGraph) -> float:
     return float(np.max(np.abs(g1.t_values - g2.t_values))) + base_off
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray, chunk: int = 4096) -> float:
+# pairs _nearest_sq_distances holds at once (one row of p at least)
+_PAIR_BLOCK = 1 << 18
+
+
+def _nearest_sq_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of the C^2 cloud p to its nearest in q."""
+    out = np.empty(len(p))
+    step = max(1, _PAIR_BLOCK // max(len(q), 1))
+    for lo in range(0, len(p), step):
+        blk = p[lo : lo + step]
+        d2 = (
+            np.abs(blk[:, None, 0] - q[None, :, 0]) ** 2
+            + np.abs(blk[:, None, 1] - q[None, :, 1]) ** 2
+        )
+        out[lo : lo + step] = d2.min(axis=1)
+    return out
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric max-min distance between point clouds in C^2 (brute force)."""
     if len(a) == 0 or len(b) == 0:
         raise InvalidParameter("hausdorff_distance needs nonempty clouds")
-
-    def directed(p: np.ndarray, q: np.ndarray) -> float:
-        worst = 0.0
-        for i in range(0, len(p), chunk):
-            blk = p[i : i + chunk]
-            d2 = (
-                np.abs(blk[:, None, 0] - q[None, :, 0]) ** 2
-                + np.abs(blk[:, None, 1] - q[None, :, 1]) ** 2
-            )
-            worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
-        return worst
-
-    return max(directed(a, b), directed(b, a))
+    worst = max(_nearest_sq_distances(a, b).max(), _nearest_sq_distances(b, a).max())
+    return float(np.sqrt(worst))
 
 
 @dataclass(eq=False)
@@ -491,7 +500,6 @@ def stability_experiment(
     mesh: tuple[int, int] = (10, 16),
     tol: float = 1e-9,
     pullback_depth: int = 4,
-    newton_tol: float = 1e-12,
 ) -> list[StabilityRow]:
     """Graph and cloud distances for a perturbation family.
 
@@ -504,7 +512,7 @@ def stability_experiment(
     rows = []
     for t in t_values:
         pert = family(t)
-        fp_t = find_fixed_point(pert, fp.location, tol=newton_tol)
+        fp_t = find_fixed_point(pert, fp.location)
         graph_t = local_stable_graph(pert, fp_t, delta, mesh=mesh, tol=tol)
         cloud_t = pullback_cloud(pert, graph_t, pullback_depth)
         rows.append(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .basin import HYSTERESIS, grid_centres, nonuniformity_witness, planar_homeo
 from .core import AutoChain, DEFAULT_CAP, EndoChain, Point, _escaped, iterate_live, map_from_dict
 from .errors import InvalidParameter, MapFormatError, TangencyViolation
+from .manifold import _nearest_sq_distances
 
 MapLike = AutoChain | EndoChain
 
@@ -53,7 +55,7 @@ class MapSequence:
     def map_at(self, j: int) -> MapLike:
         m = self.generator(j)
         if self.tangency_required and j not in self._checked:
-            if not hasattr(m, "is_tangent_to_identity") or not m.is_tangent_to_identity(1e-9):
+            if not hasattr(m, "is_tangent_to_identity") or not m.is_tangent_to_identity():
                 raise TangencyViolation(
                     f"sequence member {j} does not fix 0 with identity differential"
                 )
@@ -61,8 +63,8 @@ class MapSequence:
         return m
 
 
-def constant_sequence(m: MapLike, tangency_required: bool = False) -> MapSequence:
-    return MapSequence(lambda j: m, tangency_required=tangency_required)
+def constant_sequence(m: MapLike) -> MapSequence:
+    return MapSequence(lambda j: m)
 
 
 def list_sequence(maps: Sequence[MapLike], tangency_required: bool = False) -> MapSequence:
@@ -76,13 +78,11 @@ def list_sequence(maps: Sequence[MapLike], tangency_required: bool = False) -> M
     return MapSequence(gen, tangency_required=tangency_required)
 
 
-def nonauto_orbit(
-    seq: MapSequence, z: Point, n: int, cap: float = DEFAULT_CAP
-) -> tuple[list[Point], int | None]:
+def nonauto_orbit(seq: MapSequence, z: Point, n: int) -> tuple[list[Point], int | None]:
     """The composition orbit (z, f1 z, f2 f1 z, ...); truncates on overflow.
 
     Returns (states, overflow_step); overflow_step is None when all n steps
-    stayed under the cap.
+    stayed under DEFAULT_CAP.
     """
     if n < 0:
         raise InvalidParameter("n must be >= 0")
@@ -91,7 +91,7 @@ def nonauto_orbit(
     for j in range(1, n + 1):
         x, y = seq.map_at(j).apply(x, y)
         m = max(abs(x), abs(y))
-        if not math.isfinite(m) or m > cap:
+        if not math.isfinite(m) or m > DEFAULT_CAP:
             return states, j
         states.append((x, y))
     return states, None
@@ -251,19 +251,10 @@ def disjointness_check(params: SectorSetParams, samples: int = 2000, seed: int =
     worst_pair = min(gaps, key=lambda k: gaps[k])
     min_gap = gaps[worst_pair]
 
-    sampled_min = math.inf
-    pts = _sample_components(params, samples, seed)
-    names = list(pts)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = pts[names[i]], pts[names[j]]
-            if len(a) == 0 or len(b) == 0:
-                continue
-            d2 = (
-                np.abs(a[:, None, 0] - b[None, :, 0]) ** 2
-                + np.abs(a[:, None, 1] - b[None, :, 1]) ** 2
-            )
-            sampled_min = min(sampled_min, float(np.sqrt(d2.min())))
+    pts = _sample_components(params, samples, seed).values()
+    sampled_min = min(
+        float(np.sqrt(_nearest_sq_distances(a, b).min())) for a, b in combinations(pts, 2)
+    )
     return DisjointnessReport(
         disjoint=min_gap > 0,
         min_gap=min_gap,
@@ -336,7 +327,6 @@ def pointwise_vs_uniform_report(
     conv_tol: float = 1e-3,
     grid: tuple[int, int] = (7, 7),
     witnesses: Sequence[Point] = (),
-    cap: float = DEFAULT_CAP,
 ) -> PointwiseUniformReport:
     """Per-step sup |F_n(z)| and converged fraction over a compact grid.
 
@@ -359,7 +349,7 @@ def pointwise_vs_uniform_report(
     )
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
-        bad = _escaped(nx, ny, cap)
+        bad = _escaped(nx, ny, DEFAULT_CAP)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
         dist = np.hypot(np.abs(xs), np.abs(ys))

@@ -51,6 +51,8 @@ from .rng import make_generator
 TangentMapLike = AutoChain | EndoChain
 
 _JET_TOL = 1e-9
+# divergence-freeness holds when both defect terms are below this times |P2| + 1
+_DIV_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,18 @@ class HomogeneousQuadratic:
         """The one-parameter family (x^2 + 2xy + c y^2, -2xy - y^2)."""
         return cls((1.0, 2.0, complex(c)), (0.0, -2.0, -1.0), volume_preserving=True)
 
-    def is_divergence_free(self, tol: float = 1e-12) -> bool:
+    def is_divergence_free(self) -> bool:
         scale = self.norm() + 1.0
         return (
-            abs(self.q[1] + 2 * self.p[0]) <= tol * scale
-            and abs(self.q[2] + self.p[1] / 2) <= tol * scale
+            abs(self.q[1] + 2 * self.p[0]) <= _DIV_TOL * scale
+            and abs(self.q[2] + self.p[1] / 2) <= _DIV_TOL * scale
         )
 
     def norm(self) -> float:
         return max(abs(v) for v in self.p + self.q)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.p + self.q)
+    def is_zero(self) -> bool:
+        return all(v == 0 for v in self.p + self.q)
 
     def eval(self, x, y):
         pa, pxy, pc = self.p
@@ -175,16 +177,19 @@ def _newton_polish_root(coeffs: np.ndarray, r: complex) -> complex:
     return r
 
 
+# a lambda (or normalize's b) counts as 0 below _ZERO_TOL * max(|P2|, 1);
+# characteristic_directions merges roots u closer than _MERGE_TOL * (1 + |u|)
+_ZERO_TOL, _MERGE_TOL = 1e-10, 1e-8
+
+
 def characteristic_directions(
     p2: HomogeneousQuadratic,
-    tol: float = 1e-10,
-    merge_tol: float = 1e-8,
 ) -> list[CharacteristicDirection] | AllDirections:
     """Directions v with P2(v) = lambda v, found in both blow-up charts.
 
     Chart y = u x solves q(1, u) - u p(1, u) = 0 (companion-matrix roots
     with one Newton polish each); chart x = w y only contributes (0, 1).
-    Roots within merge_tol are merged.
+    Roots within _MERGE_TOL are merged.
     """
     if p2.is_zero():
         return AllDirections()
@@ -201,7 +206,7 @@ def characteristic_directions(
         roots = [_newton_polish_root(coeffs, complex(r)) for r in roots]
         merged: list[complex] = []
         for r in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-            if not any(abs(r - m) <= merge_tol * (1 + abs(r)) for m in merged):
+            if not any(abs(r - m) <= _MERGE_TOL * (1 + abs(r)) for m in merged):
                 merged.append(r)
         for u in merged:
             v = np.array([1.0, u], dtype=complex)
@@ -214,18 +219,18 @@ def characteristic_directions(
                 CharacteristicDirection(
                     direction=v,
                     lam=lam,
-                    degenerate=abs(lam) <= tol * max(lam_scale, 1.0),
+                    degenerate=abs(lam) <= _ZERO_TOL * max(lam_scale, 1.0),
                     chart="y=ux",
                 )
             )
     # chart x = wy: the direction (0, 1) is characteristic iff p(0,1) = 0
-    if abs(pc) <= tol * max(lam_scale, 1.0):
+    if abs(pc) <= _ZERO_TOL * max(lam_scale, 1.0):
         lam = qc
         found.append(
             CharacteristicDirection(
                 direction=np.array([0.0, 1.0], dtype=complex),
                 lam=lam,
-                degenerate=abs(lam) <= tol * max(lam_scale, 1.0),
+                degenerate=abs(lam) <= _ZERO_TOL * max(lam_scale, 1.0),
                 chart="x=wy",
             )
         )
@@ -262,9 +267,7 @@ class NormalizeResult:
     b_was_zero: bool
 
 
-def normalize(
-    p2: HomogeneousQuadratic, v: CharacteristicDirection, b_tol: float = 1e-10
-) -> NormalizeResult:
+def normalize(p2: HomogeneousQuadratic, v: CharacteristicDirection) -> NormalizeResult:
     """Conjugate a non-degenerate direction into the one-parameter normal form.
 
     First a linear map with columns (v / lambda, w) moves v to (1, 0) and
@@ -284,7 +287,7 @@ def normalize(
     m1 = np.array([[vec[0] / lam, w[0]], [vec[1] / lam, w[1]]], dtype=complex)
     q1 = p2.conjugate_linear(m1)
     b = q1.p[1] / 2.0
-    if abs(b) <= b_tol * max(q1.norm(), 1.0):
+    if abs(b) <= _ZERO_TOL * max(q1.norm(), 1.0):
         quad = HomogeneousQuadratic(q1.p, q1.q, volume_preserving=True)
         return NormalizeResult(quad, q1.p[2], m1, b_was_zero=True)
     m2 = np.array([[1.0, 0.0], [0.0, 1.0 / b]], dtype=complex)
@@ -306,10 +309,8 @@ class SectorPoint:
     epsilon: float
 
 
-def arg_deviation_from_pi(x) -> float | np.ndarray:
+def arg_deviation_from_pi(x) -> float:
     """|arg(x) - pi| with arg taken in [0, 2pi); equals |arg(-x)| principal."""
-    if isinstance(x, np.ndarray):
-        return np.abs(np.arctan2(-x.imag, -x.real))
     return abs(cmath.phase(-complex(x)))
 
 
@@ -344,10 +345,10 @@ def blowup_batch(map_like: TangentMapLike, xs: np.ndarray, us: np.ndarray):
 
 
 def _sector_mask(xs: np.ndarray, us: np.ndarray, eps: float) -> np.ndarray:
-    # 2|u| < |x| also excludes x = 0, where the blow-up chart breaks down
+    # |arctan2(-Im x, -Re x)| = |arg(x) - pi|; 2|u| < |x| excludes x = 0 (no chart)
     with np.errstate(invalid="ignore"):
         ax = np.abs(xs)
-        return (ax < eps) & (arg_deviation_from_pi(xs) < eps) & (2 * np.abs(us) < ax)
+        return (ax < eps) & (np.abs(np.arctan2(-xs.imag, -xs.real)) < eps) & (2 * np.abs(us) < ax)
 
 
 @dataclass(eq=False)
@@ -415,12 +416,15 @@ class ExpansionReport:
     regime_ok: bool
 
 
+# sample batches drawn before expansion_check gives up on finding trials pairs
+_MAX_BATCHES = 400
+
+
 def expansion_check(
     map_like: TangentMapLike,
     epsilon: float,
     trials: int = 10_000,
     seed: int = 7,
-    max_batches: int = 400,
 ) -> ExpansionReport:
     """Sample admissible sector pairs and count expansion failures.
 
@@ -432,7 +436,7 @@ def expansion_check(
     violations = 0
     min_margin = math.inf
     batch = max(1024, trials // 4)
-    for _ in range(max_batches):
+    for _ in range(_MAX_BATCHES):
         if got >= trials:
             break
         r = epsilon * (0.05 + 0.95 * g.random(batch))
@@ -540,9 +544,11 @@ def _clusters(points: np.ndarray, link: float) -> tuple[int, float]:
     return count, gap
 
 
-# graph_point: grid levels run while a cell is wider than |x| / _COARSE; the
-# ring has _RING samples and radius _RING_MARGIN times |x_N| / (2 |du_N/du|);
-# Newton stops below _NEWTON_TOL ring radii and fails after _NEWTON_MAX steps
+# graph_point: see its docstring for _GRID_N, _HORIZON0, _MAX_LEVELS and
+# _COARSE; the ring has _RING samples and radius _RING_MARGIN times
+# |x_N| / (2 |du_N/du|); Newton stops below _NEWTON_TOL ring radii and fails
+# after _NEWTON_MAX steps
+_GRID_N, _HORIZON0, _MAX_LEVELS = 32, 10, 40
 _COARSE, _RING, _RING_MARGIN, _NEWTON_TOL, _NEWTON_MAX = 100.0, 32, 1.5, 1e-2, 30
 
 
@@ -581,15 +587,13 @@ def graph_point(
     x: complex,
     epsilon: float = 0.02,
     resolution: float = 1e-6,
-    grid_n: int = 32,
-    horizon0: int = 10,
-    max_levels: int = 40,
 ) -> GraphPointResult:
     """The unique u whose blow-up orbit from (x, u) stays in W_eps.
 
-    Level k has horizon N = horizon0 * 2^k.  While a cell is wider than
-    |x| / 100, a grid_n^2 grid over the disc 2|u| <= |x| keeps the cells whose
-    centre orbit stays in W_eps for N steps and shrinks to them; an empty level
+    Level k < _MAX_LEVELS = 40 has horizon N = _HORIZON0 * 2^k = 10 * 2^k.
+    While a cell is wider than |x| / _COARSE = |x| / 100, a _GRID_N^2 = 32^2
+    grid over the disc 2|u| <= |x| keeps the cells whose centre orbit stays in
+    W_eps for N steps and shrinks to them; an empty level
     raises NoSurvivor, separated survivor clusters on two levels in a row
     raise Ambiguous.
     Then Newton's method solves u_N(u) = 0 from the survivors' centre, one
@@ -608,11 +612,11 @@ def graph_point(
     lo, hi = complex(-r0, -r0), complex(r0, r0)
     split_seen, level, cell = 0, 0, math.inf
     while cell >= abs(x) / _COARSE:
-        if level == max_levels:
+        if level == _MAX_LEVELS:
             raise NoConvergence(f"survival grid still coarse after {level} levels")
-        horizon = horizon0 * (2**level)
-        re = np.linspace(lo.real, hi.real, grid_n + 1)
-        im = np.linspace(lo.imag, hi.imag, grid_n + 1)
+        horizon = _HORIZON0 * (2**level)
+        re = np.linspace(lo.real, hi.real, _GRID_N + 1)
+        im = np.linspace(lo.imag, hi.imag, _GRID_N + 1)
         cre = 0.5 * (re[:-1] + re[1:])
         cim = 0.5 * (im[:-1] + im[1:])
         cell = max(re[1] - re[0], im[1] - im[0])
@@ -631,8 +635,8 @@ def graph_point(
         hi = complex(min(survivors.real.max() + m, r0), min(survivors.imag.max() + m, r0))
         level += 1
     levels, u = level, complex(survivors.mean())
-    for level in range(levels, max_levels):
-        n = horizon0 * (2**level)
+    for level in range(levels, _MAX_LEVELS):
+        n = _HORIZON0 * (2**level)
         for _ in range(_NEWTON_MAX):
             if not 2 * abs(u) < abs(x):
                 raise NoConvergence(f"Newton left the disc 2|u| < |x| at N = {n}")
@@ -651,7 +655,7 @@ def graph_point(
         if rho < resolution and _ring_winds_once(map_like, x, u, rho, n, epsilon):
             return GraphPointResult(x, u, rho, levels, n)
         u -= step
-    raise NoConvergence(f"no certificate below resolution {resolution:.1e} in {max_levels} levels")
+    raise NoConvergence(f"no certificate below resolution {resolution:.1e} in {_MAX_LEVELS} levels")
 
 
 @dataclass(eq=False)
@@ -668,7 +672,6 @@ def parabolic_stability_experiment(
     t_values: Sequence[float],
     epsilon: float = 0.02,
     resolution: float = 1e-8,
-    grid_n: int = 32,
 ) -> list[ParabolicStabilityRow]:
     """Sup distance of sector graphs between family(t) and family(0).
 
@@ -677,8 +680,7 @@ def parabolic_stability_experiment(
     twice the certified radii are flagged as resolution-limited.
     """
     base = {
-        x: graph_point(family(0.0), x, epsilon=epsilon, resolution=resolution, grid_n=grid_n)
-        for x in x_mesh
+        x: graph_point(family(0.0), x, epsilon=epsilon, resolution=resolution) for x in x_mesh
     }
     rows = []
     for t in t_values:
@@ -686,7 +688,7 @@ def parabolic_stability_experiment(
         sup = 0.0
         max_cert = 0.0
         for x in x_mesh:
-            gp = graph_point(m, x, epsilon=epsilon, resolution=resolution, grid_n=grid_n)
+            gp = graph_point(m, x, epsilon=epsilon, resolution=resolution)
             sup = max(sup, abs(gp.u - base[x].u))
             max_cert = max(max_cert, gp.certified_radius, base[x].certified_radius)
         rows.append(
