@@ -456,7 +456,7 @@ def cmd_nonauto_run(run: Run) -> int:
         return _finish_marked(run, "nonauto", marked, "attracted")
     witnesses = nonauto.demonstrator_witnesses(a.n) if a.with_witnesses else []
     rep = nonauto.pointwise_vs_uniform_report(
-        seq, run.box(), a.n, conv_tol=a.conv_tol, witnesses=witnesses
+        seq, run.box(), a.n, _parse(a.grid, int), conv_tol=a.conv_tol, witnesses=witnesses
     )
     rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
     write_csv(run.path("pointwise.csv"), ["n", "sup_distance", "converged_fraction"], rows)

@@ -109,9 +109,6 @@ class ShearX:
     def apply(self, x, y):
         return x + polyval(self.coeffs, y), y
 
-    def apply_inv(self, x, y):
-        return x - polyval(self.coeffs, y), y
-
     def jacobian(self, x, y):
         return 1.0, polyval(polyder(self.coeffs), y), 0.0, 1.0
 
@@ -137,9 +134,6 @@ class ShearY:
 
     def apply(self, x, y):
         return x, y + polyval(self.coeffs, x)
-
-    def apply_inv(self, x, y):
-        return x, y - polyval(self.coeffs, x)
 
     def jacobian(self, x, y):
         return 1.0, 0.0, polyval(polyder(self.coeffs), x), 1.0
@@ -176,14 +170,6 @@ class Linear:
     def apply(self, x, y):
         return _lincomb(self.a, x, self.b, y), _lincomb(self.c, x, self.d, y)
 
-    def apply_inv(self, x, y):
-        det = self.det()
-        u = _lincomb(self.d, x, -self.b, y)
-        v = _lincomb(-self.c, x, self.a, y)
-        if det == 1:
-            return u, v
-        return u / det, v / det
-
     def jacobian(self, x, y):
         return self.a, self.b, self.c, self.d
 
@@ -206,9 +192,6 @@ class Translation:
 
     def apply(self, x, y):
         return x + self.bx, y + self.by
-
-    def apply_inv(self, x, y):
-        return x - self.bx, y - self.by
 
     def jacobian(self, x, y):
         return 1.0, 0.0, 0.0, 1.0
@@ -324,9 +307,12 @@ class _ChainOps:
                 pa, pxy, pc = step.p
                 qa, qxy, qc = step.q
                 xx, xy, yy = fx * fx, fx * fy, fy * fy
+                # P2(f) + f in this order: a term f lacks is then copied, not
+                # added to 0j, which would turn a -0.0 part into +0.0
+                # (parabolic's conjugate_linear reads these terms bit for bit)
                 fx, fy = (
-                    fx + xx.scale(pa) + xy.scale(pxy) + yy.scale(pc),
-                    fy + xx.scale(qa) + xy.scale(qxy) + yy.scale(qc),
+                    xx.scale(pa) + xy.scale(pxy) + yy.scale(pc) + fx,
+                    xx.scale(qa) + xy.scale(qxy) + yy.scale(qc) + fy,
                 )
             else:  # pragma: no cover - exhaustive
                 raise TypeError(f"unknown step {step!r}")
@@ -412,34 +398,22 @@ class AutoChain(_ChainOps):
                 raise Overflow(m, i)
         return x, y
 
-    def inverse_evaluate(self, z: Point, cap: float = DEFAULT_CAP) -> Point:
-        _check_finite(z)
-        x, y = complex(z[0]), complex(z[1])
-        for i, step in enumerate(reversed(self.steps)):
-            x, y = step.apply_inv(x, y)
-            m = max(abs(x), abs(y))
-            if not math.isfinite(m) or m > cap:
-                raise Overflow(m, i)
-        return x, y
-
     def evaluate_batch(self, xs, ys, cap: float = DEFAULT_CAP):
         """Vectorised evaluation; returns (xs, ys, ok) with escapers frozen at 0."""
-        return _batch_apply(self.steps, xs, ys, cap, inverse=False)
+        x = np.array(xs, dtype=complex, copy=True)
+        y = np.array(ys, dtype=complex, copy=True)
+        ok = np.ones(x.shape, dtype=bool)
+        for step in self.steps:
+            nx, ny = step.apply(x, y)
+            ok &= ~_escaped(nx, ny, cap)
+            x = np.where(ok, nx, 0j)
+            y = np.where(ok, ny, 0j)
+        return x, y, ok
 
     def inverse_batch(self, xs, ys):
-        return _batch_apply(tuple(reversed(self.steps)), xs, ys, DEFAULT_CAP, inverse=True)
-
-
-def _batch_apply(steps, xs, ys, cap, inverse):
-    x = np.array(xs, dtype=complex, copy=True)
-    y = np.array(ys, dtype=complex, copy=True)
-    ok = np.ones(x.shape, dtype=bool)
-    for step in steps:
-        nx, ny = (step.apply_inv(x, y) if inverse else step.apply(x, y))
-        ok &= ~_escaped(nx, ny, cap)
-        x = np.where(ok, nx, 0j)
-        y = np.where(ok, ny, 0j)
-    return x, y, ok
+        # kept only for perfbench/tracer.py, which wraps it by name for its
+        # core.inverse_batch span; the library inverts through inverted()
+        return self.inverted().evaluate_batch(xs, ys)
 
 
 def _escaped(nx, ny, cap):

@@ -47,6 +47,7 @@ from .errors import (
     NotASaddle,
     Overflow,
 )
+from .poly import polyder, polyval
 
 
 def polar_mesh(delta: float, n_r: int, n_theta: int) -> np.ndarray:
@@ -67,19 +68,6 @@ def _lsq_fit(s: np.ndarray, t: np.ndarray, degree: int) -> np.ndarray:
     vand = np.vander(s, degree + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(vand, t, rcond=None)
     return coeffs
-
-
-def _horner(coeffs: np.ndarray, z):
-    acc = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    if len(coeffs) <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, len(coeffs))
 
 
 @dataclass(eq=False)
@@ -103,7 +91,9 @@ class LocalGraph:
         return list(zip(self.s_grid.tolist(), self.t_values.tolist()))
 
     def gamma(self, s):
-        return _horner(self.fit_coeffs, s)
+        t = polyval(self.fit_coeffs, s)
+        # a constant fit (the flat graph of a linear saddle) gives a scalar
+        return np.full(np.shape(s), t, dtype=complex) if np.ndim(t) < np.ndim(s) else t
 
     def to_ambient(self, s, t):
         bx, by = self.base_point
@@ -178,7 +168,7 @@ def local_stable_graph(
 
     for iterations in range(1, _MAX_ITER + 1):
         coeffs = _lsq_fit(s_grid, t_vals, degree)
-        dcoeffs = _deriv_coeffs(coeffs)
+        dcoeffs = polyder(coeffs)
         t_cur = t_vals.copy()
         for _ in range(16):
             x = bx + s_grid * vs[0] + t_cur * vu[0]
@@ -187,13 +177,13 @@ def local_stable_graph(
             dx, dy = fx - bx, fy - by
             s1 = ei[0, 0] * dx + ei[0, 1] * dy
             t1 = ei[1, 0] * dx + ei[1, 1] * dy
-            residual = t1 - _horner(coeffs, s1)
+            residual = t1 - polyval(coeffs, s1)
             j11, j12, j21, j22 = chain.differential_batch(x, y)
             dfx = j11 * vu[0] + j12 * vu[1]
             dfy = j21 * vu[0] + j22 * vu[1]
             ds1 = ei[0, 0] * dfx + ei[0, 1] * dfy
             dt1 = ei[1, 0] * dfx + ei[1, 1] * dfy
-            slope = dt1 - _horner(dcoeffs, s1) * ds1
+            slope = dt1 - polyval(dcoeffs, s1) * ds1
             safe = np.abs(slope) > 1e-14
             step = np.where(safe, residual / np.where(safe, slope, 1.0), 0.0)
             t_cur = t_cur - step

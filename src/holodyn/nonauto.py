@@ -324,8 +324,8 @@ def pointwise_vs_uniform_report(
     seq: MapSequence,
     box: tuple[tuple[float, float], tuple[float, float]],
     n_max: int,
+    grid: tuple[int, int],
     conv_tol: float = 1e-3,
-    grid: tuple[int, int] = (7, 7),
     witnesses: Sequence[Point] = (),
 ) -> PointwiseUniformReport:
     """Per-step sup |F_n(z)| and converged fraction over a compact grid.

@@ -103,20 +103,17 @@ class HomogeneousQuadratic:
 
     def conjugate_linear(self, m: np.ndarray) -> "HomogeneousQuadratic":
         """Quadratic part of L^{-1} o (Id + P2) o L for linear L = m."""
-        minv = np.linalg.inv(m)
-        x, y = Poly2.x(), Poly2.y()
-        lx = x.scale(m[0, 0]) + y.scale(m[0, 1])
-        ly = x.scale(m[1, 0]) + y.scale(m[1, 1])
-        pa, pxy, pc = self.p
-        qa, qxy, qc = self.q
-        pl = (lx * lx).scale(pa) + (lx * ly).scale(pxy) + (ly * ly).scale(pc)
-        ql = (lx * lx).scale(qa) + (lx * ly).scale(qxy) + (ly * ly).scale(qc)
-        rp = pl.scale(minv[0, 0]) + ql.scale(minv[0, 1])
-        rq = pl.scale(minv[1, 0]) + ql.scale(minv[1, 1])
-        return HomogeneousQuadratic(
-            (rp.coefficient(2, 0), rp.coefficient(1, 1), rp.coefficient(0, 2)),
-            (rq.coefficient(2, 0), rq.coefficient(1, 1), rq.coefficient(0, 2)),
-        )
+        jet = QuadraticJet(self.p, self.q)
+        chain = EndoChain((Linear(*m.ravel()), jet, Linear(*np.linalg.inv(m).ravel())))
+        return _degree_two(*chain.to_polynomial())
+
+
+def _degree_two(fx: Poly2, fy: Poly2) -> HomogeneousQuadratic:
+    """The (x^2, xy, y^2) coefficients of a polynomial map (fx, fy)."""
+    keys = ((2, 0), (1, 1), (0, 2))
+    return HomogeneousQuadratic(
+        tuple(fx.coefficient(*k) for k in keys), tuple(fy.coefficient(*k) for k in keys)
+    )
 
 
 def quadratic_part(map_like: TangentMapLike) -> HomogeneousQuadratic:
@@ -133,11 +130,7 @@ def quadratic_part(map_like: TangentMapLike) -> HomogeneousQuadratic:
     )
     if not ok:
         raise NotTangentToIdentity("map does not fix 0 with identity differential")
-    p2 = HomogeneousQuadratic(
-        (fx.coefficient(2, 0), fx.coefficient(1, 1), fx.coefficient(0, 2)),
-        (fy.coefficient(2, 0), fy.coefficient(1, 1), fy.coefficient(0, 2)),
-    )
-    return p2
+    return _degree_two(fx, fy)
 
 
 # -- characteristic directions ----------------------------------------------
@@ -177,8 +170,9 @@ def _newton_polish_root(coeffs: np.ndarray, r: complex) -> complex:
     return r
 
 
-# a lambda (or normalize's b) counts as 0 below _ZERO_TOL * max(|P2|, 1);
-# characteristic_directions merges roots u closer than _MERGE_TOL * (1 + |u|)
+# a lambda (or normalize's b, or make_nondegenerate's P2(1, 0)) counts as 0
+# below _ZERO_TOL * max(|P2|, 1); characteristic_directions merges roots u
+# closer than _MERGE_TOL * (1 + |u|)
 _ZERO_TOL, _MERGE_TOL = 1e-10, 1e-8
 
 
@@ -250,7 +244,7 @@ def make_nondegenerate(
         raise VNotNormalized(f"expected v = (1, 0), got {v!r}")
     px, qx = p2.eval(1.0, 0.0)
     scale = max(p2.norm(), 1.0)
-    if max(abs(px), abs(qx)) > 1e-10 * scale:
+    if max(abs(px), abs(qx)) > _ZERO_TOL * scale:
         raise InvalidParameter("(1, 0) is not a degenerate characteristic direction of P2")
     return HomogeneousQuadratic(
         (p2.p[0] + eps, p2.p[1], p2.p[2]),

@@ -104,9 +104,6 @@ class Poly2:
             terms[k] = terms.get(k, 0j) + v
         return Poly2(terms)
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + other.scale(-1.0)
-
     def __mul__(self, other: "Poly2") -> "Poly2":
         terms: dict[tuple[int, int], complex] = {}
         for (i, j), a in self.terms.items():

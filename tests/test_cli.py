@@ -11,7 +11,8 @@ import pytest
 
 from holodyn.cli import CLAIMS, SUBCOMMANDS, Run, build_parser, main
 from holodyn.core import Classification, henon_chain, map_to_dict
-from holodyn.serialize import fields, json_dumps, write_json
+from holodyn import nonauto
+from holodyn.serialize import fields, json_dumps, write_csv, write_json
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,21 @@ def test_nonauto_report_csv(tmp_path):
     lines = (out / "pointwise.csv").read_text().strip().splitlines()
     assert lines[0] == "n,sup_distance,converged_fraction"
     assert len(lines) == 10
+
+
+def test_nonauto_report_reads_grid(tmp_path):
+    payload = {"kind": "family", "name": "contraction", "params": {"rate": 0.5}}
+    seq_file = tmp_path / "seq.json"
+    write_json(seq_file, payload)
+    out = tmp_path / "na"
+    argv = ["nonauto-run", "--sequence", str(seq_file), "--mode", "report", "--n", "8"]
+    assert main([*argv, "--grid", "5,5", "--out", str(out)]) == 0
+    seq = nonauto.sequence_from_dict(payload)
+    rep = nonauto.pointwise_vs_uniform_report(seq, ((-1.0, 1.0), (-1.0, 1.0)), 8, grid=(5, 5))
+    want = tmp_path / "want.csv"
+    rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
+    write_csv(want, ["n", "sup_distance", "converged_fraction"], rows)
+    assert (out / "pointwise.csv").read_text() == want.read_text()
 
 
 def test_determinism_across_thread_counts(henon_file, tmp_path):

@@ -56,7 +56,7 @@ def test_single_shear_step():
 def test_henon_inverse_algebraic_oracle(henon075):
     # the inverse of (x, y) -> (x^2 + c - y, x) is (x, y) -> (y, y^2 + c - x)
     for z in [(0.0, 0.0), (1.0, -2.0), (0.3 + 0.1j, 0.7 - 0.4j)]:
-        got = henon075.inverse_evaluate(z)
+        got = henon075.inverted().evaluate(z)
         want = (z[1], z[1] * z[1] + 0.75 - z[0])
         assert abs(got[0] - want[0]) < 1e-13
         assert abs(got[1] - want[1]) < 1e-13
@@ -64,7 +64,7 @@ def test_henon_inverse_algebraic_oracle(henon075):
 
 def test_diag_linear_inverse():
     ch = diag_linear_chain(2.0, 0.5)
-    assert ch.inverse_evaluate((2.0, 1.0)) == (1.0, 2.0)
+    assert ch.inverted().evaluate((2.0, 1.0)) == (1.0, 2.0)
 
 
 def test_identity_differential():
@@ -104,9 +104,10 @@ def _steps_strategy():
 # S sums |term| over the terms the formula adds (for ShearX, x + c_0 + c_1 y
 # + ... + c_d y^d gives S = |x| + sum |c_i| |y|^i, Horner's rule included)
 # and K = 8 (d + 2) counts d + 1 multiply-adds at under 4.3 u each, with
-# twice that to spare.  Linear rows a x + b y take K = 8; the inverse
-# (d x - b y) / det takes K = 16 times 1 + (|ad| + |bc|) / |det| for the
-# rounded determinant, which also covers inverted() rounding d / det once.
+# twice that to spare.  Linear rows a x + b y take K = 8; the inverted
+# step's rows (d / det) x + (-b / det) y take K = 16 times
+# 1 + (|ad| + |bc|) / |det|, which covers the rounded determinant and the
+# rounding of each quotient once.
 # Each operation may also lose up to 2^-1075 on the subnormal grid, so every
 # bound adds K ETA with ETA = 2^-1074.
 #
@@ -171,9 +172,10 @@ def _forward_bound(steps, z):
 
 
 def _inverse_bound(steps, w):
+    """F_n for the inverted chain (each step's inverted() in reverse order) at w."""
     bound = 0.0
     for s in reversed(steps):
-        prev = s.apply_inv(*w)
+        prev = s.inverted().apply(*w)
         bound = _jac_norm(s, *prev, inverse=True) * bound + _rounding(s, *w, inverse=True)
         w = prev
     return bound
@@ -223,13 +225,10 @@ def test_inverse_round_trip_property(steps, x, y):
     ch = AutoChain.of(*steps)
     w = ch.evaluate((x, y), cap=1e15)
     assert _dist(w, mp_oracle.forward(ch, (x, y))) <= 2 * _forward_bound(ch.steps, (x, y))
-    back = ch.inverse_evaluate(w, cap=1e15)
-    assert _dist(back, mp_oracle.inverse(ch, w)) <= 2 * _inverse_bound(ch.steps, w)
-    applied_inv = [s.apply_inv for s in reversed(ch.steps)]
-    assert _dist(back, (x, y)) <= 2 * _round_trip_bound(ch.steps, (x, y), applied_inv)
     # the inverted chain runs each step's inverse formula with rounded coefficients
     inv = ch.inverted()
     back = inv.evaluate(w, cap=1e15)
+    assert _dist(back, mp_oracle.inverse(ch, w)) <= 2 * _inverse_bound(ch.steps, w)
     inverted = [s.apply for s in inv.steps]
     assert _dist(back, (x, y)) <= 2 * _round_trip_bound(ch.steps, (x, y), inverted)
 
@@ -237,7 +236,7 @@ def test_inverse_round_trip_property(steps, x, y):
 def test_round_trip_thousand_points(henon075):
     xs, ys = bidisc_points(3, 1000, 2.0)
     fx, fy, ok = henon075.evaluate_batch(xs, ys)
-    bx, by, ok2 = henon075.inverse_batch(fx, fy)
+    bx, by, ok2 = henon075.inverted().evaluate_batch(fx, fy)
     good = ok & ok2
     assert good.all()
     scale = 1.0 + np.hypot(np.abs(xs), np.abs(ys))
@@ -400,7 +399,6 @@ def polyval_ref(coeffs, z):
 def _shear_x_ref(s):
     return (
         lambda x, y: (x + polyval_ref(s.coeffs, y), y),
-        lambda x, y: (x - polyval_ref(s.coeffs, y), y),
         lambda x, y: (1.0, polyval_ref(polyder(s.coeffs), y), 0.0, 1.0),
     )
 
@@ -408,19 +406,13 @@ def _shear_x_ref(s):
 def _shear_y_ref(s):
     return (
         lambda x, y: (x, y + polyval_ref(s.coeffs, x)),
-        lambda x, y: (x, y - polyval_ref(s.coeffs, x)),
         lambda x, y: (1.0, 0.0, polyval_ref(polyder(s.coeffs), x), 1.0),
     )
 
 
 def _linear_ref(s):
-    def apply_inv(x, y):
-        det = s.det()
-        return (s.d * x - s.b * y) / det, (-s.c * x + s.a * y) / det
-
     return (
         lambda x, y: (s.a * x + s.b * y, s.c * x + s.d * y),
-        apply_inv,
         lambda x, y: (s.a, s.b, s.c, s.d),
     )
 
@@ -433,7 +425,6 @@ def _jet_ref(s):
             x + pa * x * x + pxy * x * y + pc * y * y,
             y + qa * x * x + qxy * x * y + qc * y * y,
         ),
-        None,
         lambda x, y: (
             1.0 + 2 * pa * x + pxy * y,
             pxy * x + 2 * pc * y,
@@ -493,12 +484,6 @@ def _same_values(got, want):
         assert np.array_equal(g, w), (g, w)
 
 
-def _methods(step):
-    yield "apply", step.apply
-    if not isinstance(step, QuadraticJet):
-        yield "apply_inv", step.apply_inv
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     step=_oracle_steps,
@@ -508,12 +493,10 @@ def _methods(step):
 def test_steps_equal_their_literal_formulas_on_finite_inputs(step, xs, ys):
     n = min(len(xs), len(ys))
     x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
-    ref_apply, ref_inv, ref_jac = _ref(step)
-    refs = {"apply": ref_apply, "apply_inv": ref_inv}
-    for name, method in _methods(step):
-        _same_values(method(x, y), refs[name](x, y))
-        x0, y0 = complex(xs[0]), complex(ys[0])
-        _same_values(method(x0, y0), refs[name](x0, y0))
+    ref_apply, ref_jac = _ref(step)
+    _same_values(step.apply(x, y), ref_apply(x, y))
+    x0, y0 = complex(xs[0]), complex(ys[0])
+    _same_values(step.apply(x0, y0), ref_apply(x0, y0))
     _same_values(step.jacobian(x, y), ref_jac(x, y))
     if isinstance(step, (ShearX, ShearY)):
         _same_values((polyval(step.coeffs, x),), (polyval_ref(step.coeffs, x),))
@@ -529,13 +512,11 @@ def test_steps_equal_their_literal_formulas_on_finite_inputs(step, xs, ys):
 def test_steps_keep_the_escape_verdict_on_non_finite_inputs(step, xs, ys, cap):
     n = min(len(xs), len(ys))
     x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
-    ref_apply, ref_inv, _ = _ref(step)
-    refs = {"apply": ref_apply, "apply_inv": ref_inv}
+    ref_apply, _ = _ref(step)
     with np.errstate(all="ignore"):
-        for name, method in _methods(step):
-            gx, gy = np.broadcast_arrays(*method(x, y))
-            wx, wy = np.broadcast_arrays(*refs[name](x, y))
-            assert np.array_equal(_escaped(gx, gy, cap), _escaped(wx, wy, cap)), name
+        gx, gy = np.broadcast_arrays(*step.apply(x, y))
+        wx, wy = np.broadcast_arrays(*ref_apply(x, y))
+        assert np.array_equal(_escaped(gx, gy, cap), _escaped(wx, wy, cap))
 
 
 # steps that are exact no-ops, so apply returns its input arrays
@@ -548,7 +529,7 @@ def test_callers_keep_their_input_arrays_when_a_step_returns_them():
     chain = AutoChain.of(*_NO_OPS, *henon_chain(0.75).steps, *_NO_OPS)
     assert chain.steps[0].apply(xs, ys)[0] is xs
     fx, fy, _ = chain.evaluate_batch(xs, ys)
-    chain.inverse_batch(fx, fy)
+    chain.inverted().evaluate_batch(fx, fy)
     orbit_verdicts(chain, xs, ys, 40, target=(0.5 + 0j, 0.5 + 0j))
     orbit_verdicts(AutoChain.of(*_NO_OPS), xs, ys, 40, target=(0j, 0j))
     assert np.array_equal(xs, x0) and np.array_equal(ys, y0)
