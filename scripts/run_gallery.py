@@ -29,15 +29,16 @@ def main() -> int:
     print(f"sphere residual over 1000 points at m={m}: max {res.max():.3e}")
     write_json(out / "sphere.json", {"m": m, "points": 1000, "max_residual": float(res.max())})
 
-    rows = []
-    for k in range(1, 31):
+    ks, thetas, dists = range(1, 31), [], []
+    for k in ks:
         theta, z = nonuniformity_witness(k)
         w = z
         for _ in range(k):
             w = planar_homeo(w)
-        rows.append((k, theta, abs(w - 1.0)))
-    write_csv(out / "witnesses.csv", ["m", "theta", "dist"], rows)
-    print(f"witnesses for m = 1..30; smallest angle {rows[-1][1]:.3e}")
+        thetas.append(theta)
+        dists.append(abs(w - 1.0))
+    write_csv(out / "witnesses.csv", ["m", "theta", "dist"], [ks, thetas, dists])
+    print(f"witnesses for m = 1..30; smallest angle {thetas[-1]:.3e}")
 
     n = 30
     rep = pointwise_vs_uniform_report(
@@ -47,7 +48,7 @@ def main() -> int:
     write_csv(
         out / "pointwise.csv",
         ["n", "sup_distance", "converged_fraction"],
-        [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows],
+        [[getattr(r, f) for r in rep.rows] for f in ("n", "sup_distance", "converged_fraction")],
     )
     last = rep.rows[-1]
     print(

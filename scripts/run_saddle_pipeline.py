@@ -8,6 +8,8 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import numpy as np
+
 from holodyn.core import find_fixed_point, henon_chain
 from holodyn.manifold import (
     density_sweep,
@@ -32,18 +34,11 @@ def main() -> int:
     graph = local_stable_graph(chain, fp, 0.1, mesh=(12, 24), tol=1e-9)
     res = graph_residual(chain, graph)
     print(f"local graph: {graph.iterations} iterations, residual {res:.3e}")
-    write_csv(
-        out / "graph.csv",
-        ["s_re", "s_im", "t_re", "t_im"],
-        [(s.real, s.imag, t.real, t.imag) for s, t in graph.grid],
-    )
+    s, t = graph.s_grid, graph.t_values
+    write_csv(out / "graph.csv", ["s_re", "s_im", "t_re", "t_im"], [s.real, s.imag, t.real, t.imag])
 
-    rows = [
-        (p[0].real, p[0].imag, p[1].real, p[1].imag)
-        for cloud in pullback_clouds(chain, graph, 8)
-        for p in cloud.points
-    ]
-    write_csv(out / "cloud.csv", ["re_x", "im_x", "re_y", "im_y"], rows)
+    points = np.concatenate([cloud.points for cloud in pullback_clouds(chain, graph, 8)])
+    write_csv(out / "cloud.csv", ["re_x", "im_x", "re_y", "im_y"], points.view(np.float64).T)
 
     reports = density_sweep(chain, graph, range(1, 9), (-2.0, 2.0), 10)
     write_json(

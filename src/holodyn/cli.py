@@ -9,12 +9,15 @@ Exit codes: 0 success, 1 domain error, 2 I/O, configuration or parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import basin, manifold, nonauto, parabolic
 from .core import AutoChain, EndoChain, FixedPointInfo, find_fixed_point, load_map
@@ -36,8 +39,9 @@ def _parse(text: str, kind: type = complex, count: int | None = 2) -> tuple:
         raise MapFormatError(f"bad value {text!r}: {exc}") from exc
 
 
-def _point_row(p) -> tuple[float, float, float, float]:
-    return p[0].real, p[0].imag, p[1].real, p[1].imag
+def _point_columns(points) -> np.ndarray:
+    """The re_x, im_x, re_y, im_y columns of (x, y) points, as rows of a 4 x n array."""
+    return np.asarray(points, dtype=complex).reshape(-1, 2).view(np.float64).T
 
 
 class Run:
@@ -168,7 +172,8 @@ def cmd_stable_graph(run: Run) -> int:
     chain, fp = run.chain_and_fixed_point()
     graph = run.local_graph(chain, fp)
     res = manifold.graph_residual(chain, graph)
-    write_csv(run.path("graph.csv"), ["s_re", "s_im", "t_re", "t_im"], map(_point_row, graph.grid))
+    s, t = graph.s_grid, graph.t_values
+    write_csv(run.path("graph.csv"), ["s_re", "s_im", "t_re", "t_im"], [s.real, s.imag, t.real, t.imag])
     write_json(
         run.path("graph.json"),
         {
@@ -193,15 +198,13 @@ def cmd_pullback(run: Run) -> int:
     chain, fp = run.chain_and_fixed_point()
     graph = run.local_graph(chain, fp)
     depth = run.args.depth
-    clouds = (manifold.pullback_clouds(chain, graph, depth) if run.args.cumulative
-              else [manifold.pullback_cloud(chain, graph, depth)])
-    rows, dropped = [], 0
-    for cloud in clouds:
-        dropped += cloud.dropped
-        rows.extend(map(_point_row, cloud.points))
-    write_csv(run.path("cloud.csv"), ["re_x", "im_x", "re_y", "im_y"], rows)
-    write_json(run.path("cloud.json"), {"depth": depth, "points": len(rows), "dropped": dropped})
-    return run.finish(f"{len(rows)} cloud points, {dropped} dropped")
+    clouds = list(manifold.pullback_clouds(chain, graph, depth) if run.args.cumulative
+                  else [manifold.pullback_cloud(chain, graph, depth)])
+    points = np.concatenate([cloud.points for cloud in clouds])
+    dropped = sum(cloud.dropped for cloud in clouds)
+    write_csv(run.path("cloud.csv"), ["re_x", "im_x", "re_y", "im_y"], _point_columns(points))
+    write_json(run.path("cloud.json"), {"depth": depth, "points": len(points), "dropped": dropped})
+    return run.finish(f"{len(points)} cloud points, {dropped} dropped")
 
 
 @subcommand(
@@ -356,8 +359,9 @@ def cmd_dichotomy(run: Run) -> int:
     write_json(
         run.path("dichotomy.json"), fields(rep, "r", "m_max", "largest_witnessed_m", "cutoff_m0")
     )
-    rows = [(m, *_point_row(w)) for m, w in sorted(rep.witnesses.items())]
-    write_csv(run.path("witnesses.csv"), ["m", "re_x", "im_x", "re_y", "im_y"], rows)
+    ms = sorted(rep.witnesses)
+    cols = [ms, *_point_columns([rep.witnesses[m] for m in ms])]
+    write_csv(run.path("witnesses.csv"), ["m", "re_x", "im_x", "re_y", "im_y"], cols)
     return run.finish(f"largest witnessed m = {rep.largest_witnessed_m}, cutoff = {rep.cutoff_m0}")
 
 
@@ -415,14 +419,15 @@ def cmd_gallery(run: Run) -> int:
         val = basin.planar_homeo(_parse(run.args.z, count=1)[0])
         out, text = {"value": val}, f"{val.real:.6g}{val.imag:+.6g}j"
     else:
-        rows = []
-        for m in range(1, run.args.m + 1):
+        ms, thetas, dists = range(1, run.args.m + 1), [], []
+        for m in ms:
             theta, w = basin.nonuniformity_witness(m)
             for _ in range(m):
                 w = basin.planar_homeo(w)
-            rows.append((m, theta, abs(w - 1.0)))
-        write_csv(run.path("witnesses.csv"), ["m", "theta", "dist"], rows)
-        out, text = {"witnesses": len(rows)}, f"{len(rows)} witnesses, all re-verified"
+            thetas.append(theta)
+            dists.append(abs(w - 1.0))
+        write_csv(run.path("witnesses.csv"), ["m", "theta", "dist"], [ms, thetas, dists])
+        out, text = {"witnesses": len(ms)}, f"{len(ms)} witnesses, all re-verified"
     write_json(run.path("gallery.json"), {"example": ex, **out})
     return run.finish(text)
 
@@ -445,8 +450,8 @@ def cmd_nonauto_run(run: Run) -> int:
     seq = nonauto.sequence_from_dict(payload)
     if a.mode == "orbit":
         states, overflow = nonauto.nonauto_orbit(seq, _parse(a.z), a.n)
-        rows = [(i, *_point_row(p)) for i, p in enumerate(states)]
-        write_csv(run.path("orbit.csv"), ["n", "re_x", "im_x", "re_y", "im_y"], rows)
+        cols = [range(len(states)), *_point_columns(states)]
+        write_csv(run.path("orbit.csv"), ["n", "re_x", "im_x", "re_y", "im_y"], cols)
         note = "" if overflow is None else f" (overflow at step {overflow})"
         return run.finish(f"orbit of length {len(states)}{note}")
     if a.mode == "probe":
@@ -458,8 +463,8 @@ def cmd_nonauto_run(run: Run) -> int:
     rep = nonauto.pointwise_vs_uniform_report(
         seq, run.box(), a.n, _parse(a.grid, int), conv_tol=a.conv_tol, witnesses=witnesses
     )
-    rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
-    write_csv(run.path("pointwise.csv"), ["n", "sup_distance", "converged_fraction"], rows)
+    names = ["n", "sup_distance", "converged_fraction"]
+    write_csv(run.path("pointwise.csv"), names, [[getattr(r, f) for r in rep.rows] for f in names])
     last = rep.rows[-1]
     return run.finish(
         f"n={last.n}: sup {last.sup_distance:.3e}, fraction {last.converged_fraction:.3f}"
@@ -499,6 +504,7 @@ def cmd_report(run: Run) -> int:
 CLAIMS = {name: cmd.claim for name, cmd in SUBCOMMANDS.items()}
 
 
+@functools.cache  # built once per process: parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="holodyn", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)

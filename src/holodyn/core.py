@@ -432,14 +432,15 @@ def iterate_live(advance, arrays, steps: int):
     final (idx, arrays).
     """
     idx = np.arange(len(arrays[0]))
-    for k in range(1, steps + 1):
-        if idx.size == 0:
-            break
-        keep, arrays = advance(k, idx, *arrays)
-        if not keep.all():
-            live = np.flatnonzero(keep)
-            idx = idx[live]
-            arrays = tuple(a[live] for a in arrays)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing on the way out is an escape
+        for k in range(1, steps + 1):
+            if idx.size == 0:
+                break
+            keep, arrays = advance(k, idx, *arrays)
+            if not keep.all():
+                live = np.flatnonzero(keep)
+                idx = idx[live]
+                arrays = tuple(a[live] for a in arrays)
     return idx, arrays
 
 

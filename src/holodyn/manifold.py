@@ -86,10 +86,6 @@ class LocalGraph:
     sup_changes: tuple[float, ...]
     fit_coeffs: np.ndarray = field(repr=False)
 
-    @property
-    def grid(self) -> list[tuple[complex, complex]]:
-        return list(zip(self.s_grid.tolist(), self.t_values.tolist()))
-
     def gamma(self, s):
         t = polyval(self.fit_coeffs, s)
         # a constant fit (the flat graph of a linear saddle) gives a scalar

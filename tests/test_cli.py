@@ -137,8 +137,8 @@ def test_nonauto_report_reads_grid(tmp_path):
     seq = nonauto.sequence_from_dict(payload)
     rep = nonauto.pointwise_vs_uniform_report(seq, ((-1.0, 1.0), (-1.0, 1.0)), 8, grid=(5, 5))
     want = tmp_path / "want.csv"
-    rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
-    write_csv(want, ["n", "sup_distance", "converged_fraction"], rows)
+    names = ["n", "sup_distance", "converged_fraction"]
+    write_csv(want, names, [[getattr(r, f) for r in rep.rows] for f in names])
     assert (out / "pointwise.csv").read_text() == want.read_text()
 
 
@@ -199,6 +199,19 @@ def test_cloud_csv_header_and_order(henon_file, tmp_path):
     # depth 0 rows are the graph samples in mesh order: first row is the center
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(1.5, abs=1e-9)
+
+
+def test_parser_keeps_no_state_between_runs(henon_file, tmp_path):
+    # build_parser is built once per process; a value parsed in one run must
+    # not become the default of the next
+    assert build_parser() is build_parser()
+    base = ["pullback", "--map", henon_file, "--seed-point", "1.4,1.4", "--mesh", "4,8"]
+    assert main([*base, "--depth", "3", "--out", str(tmp_path / "d3")]) == 0
+    assert main([*base, "--out", str(tmp_path / "d4")]) == 0
+    for name, depth in (("d3", 3), ("d4", 4)):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["params"]["depth"] == depth
+        assert json.loads((tmp_path / name / "cloud.json").read_text())["depth"] == depth
 
 
 def test_sector_sets_membership_flag(tmp_path, capsys):

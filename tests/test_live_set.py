@@ -9,6 +9,7 @@ share code with what it checks.
 from __future__ import annotations
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,6 +57,11 @@ from holodyn.rng import ball4_points
 
 # -- reference loops ------------------------------------------------------------
 
+# The references sweep the whole array, escaped points included, so their
+# arithmetic overflows as the library's does; like core.iterate_live they run
+# under one errstate per call.
+quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def _escaped_ref(nx, ny, cap):
     with np.errstate(invalid="ignore", over="ignore"):
@@ -80,6 +86,7 @@ def sector_mask_ref(xs, us, eps):
         )
 
 
+@quiet
 def survivors_ref(map_like, x, us, eps, horizon):
     xs = np.full(us.shape, x, dtype=complex)
     uu = us.astype(complex)
@@ -95,6 +102,7 @@ def survivors_ref(map_like, x, us, eps, horizon):
     return alive
 
 
+@quiet
 def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3, cap=DEFAULT_CAP):
     x = np.array(xs, dtype=complex, copy=True)
     y = np.array(ys, dtype=complex, copy=True)
@@ -124,6 +132,7 @@ def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3, cap=
     return codes, steps
 
 
+@quiet
 def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11, cap=DEFAULT_CAP):
     px, py = fp.location
     cand_x, cand_y = [], []
@@ -164,6 +173,7 @@ def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11, cap=DEFAULT_CAP):
     return min(largest, m_max), cutoff, witnesses
 
 
+@quiet
 def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3, cap=DEFAULT_CAP):
     na, nb = grid
     if na == 0 or nb == 0:
@@ -403,6 +413,15 @@ def test_orbit_verdicts_escape_through_cap_and_non_finite_images():
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
         assert got[0][2] == VERDICT_ESCAPED and got[1][2] == 1
     assert orbit_verdicts(chain, xs, ys, 0)[1].tolist() == [-1] * 4
+
+
+def test_orbit_verdicts_escape_without_overflow_warnings():
+    # an orbit that overflows on its way out is an escape verdict, not a fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys = [0.1, 3, 1e200, 0.2 + 0.1j], [0, 0, 0, 0.1]
+        codes, steps = orbit_verdicts(henon_chain(0.75), xs, ys, 60)
+    assert codes[1] == codes[2] == VERDICT_ESCAPED and steps[2] == 1
 
 
 def test_orbit_verdicts_hysteresis_resets_when_leaving_the_ball():
