@@ -16,16 +16,21 @@ its order: for finite inputs the results are the formula's except possibly
 the sign of an exactly-zero component, a non-finite image still counts as
 an escape, and a step may return an input array as one of its outputs.
 
-Each step also has a private scalar _push(x, y, dx, dy): the image of
-(x, y), equal bit for bit to apply's, together with the tangent (dx, dy)
-pushed forward by the step's Jacobian.  Orbits that need a derivative
-(the shooting in parabolic.graph_point) carry it through the steps this
-way; linear steps skip the same exact 0 and +-1 arithmetic in the tangent
-as in the value, so padding a chain with identity steps changes neither.
+A chain also compiles, at its first use, a scalar tangent push
+(x, y, dx, dy) -> (x', y', dx', dy'): each step emits source lines, and the
+chain compiles them into one straight-line function with the coefficients
+bound by name, never printed.  (x', y') is apply(x, y) bit for bit: the
+exact 0 and +-1 skips are decided once, as the lines are emitted, and the
+lines run the operations apply runs, in its order.  (dx', dy') is (dx, dy)
+pushed forward by the chain's Jacobian.  Orbits that need a derivative (the
+shooting in parabolic.graph_point) call it once per step.  Linear steps
+skip the same arithmetic in the tangent as in the value, so padding a chain
+with identity steps changes neither.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from .errors import (
     Overflow,
     SingularDifferential,
 )
-from .poly import Poly2, normalize_coeffs, poly_of_poly, polyder, polyval, polyval_dual
+from .poly import Poly2, normalize_coeffs, poly_of_poly, polyder, polyval
 
 Point = tuple[complex, complex]
 
@@ -91,6 +96,42 @@ def _lincomb(a, f, b, g):
     return b * g if acc is None else acc + b * g
 
 
+def _terms_src(acc, terms, bind):
+    """Source of _sum_terms(acc, *terms) over names: acc is an expression or
+    None, each term is (c, f) or (c, f, g) with f, g variable names, and
+    bind(c) gives the name c is bound to."""
+    for c, *fs in terms:
+        if c == 0:
+            continue
+        v = " * ".join(fs if c == 1 or c == -1 else [bind(c), *fs])
+        if c == -1:
+            acc = f"-({v})" if acc is None else f"{acc} - {v}"
+        else:
+            acc = v if acc is None else f"{acc} + {v}"
+    return acc
+
+
+def _horner_lines(coeffs, z, bind):
+    """Lines leaving polyval(coeffs, z) in p and its derivative in dp, the
+    derivative by the recurrence dp <- dp z + p run alongside."""
+    top = len(coeffs) - 1
+    while top >= 0 and coeffs[top] == 0:
+        top -= 1
+    if top <= 0:  # a constant, and 0j when every coefficient is 0
+        return [f"p = {bind(coeffs[0] if top == 0 else 0j)}", f"dp = {bind(0j)}"]
+    lines = []
+    for k in range(top - 1, -1, -1):
+        if k == top - 1:  # p is still the leading coefficient
+            c = coeffs[top]
+            lines.append(f"dp = {bind(c)}")
+            p = z if c == 1 else f"-{z}" if c == -1 else f"{bind(c)} * {z}"
+        else:
+            lines.append(f"dp = dp * {z} + p")
+            p = f"p * {z}"
+        lines.append(f"p = {p} + {bind(coeffs[k])}" if coeffs[k] != 0 else f"p = {p}")
+    return lines
+
+
 def _check_finite(z: Point) -> None:
     for part in (z[0].real, z[0].imag, z[1].real, z[1].imag):
         if not math.isfinite(part):
@@ -112,9 +153,8 @@ class ShearX:
     def jacobian(self, x, y):
         return 1.0, polyval(polyder(self.coeffs), y), 0.0, 1.0
 
-    def _push(self, x, y, dx, dy):
-        p, dp = polyval_dual(self.coeffs, y)
-        return x + p, y, dx + dp * dy, dy
+    def _push_lines(self, bind):
+        return [*_horner_lines(self.coeffs, "y", bind), "x = x + p", "dx = dx + dp * dy"]
 
     def inverted(self) -> "ShearX":
         return ShearX(tuple(-c for c in self.coeffs))
@@ -138,9 +178,8 @@ class ShearY:
     def jacobian(self, x, y):
         return 1.0, 0.0, polyval(polyder(self.coeffs), x), 1.0
 
-    def _push(self, x, y, dx, dy):
-        q, dq = polyval_dual(self.coeffs, x)
-        return x, y + q, dx, dy + dq * dx
+    def _push_lines(self, bind):
+        return [*_horner_lines(self.coeffs, "x", bind), "y = y + p", "dy = dy + dp * dx"]
 
     def inverted(self) -> "ShearY":
         return ShearY(tuple(-c for c in self.coeffs))
@@ -173,12 +212,13 @@ class Linear:
     def jacobian(self, x, y):
         return self.a, self.b, self.c, self.d
 
-    def _push(self, x, y, dx, dy):
+    def _push_lines(self, bind):
         a, b, c, d = self.a, self.b, self.c, self.d
-        return (
-            _lincomb(a, x, b, y), _lincomb(c, x, d, y),
-            _lincomb(a, dx, b, dy), _lincomb(c, dx, d, dy),
-        )
+        return [
+            f"{f}, {g} = {_terms_src(None, ((a, f), (b, g)), bind)}, "
+            f"{_terms_src(None, ((c, f), (d, g)), bind)}"
+            for f, g in (("x", "y"), ("dx", "dy"))
+        ]
 
     def inverted(self) -> "Linear":
         det = self.det()
@@ -196,8 +236,8 @@ class Translation:
     def jacobian(self, x, y):
         return 1.0, 0.0, 0.0, 1.0
 
-    def _push(self, x, y, dx, dy):
-        return x + self.bx, y + self.by, dx, dy
+    def _push_lines(self, bind):
+        return [f"x, y = x + {bind(self.bx)}, y + {bind(self.by)}"]
 
     def inverted(self) -> "Translation":
         return Translation(-self.bx, -self.by)
@@ -238,9 +278,23 @@ class QuadraticJet:
             1.0 + qxy * x + 2 * qc * y,
         )
 
-    def _push(self, x, y, dx, dy):
-        a, b, c, d = self.jacobian(x, y)
-        return (*self.apply(x, y), a * dx + b * dy, c * dx + d * dy)
+    def _push_lines(self, bind):
+        pa, pxy, pc = self.p
+        qa, qxy, qc = self.q
+        j = (  # jacobian's entries, with 2 * pa and the like bound as one name
+            f"(1.0 + {bind(2 * pa)} * x + {bind(pxy)} * y)",
+            f"({bind(pxy)} * x + {bind(2 * pc)} * y)",
+            f"({bind(2 * qa)} * x + {bind(qxy)} * y)",
+            f"(1.0 + {bind(qxy)} * x + {bind(2 * qc)} * y)",
+        )
+        rows = [
+            _terms_src(v, ((a, "x", "x"), (b2, "x", "y"), (c, "y", "y")), bind)
+            for v, (a, b2, c) in (("x", self.p), ("y", self.q))
+        ]
+        return [
+            f"dx, dy = {j[0]} * dx + {j[1]} * dy, {j[2]} * dx + {j[3]} * dy",
+            f"x, y = {rows[0]}, {rows[1]}",
+        ]
 
 
 _INVERTIBLE_KINDS = (ShearX, ShearY, Linear, Translation)
@@ -317,6 +371,22 @@ class _ChainOps:
             else:  # pragma: no cover - exhaustive
                 raise TypeError(f"unknown step {step!r}")
         return fx, fy
+
+    @functools.cached_property
+    def _tangent_push(self):
+        """The compiled (x, y, dx, dy) -> (apply(x, y), df (dx, dy)) of the
+        module docstring, scalar only."""
+        names: dict[str, complex] = {}
+
+        def bind(c):
+            name = f"k{len(names)}"
+            names[name] = c
+            return name
+
+        body = [line for step in self.steps for line in step._push_lines(bind)]
+        src = "\n    ".join(["def push(x, y, dx, dy):", *body, "return x, y, dx, dy"])
+        exec(compile(src, "<chain tangent push>", "exec"), names)
+        return names["push"]
 
     def is_tangent_to_identity(self) -> bool:
         """f(0) = 0 and df(0) = I, each entry within IDENTITY_TOL."""
@@ -588,10 +658,6 @@ def find_fixed_point(
 
 
 # -- common constructions --------------------------------------------------
-
-
-def identity_chain() -> AutoChain:
-    return AutoChain.of()
 
 
 def henon_chain(c: float | complex) -> AutoChain:

@@ -111,25 +111,6 @@ class LocalGraph:
         t = (-e[1, 0] * dx + e[0, 0] * dy) / det
         return s, t
 
-    def sample_points(self) -> np.ndarray:
-        xs, ys = self.to_ambient(self.s_grid, self.t_values)
-        return np.stack([xs, ys], axis=1)
-
-    def with_t_offset(self, offset: complex) -> "LocalGraph":
-        t = self.t_values + offset
-        return LocalGraph(
-            base_point=self.base_point,
-            stable_direction=self.stable_direction,
-            unstable_direction=self.unstable_direction,
-            delta=self.delta,
-            epsilon=self.epsilon,
-            s_grid=self.s_grid.copy(),
-            t_values=t,
-            mesh=self.mesh,
-            iterations=self.iterations,
-            sup_changes=self.sup_changes,
-            fit_coeffs=_lsq_fit(self.s_grid, t, _fit_degree(self.mesh[0])),
-        )
 
 
 # graph transform: step budget, sup-change ratio limit, bound on |t| / delta;

@@ -340,7 +340,7 @@ def blowup_batch(map_like: TangentMapLike, xs: np.ndarray, us: np.ndarray):
 
 def _sector_mask(xs: np.ndarray, us: np.ndarray, eps: float) -> np.ndarray:
     # |arctan2(-Im x, -Re x)| = |arg(x) - pi|; 2|u| < |x| excludes x = 0 (no chart)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # 2|u| overflows for |u| > 8.9e307
         ax = np.abs(xs)
         return (ax < eps) & (np.abs(np.arctan2(-xs.imag, -xs.real)) < eps) & (2 * np.abs(us) < ax)
 
@@ -381,24 +381,6 @@ def sector_orbit(
 
 
 # -- expansion (difference growth in u) --------------------------------------
-
-
-def expansion_pair_margin(
-    map_like: TangentMapLike, p1: SectorPoint, p2: SectorPoint
-) -> float | None:
-    """|u1 - u1~| - max(|u - u~|, 2|x1 - x1~|) for an admissible pair.
-
-    Returns None when the pair is skipped: hypothesis 2|x - x~| < |u - u~|
-    vacuous or violated, or either point outside the sector.
-    """
-    if not (in_sector(p1) and in_sector(p2)):
-        return None
-    du = abs(p1.u - p2.u)
-    if 2 * abs(p1.x - p2.x) >= du:
-        return None
-    q1 = blowup_step(map_like, p1)
-    q2 = blowup_step(map_like, p2)
-    return abs(q1.u - q2.u) - max(du, 2 * abs(q1.x - q2.x))
 
 
 @dataclass(eq=False)
@@ -546,14 +528,13 @@ _GRID_N, _HORIZON0, _MAX_LEVELS = 32, 10, 40
 _COARSE, _RING, _RING_MARGIN, _NEWTON_TOL, _NEWTON_MAX = 100.0, 32, 1.5, 1e-2, 30
 
 
-def _shoot(steps, x: complex, u: complex, n: int, eps: float):
+def _shoot(map_like, x: complex, u: complex, n: int, eps: float):
     """(x_n, u_n, du_n/du, stayed in W_eps) of n blowup_step calls, bit for bit."""
-    pushes = [s._push for s in steps]
+    push = map_like._tangent_push
     dx, du, stayed = 0j, 1.0 + 0j, True
     for _ in range(n):
         y, dy = u * x, du * x + u * dx
-        for push in pushes:
-            x, y, dx, dy = push(x, y, dx, dy)
+        x, y, dx, dy = push(x, y, dx, dy)
         if abs(x) <= 1e-300:
             raise BlowupSingular(f"image x-coordinate vanished (x1 = {x!r})")
         u = y / x
@@ -634,7 +615,7 @@ def graph_point(
         for _ in range(_NEWTON_MAX):
             if not 2 * abs(u) < abs(x):
                 raise NoConvergence(f"Newton left the disc 2|u| < |x| at N = {n}")
-            xn, un, dun, stayed = _shoot(map_like.steps, x, u, n, epsilon)
+            xn, un, dun, stayed = _shoot(map_like, x, u, n, epsilon)
             if not 0 < abs(dun) < math.inf:
                 raise NoConvergence(f"du_N/du is 0 or not finite at N = {n}")
             step, rho = un / dun, _RING_MARGIN * abs(xn) / (2 * abs(dun))

@@ -29,11 +29,3 @@ def ball4_points(seed: int, n: int, radius: float, center=(0j, 0j)):
     ys = v[:, 2] + 1j * v[:, 3] + center[1]
     return xs, ys
 
-
-def bidisc_points(seed: int, n: int, radius: float):
-    """Independent uniform samples in the bidisc {|x|<=r} x {|y|<=r}."""
-    g = make_generator(seed)
-    rho = radius * np.sqrt(g.random((n, 2)))
-    phi = 2.0 * np.pi * g.random((n, 2))
-    z = rho * np.exp(1j * phi)
-    return z[:, 0], z[:, 1]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from holodyn.core import find_fixed_point, henon_chain
-from holodyn.manifold import local_stable_graph
+from holodyn.core import AutoChain, find_fixed_point, henon_chain
+from holodyn.manifold import _fit_degree, _lsq_fit, local_stable_graph
+from holodyn.parabolic import blowup_step, in_sector
+from holodyn.rng import make_generator
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +45,52 @@ def finite_difference_jacobian(chain, z, h=1e-5):
         out[0, k] = (fp[0] - fm[0]) / (2 * h)
         out[1, k] = (fp[1] - fm[1]) / (2 * h)
     return out
+
+
+# -- constructions only the tests use ------------------------------------------
+
+
+def identity_chain() -> AutoChain:
+    return AutoChain.of()
+
+
+def bidisc_points(seed: int, n: int, radius: float):
+    """Independent uniform samples in the bidisc {|x|<=r} x {|y|<=r}."""
+    g = make_generator(seed)
+    rho = radius * np.sqrt(g.random((n, 2)))
+    phi = 2.0 * np.pi * g.random((n, 2))
+    z = rho * np.exp(1j * phi)
+    return z[:, 0], z[:, 1]
+
+
+def total_degree(p) -> int:
+    """Total degree of a Poly2 (0 for the zero polynomial)."""
+    return max((i + j for i, j in p.terms), default=0)
+
+
+def sample_points(graph) -> np.ndarray:
+    """The mesh points of a LocalGraph in ambient coordinates, one row each."""
+    return np.stack(graph.to_ambient(graph.s_grid, graph.t_values), axis=1)
+
+
+def with_t_offset(graph, offset: complex):
+    """The LocalGraph with every t moved by offset, refitted."""
+    t = graph.t_values + offset
+    fit = _lsq_fit(graph.s_grid, t, _fit_degree(graph.mesh[0]))
+    return dataclasses.replace(graph, t_values=t, fit_coeffs=fit)
+
+
+def expansion_pair_margin(map_like, p1, p2) -> float | None:
+    """|u1 - u1~| - max(|u - u~|, 2|x1 - x1~|) for an admissible pair.
+
+    None when the pair is skipped: hypothesis 2|x - x~| < |u - u~|
+    vacuous or violated, or either point outside the sector.
+    """
+    if not (in_sector(p1) and in_sector(p2)):
+        return None
+    du = abs(p1.u - p2.u)
+    if 2 * abs(p1.x - p2.x) >= du:
+        return None
+    q1 = blowup_step(map_like, p1)
+    q2 = blowup_step(map_like, p2)
+    return abs(q1.u - q2.u) - max(du, 2 * abs(q1.x - q2.x))

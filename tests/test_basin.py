@@ -21,8 +21,10 @@ from holodyn.basin import (
     sphere_map_iterate_check,
     sphere_residuals_batch,
 )
-from holodyn.core import diag_linear_chain, find_fixed_point, identity_chain
+from holodyn.core import diag_linear_chain, find_fixed_point
 from holodyn.errors import EmptySample, NotFound, PoleHit
+
+from conftest import identity_chain
 
 
 # -- orbits ---------------------------------------------------------------------

@@ -14,6 +14,8 @@ from holodyn.core import Classification, henon_chain, map_to_dict
 from holodyn import nonauto
 from holodyn.serialize import fields, json_dumps, write_csv, write_json
 
+from conftest import sample_points
+
 
 @pytest.fixture(scope="module")
 def henon_file(tmp_path_factory):
@@ -62,7 +64,7 @@ def test_density_depth_zero_matches_graph_cells(henon_file, tmp_path):
     ch = henon_chain(0.75)
     fp = find_fixed_point(ch, (1.4, 1.4))
     g = local_stable_graph(ch, fp, 0.1)
-    cells = occupied_cells(g.sample_points(), (-2.0, 2.0), 10)
+    cells = occupied_cells(sample_points(g), (-2.0, 2.0), 10)
     assert data["occupied"] == len(cells)
     assert data["fraction"] == pytest.approx(len(cells) / 10**4)
 

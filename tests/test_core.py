@@ -23,16 +23,20 @@ from holodyn.core import (
     diag_linear_chain,
     find_fixed_point,
     henon_chain,
-    identity_chain,
     map_from_dict,
     map_to_dict,
 )
 from holodyn.errors import NoConvergence, SingularDifferential
 from holodyn.poly import polyder, polyval
-from holodyn.rng import bidisc_points
 
 import mp_oracle
-from conftest import finite_difference_jacobian, quadratic_roots
+from conftest import (
+    bidisc_points,
+    finite_difference_jacobian,
+    identity_chain,
+    quadratic_roots,
+    total_degree,
+)
 
 
 def test_identity_chain_evaluates_to_input():
@@ -377,7 +381,7 @@ def test_to_polynomial_exact_for_henon(henon075):
     assert fx.coefficient(0, 1) == -1.0
     assert fx.coefficient(0, 0) == 0.75
     assert fy.coefficient(1, 0) == 1.0
-    assert fy.total_degree() == 1
+    assert total_degree(fy) == 1
 
 
 # -- steps against their literal formulas ------------------------------------------

@@ -4,9 +4,9 @@ graph_point_grid below is the survival-set refinement graph_point ran
 before shooting, frozen as the reference: its radius bounds the distance
 from its centre to the survivors, so the two results must lie within the
 sum of their radii.  The 50-digit replay checks one certificate with
-arithmetic that shares nothing with holodyn's step code.  The step _push
-methods must give apply's values bit for bit, so a shooting orbit is the
-orbit blowup_step replays.
+arithmetic that shares nothing with holodyn's step code.  A chain's
+compiled tangent push must give apply's values bit for bit, so a shooting
+orbit is the orbit blowup_step replays.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import mp_oracle
 from holodyn import parabolic
-from holodyn.core import Linear, QuadraticJet, ShearX, ShearY, Translation
+from holodyn.core import EndoChain, Linear, QuadraticJet, ShearX, ShearY, Translation
 from holodyn.errors import Ambiguous, InvalidParameter, NoConvergence, NoSurvivor
 from holodyn.parabolic import (
     HomogeneousQuadratic,
@@ -177,7 +177,7 @@ def test_certified_radius_holds_in_50_digits():
         assert abs(root - gp.u) < gp.certified_radius
 
 
-# -- step _push and the shooting orbit ----------------------------------------------
+# -- the compiled tangent push and the shooting orbit -----------------------------
 
 
 _cx = st.one_of(
@@ -205,14 +205,22 @@ _z = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False
 
 
 @settings(max_examples=300, deadline=None)
-@given(step=_steps, x=_z, y=_z, dx=_z, dy=_z)
-def test_push_gives_apply_values_and_jacobian_tangent(step, x, y, dx, dy):
-    x1, y1, dx1, dy1 = step._push(x, y, dx, dy)
-    assert np.array([x1, y1]).tobytes() == np.array(step.apply(x, y), dtype=complex).tobytes()
-    a, b, c, d = step.jacobian(x, y)
-    scale = 1 + max(abs(a), abs(b), abs(c), abs(d)) * (abs(dx) + abs(dy))
-    assert abs(dx1 - (a * dx + b * dy)) <= 1e-13 * scale
-    assert abs(dy1 - (c * dx + d * dy)) <= 1e-13 * scale
+@given(steps=st.lists(_steps, min_size=1, max_size=4), x=_z, y=_z, dx=_z, dy=_z)
+def test_compiled_push_gives_apply_values_and_differential_tangent(steps, x, y, dx, dy):
+    chain = EndoChain(tuple(steps))
+    x1, y1, dx1, dy1 = chain._tangent_push(x, y, dx, dy)
+    assert np.array([x1, y1]).tobytes() == np.array(chain.apply(x, y), dtype=complex).tobytes()
+    j = chain.differential((x, y))
+    # the per-step bound 1e-13 * (1 + max|J| (|dx| + |dy|)), with max|J| the
+    # product of each step's largest Jacobian entry along the orbit: rounding
+    # in one step is carried through the Jacobians of the steps after it
+    growth, (px, py) = 1.0, (x, y)
+    for step in steps:
+        growth *= max(abs(v) for v in step.jacobian(px, py))
+        px, py = step.apply(px, py)
+    scale = 1 + growth * (abs(dx) + abs(dy))
+    assert abs(dx1 - (j[0, 0] * dx + j[0, 1] * dy)) <= 1e-13 * scale
+    assert abs(dy1 - (j[1, 0] * dx + j[1, 1] * dy)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize(
@@ -221,17 +229,26 @@ def test_push_gives_apply_values_and_jacobian_tangent(step, x, y, dx, dy):
         (cubic_perturbation_family(3.0)(0.0), -0.01, 0.0016 + 2e-5j),
         (cubic_perturbation_family(0.0)(1e-2), -0.014 + 1e-4j, 0.004j),
         (normal_form_family(1.0), -0.01, 1e-4 - 1e-4j),
+        (
+            EndoChain((
+                Linear(1.0, 1e-3, 0.0, 1.0),
+                QuadraticJet((1.0, 2.0, -1.0), (0.0, -2.0, -1.0)),
+                Translation(1e-6, -1e-6j),
+            )),
+            -0.012 + 5e-5j,
+            2e-4 + 1e-4j,
+        ),
     ],
 )
 def test_shoot_replays_blowup_step_bit_for_bit(map_like, x, u):
-    xn, un, dun, stayed = parabolic._shoot(map_like.steps, complex(x), complex(u), 300, EPS)
+    xn, un, dun, stayed = parabolic._shoot(map_like, complex(x), complex(u), 300, EPS)
     pt = SectorPoint(complex(x), complex(u), EPS)
     for _ in range(300):
         pt = blowup_step(map_like, pt)
     assert (xn, un) == (pt.x, pt.u)
     kind = sector_orbit(map_like, SectorPoint(x, u, EPS), 300, floor=0.0).kind
     assert stayed == (kind == "undecided")
-    if isinstance(map_like.steps[0], QuadraticJet):
+    if isinstance(map_like, EndoChain):
         return  # the oracle covers AutoChain steps
     un_mp, dun_mp, inside = _orbit_mp(map_like, x, u, 300)
     assert stayed == (inside == 300)

@@ -19,6 +19,8 @@ from holodyn.manifold import (
     stability_experiment,
 )
 
+from conftest import sample_points, with_t_offset
+
 
 @pytest.fixture(scope="module")
 def linear_saddle():
@@ -82,13 +84,13 @@ def test_delta_too_large_raises_and_auto_shrink_recovers(henon075, henon_saddle)
 
 
 def test_residual_detects_offset_graph(henon075, henon_graph):
-    bad = henon_graph.with_t_offset(1e-3)
+    bad = with_t_offset(henon_graph, 1e-3)
     assert graph_residual(henon075, bad) >= 1e-4
 
 
 def test_pullback_depth_zero_is_identity(henon075, henon_graph):
     cloud = pullback_cloud(henon075, henon_graph, 0)
-    pts = henon_graph.sample_points()
+    pts = sample_points(henon_graph)
     assert np.allclose(cloud.points, pts)
     assert cloud.dropped == 0
 
@@ -98,7 +100,7 @@ def test_pullback_linear_saddle_oracle(linear_saddle):
     g = local_stable_graph(ch, fp, 0.5)
     cloud = pullback_cloud(ch, g, 1)
     # inverse of diag(0.5, 2) doubles the stable coordinate: (s, 0) -> (2s, 0)
-    want_x = 2.0 * g.sample_points()[:, 0]
+    want_x = 2.0 * sample_points(g)[:, 0]
     assert np.allclose(cloud.points[:, 0], want_x)
     assert np.allclose(cloud.points[:, 1], 0.0)
 
@@ -173,7 +175,7 @@ def test_density_monotone_in_depth(henon075, henon_saddle, henon_graph):
 
 def test_graph_distance_identity_and_shift(henon_graph):
     assert graph_distance(henon_graph, henon_graph) == 0.0
-    shifted = henon_graph.with_t_offset(0.25j)
+    shifted = with_t_offset(henon_graph, 0.25j)
     assert abs(graph_distance(henon_graph, shifted) - 0.25) < 1e-12
     assert graph_distance(shifted, henon_graph) == graph_distance(henon_graph, shifted)
 

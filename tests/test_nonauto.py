@@ -5,7 +5,7 @@ import math
 import pytest
 
 from holodyn.basin import orbit
-from holodyn.core import AutoChain, ShearX, diag_linear_chain, identity_chain
+from holodyn.core import AutoChain, ShearX, diag_linear_chain
 from holodyn.errors import AmbiguousComponent, MapFormatError, TangencyViolation
 from holodyn.nonauto import (
     MapSequence,
@@ -22,7 +22,8 @@ from holodyn.nonauto import (
     sequence_from_dict,
 )
 from holodyn.parabolic import tangent_shear_chain
-from holodyn.rng import bidisc_points
+
+from conftest import bidisc_points, identity_chain
 
 
 # -- orbits -----------------------------------------------------------------

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holodyn.core import identity_chain
 from holodyn.errors import (
     DegenerateDirection,
     NoSurvivor,
@@ -18,11 +18,13 @@ from holodyn.parabolic import (
     AllDirections,
     HomogeneousQuadratic,
     SectorPoint,
+    _ring_winds_once,
+    _sector_mask,
+    blowup_batch,
     blowup_step,
     characteristic_directions,
     cubic_perturbation_family,
     expansion_check,
-    expansion_pair_margin,
     graph_point,
     in_sector,
     make_nondegenerate,
@@ -34,7 +36,7 @@ from holodyn.parabolic import (
     tangent_shear_chain,
 )
 
-from conftest import quadratic_roots
+from conftest import expansion_pair_margin, identity_chain, quadratic_roots
 
 
 # -- quadratic parts ----------------------------------------------------------
@@ -287,6 +289,31 @@ def test_expansion_pair_skips_vacuous():
     m = normal_form_family(0.0)
     p = SectorPoint(-0.01, 0.002, 0.02)
     assert expansion_pair_margin(m, p, p) is None
+
+
+@pytest.mark.parametrize("m", [normal_form_family(1.0), cubic_perturbation_family(3.0)(0.0)])
+def test_sector_code_on_non_finite_and_zero_coordinates(m):
+    # nan, +-inf, +-0 and near-overflow values in x or u put no point in
+    # W_eps and certify no ring, and no RuntimeWarning escapes: _sector_mask
+    # and _ring_winds_once hold their own errstate, blowup_batch runs under
+    # its callers' (iterate_live's and the ring's)
+    nan, inf = math.nan, math.inf
+    vals = np.array([
+        nan, inf, -inf, 0.0, -0.0, complex(nan, 1.0), complex(-0.01, inf), complex(-inf, 0.0),
+        1e308, complex(-1e308, 1e308), -0.01,
+    ])
+    xs, us = (a.ravel() for a in np.meshgrid(vals, vals))
+    inside = (xs == -0.01) & (us == 0)  # (-0.01, +-0), the only pairs in W_eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_sector_mask(xs, us, 0.02) == inside).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1, u1, ok = blowup_batch(m, xs, us)
+        assert not (ok & _sector_mask(x1, u1, 0.02))[~inside].any()
+        for x, u, rho in [(-0.01, 0j, 1e200), (-0.01, 1e-3, 1e300), (-0.01, nan, 1e-6),
+                          (-0.01, complex(0.0, inf), 1e-6), (0j, 0j, 1e-6), (-0.0, 0j, 1e-6),
+                          (complex(nan, 0.0), 0j, 1e-6), (-inf, 0j, 1e-6)]:
+            assert not _ring_winds_once(m, complex(x), complex(u), rho, 10, 0.02)
 
 
 def test_expansion_no_violations_small_eps():
