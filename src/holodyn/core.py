@@ -8,24 +8,23 @@ root-finding or finite differences.  Arbitrary polynomial self-maps (no
 inverse) are supported through :class:`EndoChain` for local computations
 that only need forward evaluation.
 
-All step methods accept either python complex scalars or numpy arrays, so
-grid sweeps can run vectorised over sample batches.  Steps leave out
-multiplications by an exact 0, 1 or -1 and leading zero Horner
-coefficients, and keep every other operation of the literal formula in
-its order: for finite inputs the results are the formula's except possibly
-the sign of an exactly-zero component, a non-finite image still counts as
-an escape, and a step may return an input array as one of its outputs.
+Each step kind writes its map once, in _lines: source lines that update x,
+y and, for the tangent, dx, dy.  The skips are decided as the lines are
+emitted: multiplications by an exact 0, 1 or -1 and leading zero Horner
+coefficients are left out, and every other operation of the literal formula
+is kept in its order.  For finite inputs the results are the formula's but
+for the sign of an exactly-zero component, a non-finite image still counts
+as an escape, and a step may return an input array as one of its outputs.
 
-A chain also compiles, at its first use, a scalar tangent push
-(x, y, dx, dy) -> (x', y', dx', dy'): each step emits source lines, and the
-chain compiles them into one straight-line function with the coefficients
-bound by name, never printed.  (x', y') is apply(x, y) bit for bit: the
-exact 0 and +-1 skips are decided once, as the lines are emitted, and the
-lines run the operations apply runs, in its order.  (dx', dy') is (dx, dy)
-pushed forward by the chain's Jacobian.  Orbits that need a derivative (the
-shooting in parabolic.graph_point) call it once per step.  Linear steps
-skip the same arithmetic in the tangent as in the value, so padding a chain
-with identity steps changes neither.
+A step's apply (scalar or array) is its value lines, compiled at first use.
+A chain's tangent push (x, y, dx, dy) -> (x', y', dx', dy'), scalar only, is
+the full lines of all its steps, compiled into one function at the chain's
+first use with the coefficients bound by name, never printed.  So (x', y')
+is apply(x, y) bit for bit, and (dx', dy') is (dx, dy) pushed forward by the
+chain's Jacobian; the shooting in parabolic.graph_point calls it once per
+step.  Linear steps skip the same arithmetic in the tangent as in the value,
+so padding a chain with identity steps changes neither.  jacobian and the
+chain differentials are written out apart and evaluate through poly.polyval.
 """
 from __future__ import annotations
 
@@ -54,52 +53,17 @@ IDENTITY_TOL = 1e-9
 _DET_ONE_TOL = 1e-12
 
 
-def _sum_terms(acc, *terms):
-    """acc + c * f (* g) over terms (c, f) or (c, f, g), left to right.
-
-    A term whose c is exactly 0 is left out, and one whose c is exactly 1
-    or -1 is added or subtracted without multiplying by c; acc None stands
-    for an exact 0 that the first kept term replaces.  c stays the left
-    operand: complex products rounded with fused multiply-adds can differ
-    in the last bit when the operands swap.
-    """
-    for term in terms:
-        c = term[0]
-        if c == 0:
-            continue
-        v = term[1] if c == 1 or c == -1 else c * term[1]
-        if len(term) == 3:
-            v = v * term[2]
-        if c == -1:
-            acc = -v if acc is None else acc - v
-        else:
-            acc = v if acc is None else acc + v
-    return acc
-
-
-def _lincomb(a, f, b, g):
-    """a * f + b * g with the skips of _sum_terms(None, (a, f), (b, g)).
-
-    The two-term rows of linear steps run once per step of every scalar
-    orbit, where the generic term loop costs twice as much.
-    """
-    if a == 0:
-        acc = None
-    else:
-        acc = f if a == 1 else -f if a == -1 else a * f
-    if b == 0:
-        return acc
-    if b == 1:
-        return g if acc is None else acc + g
-    if b == -1:
-        return -g if acc is None else acc - g
-    return b * g if acc is None else acc + b * g
-
-
 def _terms_src(acc, terms, bind):
-    """Source of _sum_terms(acc, *terms) over names: acc is an expression or
-    None, each term is (c, f) or (c, f, g) with f, g variable names, and
-    bind(c) gives the name c is bound to."""
+    """Source of acc + c * f (* g) over terms (c, f) or (c, f, g), left to
+    right, with f, g variable names and bind(c) the name c is bound to.
+    apply and the tangent push run this source, so its skips are decided once.
+
+    A term whose c is exactly 0 is left out, and one whose c is exactly 1 or
+    -1 is added or subtracted without multiplying by c; acc None stands for
+    an exact 0 that the first kept term replaces.  c stays the left operand:
+    complex products rounded with fused multiply-adds can differ in the last
+    bit when the operands swap.
+    """
     for c, *fs in terms:
         if c == 0:
             continue
@@ -111,25 +75,40 @@ def _terms_src(acc, terms, bind):
     return acc
 
 
-def _horner_lines(coeffs, z, bind):
-    """Lines leaving polyval(coeffs, z) in p and its derivative in dp, the
-    derivative by the recurrence dp <- dp z + p run alongside."""
+def _horner_lines(coeffs, z, bind, tangent):
+    """Lines leaving polyval(coeffs, z) in p, with its skips; with tangent,
+    also the derivative in dp, by the recurrence dp <- dp z + p run
+    alongside."""
     top = len(coeffs) - 1
     while top >= 0 and coeffs[top] == 0:
         top -= 1
     if top <= 0:  # a constant, and 0j when every coefficient is 0
-        return [f"p = {bind(coeffs[0] if top == 0 else 0j)}", f"dp = {bind(0j)}"]
-    lines = []
+        lines = [f"p = {bind(coeffs[0] if top == 0 else 0j)}", f"dp = {bind(0j)}"]
+        return lines if tangent else lines[:1]
+    c = coeffs[top]  # the first step multiplies the leading coefficient by z
+    p = z if c == 1 else f"-{z}" if c == -1 else f"{bind(c)} * {z}"
+    lines = [f"dp = {bind(c)}"] if tangent else []
     for k in range(top - 1, -1, -1):
-        if k == top - 1:  # p is still the leading coefficient
-            c = coeffs[top]
-            lines.append(f"dp = {bind(c)}")
-            p = z if c == 1 else f"-{z}" if c == -1 else f"{bind(c)} * {z}"
-        else:
-            lines.append(f"dp = dp * {z} + p")
-            p = f"p * {z}"
         lines.append(f"p = {p} + {bind(coeffs[k])}" if coeffs[k] != 0 else f"p = {p}")
+        if tangent and k > 0:
+            lines.append(f"dp = dp * {z} + p")
+        p = f"p * {z}"
     return lines
+
+
+def _compile(args, lines):
+    """Compile lines(bind) into def f(args): ...; return args, where
+    bind(c) binds the coefficient c to a fresh name (never printed)."""
+    names: dict[str, complex] = {}
+
+    def bind(c):
+        name = f"k{len(names)}"
+        names[name] = c
+        return name
+
+    src = "\n    ".join([f"def f({args}):", *lines(bind), f"return {args}"])
+    exec(compile(src, "<holodyn step lines>", "exec"), names)
+    return names["f"]
 
 
 def _check_finite(z: Point) -> None:
@@ -138,8 +117,18 @@ def _check_finite(z: Point) -> None:
             raise InvalidParameter(f"point has non-finite coordinate: {z!r}")
 
 
+class _Step:
+    """An elementary step, its map written once in _lines(bind, tangent)."""
+
+    @functools.cached_property
+    def apply(self):
+        """(x, y) -> the step's image: the value lines, compiled at first use
+        into the instance __dict__ (so an applied step does not pickle)."""
+        return _compile("x, y", lambda bind: self._lines(bind, False))
+
+
 @dataclass(frozen=True)
-class ShearX:
+class ShearX(_Step):
     """(x, y) -> (x + p(y), y) with p stored degree-ascending."""
 
     coeffs: tuple[complex, ...]
@@ -147,14 +136,12 @@ class ShearX:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
 
-    def apply(self, x, y):
-        return x + polyval(self.coeffs, y), y
-
     def jacobian(self, x, y):
         return 1.0, polyval(polyder(self.coeffs), y), 0.0, 1.0
 
-    def _push_lines(self, bind):
-        return [*_horner_lines(self.coeffs, "y", bind), "x = x + p", "dx = dx + dp * dy"]
+    def _lines(self, bind, tangent):
+        lines = [*_horner_lines(self.coeffs, "y", bind, tangent), "x = x + p"]
+        return lines + ["dx = dx + dp * dy"] if tangent else lines
 
     def inverted(self) -> "ShearX":
         return ShearX(tuple(-c for c in self.coeffs))
@@ -164,7 +151,7 @@ class ShearX:
 
 
 @dataclass(frozen=True)
-class ShearY:
+class ShearY(_Step):
     """(x, y) -> (x, y + q(x)) with q stored degree-ascending."""
 
     coeffs: tuple[complex, ...]
@@ -172,14 +159,12 @@ class ShearY:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
 
-    def apply(self, x, y):
-        return x, y + polyval(self.coeffs, x)
-
     def jacobian(self, x, y):
         return 1.0, 0.0, polyval(polyder(self.coeffs), x), 1.0
 
-    def _push_lines(self, bind):
-        return [*_horner_lines(self.coeffs, "x", bind), "y = y + p", "dy = dy + dp * dx"]
+    def _lines(self, bind, tangent):
+        lines = [*_horner_lines(self.coeffs, "x", bind, tangent), "y = y + p"]
+        return lines + ["dy = dy + dp * dx"] if tangent else lines
 
     def inverted(self) -> "ShearY":
         return ShearY(tuple(-c for c in self.coeffs))
@@ -189,7 +174,7 @@ class ShearY:
 
 
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Step):
     """z -> M z for an invertible 2x2 complex matrix (a b; c d)."""
 
     a: complex
@@ -206,18 +191,15 @@ class Linear:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def apply(self, x, y):
-        return _lincomb(self.a, x, self.b, y), _lincomb(self.c, x, self.d, y)
-
     def jacobian(self, x, y):
         return self.a, self.b, self.c, self.d
 
-    def _push_lines(self, bind):
+    def _lines(self, bind, tangent):
         a, b, c, d = self.a, self.b, self.c, self.d
         return [
             f"{f}, {g} = {_terms_src(None, ((a, f), (b, g)), bind)}, "
             f"{_terms_src(None, ((c, f), (d, g)), bind)}"
-            for f, g in (("x", "y"), ("dx", "dy"))
+            for f, g in (("x", "y"), ("dx", "dy"))[: 1 + tangent]
         ]
 
     def inverted(self) -> "Linear":
@@ -226,17 +208,14 @@ class Linear:
 
 
 @dataclass(frozen=True)
-class Translation:
+class Translation(_Step):
     bx: complex
     by: complex
-
-    def apply(self, x, y):
-        return x + self.bx, y + self.by
 
     def jacobian(self, x, y):
         return 1.0, 0.0, 0.0, 1.0
 
-    def _push_lines(self, bind):
+    def _lines(self, bind, tangent):
         return [f"x, y = x + {bind(self.bx)}, y + {bind(self.by)}"]
 
     def inverted(self) -> "Translation":
@@ -247,7 +226,7 @@ class Translation:
 
 
 @dataclass(frozen=True)
-class QuadraticJet:
+class QuadraticJet(_Step):
     """z -> z + P2(z) for homogeneous quadratic P2; forward-only payload.
 
     p = (a, b2, c) means a*x^2 + b2*x*y + c*y^2, likewise q.
@@ -260,14 +239,6 @@ class QuadraticJet:
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
 
-    def apply(self, x, y):
-        pa, pxy, pc = self.p
-        qa, qxy, qc = self.q
-        return (
-            _sum_terms(x, (pa, x, x), (pxy, x, y), (pc, y, y)),
-            _sum_terms(y, (qa, x, x), (qxy, x, y), (qc, y, y)),
-        )
-
     def jacobian(self, x, y):
         pa, pxy, pc = self.p
         qa, qxy, qc = self.q
@@ -278,19 +249,21 @@ class QuadraticJet:
             1.0 + qxy * x + 2 * qc * y,
         )
 
-    def _push_lines(self, bind):
+    def _lines(self, bind, tangent):
         pa, pxy, pc = self.p
         qa, qxy, qc = self.q
+        rows = [
+            _terms_src(v, ((a, "x", "x"), (b2, "x", "y"), (c, "y", "y")), bind)
+            for v, (a, b2, c) in (("x", self.p), ("y", self.q))
+        ]
+        if not tangent:
+            return [f"x, y = {rows[0]}, {rows[1]}"]
         j = (  # jacobian's entries, with 2 * pa and the like bound as one name
             f"(1.0 + {bind(2 * pa)} * x + {bind(pxy)} * y)",
             f"({bind(pxy)} * x + {bind(2 * pc)} * y)",
             f"({bind(2 * qa)} * x + {bind(qxy)} * y)",
             f"(1.0 + {bind(qxy)} * x + {bind(2 * qc)} * y)",
         )
-        rows = [
-            _terms_src(v, ((a, "x", "x"), (b2, "x", "y"), (c, "y", "y")), bind)
-            for v, (a, b2, c) in (("x", self.p), ("y", self.q))
-        ]
         return [
             f"dx, dy = {j[0]} * dx + {j[1]} * dy, {j[2]} * dx + {j[3]} * dy",
             f"x, y = {rows[0]}, {rows[1]}",
@@ -376,17 +349,9 @@ class _ChainOps:
     def _tangent_push(self):
         """The compiled (x, y, dx, dy) -> (apply(x, y), df (dx, dy)) of the
         module docstring, scalar only."""
-        names: dict[str, complex] = {}
-
-        def bind(c):
-            name = f"k{len(names)}"
-            names[name] = c
-            return name
-
-        body = [line for step in self.steps for line in step._push_lines(bind)]
-        src = "\n    ".join(["def push(x, y, dx, dy):", *body, "return x, y, dx, dy"])
-        exec(compile(src, "<chain tangent push>", "exec"), names)
-        return names["push"]
+        return _compile(
+            "x, y, dx, dy", lambda bind: [ln for s in self.steps for ln in s._lines(bind, True)]
+        )
 
     def is_tangent_to_identity(self) -> bool:
         """f(0) = 0 and df(0) = I, each entry within IDENTITY_TOL."""

@@ -424,21 +424,24 @@ def graph_distance(g1: LocalGraph, g2: LocalGraph) -> float:
     return float(np.max(np.abs(g1.t_values - g2.t_values))) + base_off
 
 
-# pairs _nearest_sq_distances holds at once (one row of p at least)
+# pairwise distances a row block holds at once (one row of a at least)
 _PAIR_BLOCK = 1 << 18
+
+
+def _distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, |a[rows] - b|) over row blocks of at most _PAIR_BLOCK entries."""
+    step = max(1, _PAIR_BLOCK // max(len(b), 1))
+    for lo in range(0, len(a), step):
+        rows = slice(lo, lo + step)
+        yield rows, np.abs(a[rows, None] - b[None, :])
 
 
 def _nearest_sq_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distance from each point of the C^2 cloud p to its nearest in q."""
     out = np.empty(len(p))
-    step = max(1, _PAIR_BLOCK // max(len(q), 1))
-    for lo in range(0, len(p), step):
-        blk = p[lo : lo + step]
-        d2 = (
-            np.abs(blk[:, None, 0] - q[None, :, 0]) ** 2
-            + np.abs(blk[:, None, 1] - q[None, :, 1]) ** 2
-        )
-        out[lo : lo + step] = d2.min(axis=1)
+    blocks = zip(_distance_blocks(p[:, 0], q[:, 0]), _distance_blocks(p[:, 1], q[:, 1]))
+    for (rows, d0), (_, d1) in blocks:
+        out[rows] = (d0**2 + d1**2).min(axis=1)
     return out
 
 

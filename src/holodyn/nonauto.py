@@ -9,7 +9,7 @@ origin (checked exactly on first use of each index).  The target sets
 combine a slit disc K (disc minus an angular sector, translated left by
 eps) and the real segment L = [eps, R]; for small enough delta the five
 pieces are pairwise disjoint compact sets, which the disjointness check
-verifies with exact planar distance formulas plus dense sampling.
+verifies with closed-form planar distance formulas plus dense sampling.
 
 The pointwise-vs-uniform report demonstrates attraction that is pointwise
 but not uniform on compacts: the evaluation grid is augmented with
@@ -209,12 +209,14 @@ def _dist_point_slit_disc(p: complex, R: float, eps: float) -> float:
 
 def _planar_component_distances(params: SectorSetParams) -> dict[str, float]:
     R, eps = params.R, params.epsilon
-    d_origin_K = _dist_point_slit_disc(complex(eps, 0.0), R, eps)
-    # distance between the segment [eps, R] and the shifted slit disc
-    d_L_K = math.inf
-    for t in np.linspace(eps, R, 400):
-        d_L_K = min(d_L_K, _dist_point_slit_disc(complex(t + eps, 0.0), R, eps))
-    return {"origin_to_K": d_origin_K, "origin_to_L": eps, "L_to_K": float(d_L_K)}
+    # t in L = [eps, R] lies at distance dist(t + eps, slit disc) from K, and
+    # that grows with t: t sin eps while t's projection falls on a boundary
+    # ray, then the distance to the ray's end.  So L is nearest K at t = eps.
+    return {
+        "origin_to_K": _dist_point_slit_disc(complex(eps, 0.0), R, eps),
+        "origin_to_L": eps,
+        "L_to_K": _dist_point_slit_disc(complex(2 * eps, 0.0), R, eps),
+    }
 
 
 @dataclass(eq=False)

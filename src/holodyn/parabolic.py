@@ -45,6 +45,7 @@ from .errors import (
     NotTangentToIdentity,
     VNotNormalized,
 )
+from .manifold import _distance_blocks
 from .poly import Poly2
 from .rng import make_generator
 
@@ -330,7 +331,11 @@ def blowup_step(map_like: TangentMapLike, pt: SectorPoint) -> SectorPoint:
 
 
 def blowup_batch(map_like: TangentMapLike, xs: np.ndarray, us: np.ndarray):
-    """Vectorised blow-up step; returns (x1, u1, ok) with ok false at x1 ~ 0."""
+    """Vectorised blow-up step; returns (x1, u1, ok) with ok false at x1 ~ 0.
+
+    nan or inf input warns unless the caller holds np.errstate(over, invalid),
+    as _survivors (through iterate_live) and _ring_winds_once do.
+    """
     ys = us * xs
     fx, fy = map_like.apply(xs, ys)
     ok = np.abs(fx) > 1e-300
@@ -481,18 +486,6 @@ def _survivors(
     alive = np.zeros(us.shape, dtype=bool)
     alive[start[idx]] = True
     return alive
-
-
-# pairwise distances held at once by the survivor geometry below
-_PAIR_BLOCK = 1 << 18
-
-
-def _distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (rows, |a[rows] - b|) over row blocks of at most _PAIR_BLOCK entries."""
-    step = max(1, _PAIR_BLOCK // max(len(b), 1))
-    for lo in range(0, len(a), step):
-        rows = slice(lo, lo + step)
-        yield rows, np.abs(a[rows, None] - b[None, :])
 
 
 def _clusters(points: np.ndarray, link: float) -> tuple[int, float]:

@@ -5,9 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from holodyn.core import AutoChain, find_fixed_point, henon_chain
+from holodyn.core import (
+    AutoChain,
+    Linear,
+    QuadraticJet,
+    ShearX,
+    ShearY,
+    Translation,
+    find_fixed_point,
+    henon_chain,
+)
 from holodyn.manifold import _fit_degree, _lsq_fit, local_stable_graph
 from holodyn.parabolic import blowup_step, in_sector
+from holodyn.poly import polyder
 from holodyn.rng import make_generator
 
 
@@ -45,6 +55,80 @@ def finite_difference_jacobian(chain, z, h=1e-5):
         out[0, k] = (fp[0] - fm[0]) / (2 * h)
         out[1, k] = (fp[1] - fm[1]) / (2 * h)
     return out
+
+
+# -- the elementary steps' literal formulas ----------------------------------------
+#
+# The steps compile their maps from emitted source lines that leave out exact
+# no-op arithmetic; these are the formulas written out in full, sharing no code
+# with the steps, as the independent oracle for apply, jacobian and the tangent
+# push.
+
+
+def polyval_ref(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _shear_x_ref(s):
+    return (
+        lambda x, y: (x + polyval_ref(s.coeffs, y), y),
+        lambda x, y: (1.0, polyval_ref(polyder(s.coeffs), y), 0.0, 1.0),
+    )
+
+
+def _shear_y_ref(s):
+    return (
+        lambda x, y: (x, y + polyval_ref(s.coeffs, x)),
+        lambda x, y: (1.0, 0.0, polyval_ref(polyder(s.coeffs), x), 1.0),
+    )
+
+
+def _linear_ref(s):
+    return (
+        lambda x, y: (s.a * x + s.b * y, s.c * x + s.d * y),
+        lambda x, y: (s.a, s.b, s.c, s.d),
+    )
+
+
+def _translation_ref(s):
+    return (
+        lambda x, y: (x + s.bx, y + s.by),
+        lambda x, y: (1.0, 0.0, 0.0, 1.0),
+    )
+
+
+def _jet_ref(s):
+    pa, pxy, pc = s.p
+    qa, qxy, qc = s.q
+    return (
+        lambda x, y: (
+            x + pa * x * x + pxy * x * y + pc * y * y,
+            y + qa * x * x + qxy * x * y + qc * y * y,
+        ),
+        lambda x, y: (
+            1.0 + 2 * pa * x + pxy * y,
+            pxy * x + 2 * pc * y,
+            2 * qa * x + qxy * y,
+            1.0 + qxy * x + 2 * qc * y,
+        ),
+    )
+
+
+_REFS = {
+    ShearX: _shear_x_ref,
+    ShearY: _shear_y_ref,
+    Linear: _linear_ref,
+    Translation: _translation_ref,
+    QuadraticJet: _jet_ref,
+}
+
+
+def literal_formulas(step):
+    """(apply, jacobian) of step as its literal formulas."""
+    return _REFS[type(step)](step)
 
 
 # -- constructions only the tests use ------------------------------------------

@@ -1,4 +1,5 @@
-"""Every defaulted parameter of a holodyn function is passed by some call.
+"""Every defaulted parameter of a holodyn function is passed by some call,
+and every public top-level function and class is used outside the tests.
 
 A parameter with a default that no call in ``src/``, ``scripts/``,
 ``perfbench/`` or ``tests/`` ever sets has one value in use, and such a
@@ -8,6 +9,13 @@ parameters of its ``__init__``.  ``**kwargs`` forwarding sets nothing, and
 positions are counted only up to the first ``*args``.  Calls are matched to
 definitions by name alone, so a parameter may be passed to a namesake; that
 can hide a knob but never report a false one.
+
+A public top-level function or class of ``src/holodyn`` is used when its
+name is read (as a name or an attribute) somewhere in ``src/``,
+``scripts/`` or ``perfbench/``; a function under a decorator counts as
+used, since the decorator registers it (the ``cli.cmd_*`` handlers).
+Names are matched alone here too, so a namesake can hide dead code but
+never report live code as dead.
 """
 from __future__ import annotations
 
@@ -17,7 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "holodyn"
-CALLERS = ("src", "scripts", "perfbench", "tests")
+NON_TEST = ("src", "scripts", "perfbench")
+CALLERS = (*NON_TEST, "tests")
 
 
 def _defaulted_parameters(path: Path):
@@ -87,4 +96,35 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not unpassed, (
         f"{len(unpassed)} defaulted parameters are never passed; make each a constant "
         "next to its user: " + ", ".join(unpassed)
+    )
+
+
+# public definitions with no caller outside the tests yet, and why they stay
+_UNCALLED = {
+    "manifold.is_in_stable": "ROADMAP item 1's density on the manifold is to call it",
+    "parabolic.make_nondegenerate": "the paper's perturbation of a degenerate direction",
+}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    read = set()
+    for top in NON_TEST:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    uncalled = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            registered = isinstance(node, ast.FunctionDef) and node.decorator_list
+            if node.name not in read and not registered:
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert sorted(uncalled) == sorted(_UNCALLED), (
+        "public definitions used only by the tests (move them to tests/conftest.py "
+        "or delete them), or exceptions that now have a caller: "
+        + ", ".join(sorted(set(uncalled) ^ set(_UNCALLED)))
     )

@@ -34,6 +34,8 @@ from conftest import (
     bidisc_points,
     finite_difference_jacobian,
     identity_chain,
+    literal_formulas,
+    polyval_ref,
     quadratic_roots,
     total_degree,
 )
@@ -387,62 +389,10 @@ def test_to_polynomial_exact_for_henon(henon075):
 # -- steps against their literal formulas ------------------------------------------
 #
 # The steps leave out multiplications by an exact 0, 1 or -1 and leading zero
-# Horner coefficients.  The functions below are the literal formulas they
-# replaced, kept as the oracle: for finite inputs the values must be equal
+# Horner coefficients.  conftest.literal_formulas gives the literal formulas
+# they replaced, kept as the oracle: for finite inputs the values must be equal
 # (== ignores only the sign of a zero), and for non-finite inputs the escape
 # verdict must be the same.
-
-
-def polyval_ref(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _shear_x_ref(s):
-    return (
-        lambda x, y: (x + polyval_ref(s.coeffs, y), y),
-        lambda x, y: (1.0, polyval_ref(polyder(s.coeffs), y), 0.0, 1.0),
-    )
-
-
-def _shear_y_ref(s):
-    return (
-        lambda x, y: (x, y + polyval_ref(s.coeffs, x)),
-        lambda x, y: (1.0, 0.0, polyval_ref(polyder(s.coeffs), x), 1.0),
-    )
-
-
-def _linear_ref(s):
-    return (
-        lambda x, y: (s.a * x + s.b * y, s.c * x + s.d * y),
-        lambda x, y: (s.a, s.b, s.c, s.d),
-    )
-
-
-def _jet_ref(s):
-    pa, pxy, pc = s.p
-    qa, qxy, qc = s.q
-    return (
-        lambda x, y: (
-            x + pa * x * x + pxy * x * y + pc * y * y,
-            y + qa * x * x + qxy * x * y + qc * y * y,
-        ),
-        lambda x, y: (
-            1.0 + 2 * pa * x + pxy * y,
-            pxy * x + 2 * pc * y,
-            2 * qa * x + qxy * y,
-            1.0 + qxy * x + 2 * qc * y,
-        ),
-    )
-
-
-_REFS = {ShearX: _shear_x_ref, ShearY: _shear_y_ref, Linear: _linear_ref, QuadraticJet: _jet_ref}
-
-
-def _ref(step):
-    return _REFS[type(step)](step)
 
 
 _special = st.sampled_from(
@@ -467,6 +417,7 @@ _oracle_steps = st.one_of(
     st.sampled_from(
         [Linear(0.0, -1.0, 1.0, 0.0), Linear(0.0, 1.0, 1.0, 0.0), Linear(1.0, -1.0, 1.0, 0.0)]
     ),
+    st.tuples(_cx, _cx).map(lambda t: Translation(*t)),
     st.tuples(st.tuples(_cx, _cx, _cx), st.tuples(_cx, _cx, _cx)).map(lambda t: QuadraticJet(*t)),
 )
 _finite_z = st.one_of(
@@ -497,7 +448,7 @@ def _same_values(got, want):
 def test_steps_equal_their_literal_formulas_on_finite_inputs(step, xs, ys):
     n = min(len(xs), len(ys))
     x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
-    ref_apply, ref_jac = _ref(step)
+    ref_apply, ref_jac = literal_formulas(step)
     _same_values(step.apply(x, y), ref_apply(x, y))
     x0, y0 = complex(xs[0]), complex(ys[0])
     _same_values(step.apply(x0, y0), ref_apply(x0, y0))
@@ -516,7 +467,7 @@ def test_steps_equal_their_literal_formulas_on_finite_inputs(step, xs, ys):
 def test_steps_keep_the_escape_verdict_on_non_finite_inputs(step, xs, ys, cap):
     n = min(len(xs), len(ys))
     x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
-    ref_apply, _ = _ref(step)
+    ref_apply, _ = literal_formulas(step)
     with np.errstate(all="ignore"):
         gx, gy = np.broadcast_arrays(*step.apply(x, y))
         wx, wy = np.broadcast_arrays(*ref_apply(x, y))

@@ -1,10 +1,12 @@
 """Brute-force cloud distances run in row blocks of bounded size.
 
-manifold._nearest_sq_distances holds at most _PAIR_BLOCK squared distances
-at once; hausdorff_distance and nonauto.disjointness_check take their
-max-min and min through it.  A min or max over blocks is exact, so the
-block size must not change a single bit, and the full-matrix formulas
-below (the bodies the blocked loop replaced) are the oracle.
+manifold._nearest_sq_distances runs on manifold._distance_blocks, one block
+of at most _PAIR_BLOCK distances per coordinate at once; hausdorff_distance
+and nonauto.disjointness_check take their max-min and min through it, and
+parabolic's survivor geometry uses the same blocks.  A min or max over
+blocks is exact, so the block size must not change a single bit, and the
+full-matrix formulas below (the bodies the blocked loop replaced) are the
+oracle.
 """
 from __future__ import annotations
 

@@ -5,8 +5,9 @@ before shooting, frozen as the reference: its radius bounds the distance
 from its centre to the survivors, so the two results must lie within the
 sum of their radii.  The 50-digit replay checks one certificate with
 arithmetic that shares nothing with holodyn's step code.  A chain's
-compiled tangent push must give apply's values bit for bit, so a shooting
-orbit is the orbit blowup_step replays.
+compiled tangent push must give apply's values bit for bit, and the
+literal formulas' values, so a shooting orbit is the orbit blowup_step
+replays.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mp_oracle
+from conftest import literal_formulas
 from holodyn import parabolic
 from holodyn.core import EndoChain, Linear, QuadraticJet, ShearX, ShearY, Translation
 from holodyn.errors import Ambiguous, InvalidParameter, NoConvergence, NoSurvivor
@@ -209,7 +211,15 @@ _z = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False
 def test_compiled_push_gives_apply_values_and_differential_tangent(steps, x, y, dx, dy):
     chain = EndoChain(tuple(steps))
     x1, y1, dx1, dy1 = chain._tangent_push(x, y, dx, dy)
+    # apply runs the value lines of the same emitters, so this checks only
+    # that the tangent lines leave the value lines as they are
     assert np.array([x1, y1]).tobytes() == np.array(chain.apply(x, y), dtype=complex).tobytes()
+    # the independent oracle: the literal formulas, composed step by step
+    # (== ignores only the sign of a zero, which the skips may change)
+    rx, ry = x, y
+    for step in steps:
+        rx, ry = literal_formulas(step)[0](rx, ry)
+    assert (x1, y1) == (rx, ry)
     j = chain.differential((x, y))
     # the per-step bound 1e-13 * (1 + max|J| (|dx| + |dy|)), with max|J| the
     # product of each step's largest Jacobian entry along the orbit: rounding

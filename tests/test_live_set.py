@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holodyn import parabolic
+from holodyn import manifold, parabolic
 from holodyn.basin import (
     HYSTERESIS,
     VERDICT_CONVERGED,
@@ -539,10 +539,10 @@ def test_clusters_match_point_by_point_search(seed, n, blobs, link, lattice, blo
     if lattice:
         link = 1.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parabolic, "_PAIR_BLOCK", block)
+        mp.setattr(manifold, "_PAIR_BLOCK", block)
         assert _clusters(pts, link) == clusters_ref(pts, link)
         dense = float(np.max(np.abs(pts[:, None] - pts[None, :])))
-        blocked = max(float(d.max()) for _, d in parabolic._distance_blocks(pts, pts))
+        blocked = max(float(d.max()) for _, d in manifold._distance_blocks(pts, pts))
         assert blocked == dense
 
 
@@ -550,7 +550,7 @@ def test_graph_point_unchanged_by_block_size():
     m = normal_form_family(1.0)
     ref = graph_point(m, -0.01, resolution=1e-5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parabolic, "_PAIR_BLOCK", 3)
+        mp.setattr(manifold, "_PAIR_BLOCK", 3)
         got = graph_point(m, -0.01, resolution=1e-5)
     assert (got.u, got.certified_radius, got.levels, got.final_horizon) == (
         ref.u, ref.certified_radius, ref.levels, ref.final_horizon,

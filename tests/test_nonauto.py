@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from holodyn.basin import orbit
@@ -10,6 +11,8 @@ from holodyn.errors import AmbiguousComponent, MapFormatError, TangencyViolation
 from holodyn.nonauto import (
     MapSequence,
     SectorSetParams,
+    _dist_point_slit_disc,
+    _planar_component_distances,
     constant_sequence,
     demonstrator_sequence,
     demonstrator_witnesses,
@@ -137,6 +140,21 @@ def test_disjointness_exact_gap_oracle(params):
     assert rep.min_gap == pytest.approx(want, rel=1e-9)
     assert rep.worst_pair == ("Ball_delta", "KxDisc")
     assert rep.sampled_min >= rep.min_gap - 1e-12
+
+
+def _l_to_k_sampled(R: float, eps: float) -> float:
+    """The segment-to-slit-disc distance as a minimum over 400 segment points."""
+    return float(
+        min(_dist_point_slit_disc(complex(t + eps, 0.0), R, eps) for t in np.linspace(eps, R, 400))
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("R_over_eps", [1.01, 1.5, 3.0, 20.0])
+def test_segment_to_slit_disc_distance_in_closed_form(eps, R_over_eps):
+    R = eps * R_over_eps
+    d = _planar_component_distances(SectorSetParams(R=R, epsilon=eps, delta=eps / 10))
+    assert d["L_to_K"] == _l_to_k_sampled(R, eps)
 
 
 def test_disjointness_fails_for_fat_ball():
