@@ -3,6 +3,8 @@
 Convergence is operationalised with hysteresis: an orbit counts as
 converged once it sits within conv_tol of the target for 20 consecutive
 steps, which keeps transits through a neighbourhood from flagging early.
+The distance is hypot(|dx|, |dy|), decided exactly by core.hypot_below,
+which calls libm hypot only where max(|dx|, |dy|) cannot decide it.
 Escape means the magnitude cap was exceeded.  All grid/sample probes run
 vectorised, iterate only the points whose orbit is still undecided (see
 core.iterate_live) and draw their randomness as deterministic
@@ -16,7 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AutoChain, DEFAULT_CAP, FixedPointInfo, Point, _escaped, iterate_live
+from .core import (
+    AutoChain,
+    DEFAULT_CAP,
+    FixedPointInfo,
+    Point,
+    _escaped,
+    hypot_below,
+    iterate_live,
+)
 from .errors import EmptySample, InvalidParameter, NotFound, PoleHit
 from .rng import ball4_points, make_generator
 
@@ -90,8 +100,8 @@ def orbit_verdicts(
         steps[idx[esc]] = k
         keep = ~esc
         if target is not None:
-            d = np.hypot(np.abs(nx - target[0]), np.abs(ny - target[1]))
-            run = np.where(keep & (d < conv_tol), run + 1, 0)
+            near = hypot_below(np.abs(nx - target[0]), np.abs(ny - target[1]), conv_tol)
+            run = np.where(keep & near, run + 1, 0)
             conv = keep & (run >= HYSTERESIS)
             codes[idx[conv]] = VERDICT_CONVERGED
             steps[idx[conv]] = k
@@ -153,7 +163,8 @@ def dichotomy_probe(
         esc = _escaped(nx, ny, cap)
         # escape: every later iterate stays outside the ball
         exit_run[idx[esc]] = m_max
-        keep = ~esc & (np.hypot(np.abs(nx - px), np.abs(ny - py)) >= r)
+        # esc covers every non-finite image, so "not below r" is ">= r" here
+        keep = ~esc & ~hypot_below(np.abs(nx - px), np.abs(ny - py), r)
         exit_run[idx[keep]] += 1
         return keep, (nx, ny)
 
@@ -253,6 +264,8 @@ def grid_centres(
     real 2-D slice of box, flattened row by row (rows indexed by y)."""
     (a0, a1), (b0, b1) = box
     na, nb = grid
+    if na < 0 or nb < 0:
+        raise InvalidParameter(f"grid counts must be >= 0, got {na},{nb}")
     aa = a0 + (np.arange(na) + 0.5) * (a1 - a0) / na
     bb = b0 + (np.arange(nb) + 0.5) * (b1 - b0) / nb
     xs = np.repeat(aa[None, :], nb, axis=0).ravel().astype(complex)
@@ -278,6 +291,8 @@ def bounded_set_probe(
     """
     na, nb = grid
     xs, ys = grid_centres(box, grid)
+    if xs.size == 0:
+        return np.zeros((nb, na), dtype=bool)
 
     def run_chunk(lo: int, hi: int) -> np.ndarray:
         codes, _ = orbit_verdicts(chain, xs[lo:hi], ys[lo:hi], max_iter, target=None)
@@ -363,6 +378,13 @@ def psi_iterate(theta: float, n: int) -> float:
     return t
 
 
+def _angle_2pi(z):
+    """np.mod(np.angle(z), 2 pi) bit for bit, without the libm fmod: the angle
+    lies in [-pi, pi], and + 0.0 turns the -0.0 of np.angle into +0.0."""
+    a = np.angle(z)
+    return np.where(a < 0, a + 2.0 * np.pi, a) + 0.0
+
+
 def planar_homeo(z):
     """The plane map with fixed point 1: pointwise but non-uniform attraction.
 
@@ -378,7 +400,7 @@ def planar_homeo(z):
     out = np.empty_like(zz)
 
     outer = r >= 1.0
-    theta = np.mod(np.angle(zz[outer]), 2.0 * np.pi)
+    theta = _angle_2pi(zz[outer])
     out[outer] = (r[outer] + 1.0) / 2.0 * np.exp(1j * psi(theta))
 
     inner = ~outer
@@ -387,7 +409,7 @@ def planar_homeo(z):
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.abs(zi - 1.0) ** 2 / (2.0 - 2.0 * zi.real)
     c = 1.0 - s
-    ang = np.mod(np.angle(zi - c), 2.0 * np.pi)
+    ang = _angle_2pi(zi - c)
     w = c + s * np.exp(1j * psi(ang))
     w[near_one] = 1.0
     out[inner] = w

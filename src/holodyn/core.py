@@ -25,6 +25,12 @@ chain's Jacobian; the shooting in parabolic.graph_point calls it once per
 step.  Linear steps skip the same arithmetic in the tangent as in the value,
 so padding a chain with identity steps changes neither.  jacobian and the
 chain differentials are written out apart and evaluate through poly.polyval.
+
+Distances in C^2 are hypot(|dx|, |dy|).  hypot_below and hypot_max decide a
+distance test and a sup exactly, bit for bit as np.hypot would, from
+m = max(|dx|, |dy|): m <= hypot <= sqrt(2) m < 1.5 m, and rounding keeps
+that order.  libm hypot, an order of magnitude dearer per point than a
+complex modulus, runs only where m cannot decide.
 """
 from __future__ import annotations
 
@@ -454,7 +460,42 @@ class AutoChain(_ChainOps):
 def _escaped(nx, ny, cap):
     """True where an image is non-finite or has a coordinate above cap."""
     with np.errstate(invalid="ignore", over="ignore"):
+        if math.isfinite(cap):
+            # a non-finite coordinate has a nan or inf modulus, which fails <=
+            return ~(np.maximum(np.abs(nx), np.abs(ny)) <= cap)
+        # an infinite modulus is not above cap = inf, so test finiteness apart
         return ~(np.isfinite(nx) & np.isfinite(ny)) | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
+
+
+def hypot_below(p, q, bound):
+    """np.hypot(p, q) < bound, bit for bit, for arrays p, q >= 0.
+
+    True where 1.5 max(p, q) < bound, false where max(p, q) >= bound or is
+    nan; np.hypot runs only on the points in between.
+    """
+    m = np.maximum(p, q)
+    with np.errstate(over="ignore"):  # 1.5 m = inf only fails to decide
+        out = 1.5 * m < bound
+    band = np.flatnonzero((m < bound) & ~out)
+    if band.size:
+        out[band] = np.hypot(p[band], q[band]) < bound
+    return out
+
+
+def hypot_max(p, q):
+    """np.hypot(p, q).max(), bit for bit, for non-empty arrays p, q >= 0.
+
+    A point with 1.5 max(p, q) below the largest max(p, q) has a smaller
+    hypot than the point holding that largest max, so np.hypot runs only on
+    the others; on all points when the largest max is inf or nan.
+    """
+    m = np.maximum(p, q)
+    top = m.max()
+    if np.isfinite(top):
+        with np.errstate(over="ignore"):
+            near = np.flatnonzero(1.5 * m >= top)
+        p, q = p[near], q[near]
+    return np.hypot(p, q).max()
 
 
 def iterate_live(advance, arrays, steps: int):

@@ -26,7 +26,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basin import HYSTERESIS, grid_centres, nonuniformity_witness, planar_homeo
-from .core import AutoChain, DEFAULT_CAP, EndoChain, Point, _escaped, iterate_live, map_from_dict
+from .core import (
+    AutoChain,
+    DEFAULT_CAP,
+    EndoChain,
+    Point,
+    _escaped,
+    hypot_below,
+    hypot_max,
+    iterate_live,
+    map_from_dict,
+)
 from .errors import InvalidParameter, MapFormatError, TangencyViolation
 from .manifold import _nearest_sq_distances
 
@@ -108,16 +118,16 @@ def nonauto_attracting_probe(
     """Cells (real 2-D slice) whose centre composition-orbit ends within
     conv_tol of 0 at step n_max and for the 20 preceding steps."""
     na, nb = grid
-    if na == 0 or nb == 0:
-        return np.zeros((nb, na), dtype=bool)
     xs, ys = grid_centres(box, grid)
+    if xs.size == 0:
+        return np.zeros((nb, na), dtype=bool)
     # resolve every member first, so a late failing index raises even if all cells died
     maps = [seq.map_at(j) for j in range(1, n_max + 1)]
 
     def advance(j, idx, xj, yj, run):
         nx, ny = maps[j - 1].apply(xj, yj)
         keep = ~_escaped(nx, ny, cap)
-        near = keep & (np.hypot(np.abs(nx), np.abs(ny)) < conv_tol)
+        near = keep & hypot_below(np.abs(nx), np.abs(ny), conv_tol)
         return keep, (nx, ny, np.where(near, run + 1, 0))
 
     state = (xs, ys, np.zeros(xs.shape[0], dtype=np.int64))
@@ -335,7 +345,9 @@ def pointwise_vs_uniform_report(
     The grid covers the box on the real 2-D slice; witness points (for
     example from the non-uniformity search, shifted to the origin frame)
     are appended so the sup can expose non-uniform attraction that a coarse
-    grid cannot resolve.
+    grid cannot resolve.  |F_n(z)| is hypot(|x|, |y|); core.hypot_max and
+    core.hypot_below give its sup and the conv_tol test exactly, calling
+    libm hypot only where max(|x|, |y|) cannot decide them.
     """
     xs, ys = grid_centres(box, grid)
     if witnesses:
@@ -344,20 +356,22 @@ def pointwise_vs_uniform_report(
         xs = np.concatenate([xs, wx])
         ys = np.concatenate([ys, wy])
 
-    rows = []
-    dist = np.hypot(np.abs(xs), np.abs(ys))
-    rows.append(
-        PointwiseUniformRow(0, float(dist.max()), float(np.mean(dist < conv_tol)))
-    )
+    if xs.size == 0:
+        raise InvalidParameter("the report needs at least one grid cell or witness")
+
+    def row(n, xs, ys):
+        ax, ay = np.abs(xs), np.abs(ys)
+        return PointwiseUniformRow(
+            n, float(hypot_max(ax, ay)), float(np.mean(hypot_below(ax, ay, conv_tol)))
+        )
+
+    rows = [row(0, xs, ys)]
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
         bad = _escaped(nx, ny, DEFAULT_CAP)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
-        dist = np.hypot(np.abs(xs), np.abs(ys))
-        rows.append(
-            PointwiseUniformRow(j, float(dist.max()), float(np.mean(dist < conv_tol)))
-        )
+        rows.append(row(j, xs, ys))
     return PointwiseUniformReport(
         rows=rows,
         grid_points=grid[0] * grid[1],

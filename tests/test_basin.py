@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from holodyn.basin import (
     bounded_set_probe,
+    grid_centres,
     dichotomy_probe,
     interior_probe,
     nonuniformity_witness,
@@ -22,7 +23,7 @@ from holodyn.basin import (
     sphere_residuals_batch,
 )
 from holodyn.core import diag_linear_chain, find_fixed_point
-from holodyn.errors import EmptySample, NotFound, PoleHit
+from holodyn.errors import EmptySample, InvalidParameter, NotFound, PoleHit
 
 from conftest import identity_chain
 
@@ -134,6 +135,21 @@ def test_bounded_set_linear_saddle_exact_oracle():
 def test_bounded_set_identity_all_marked():
     marked = bounded_set_probe(identity_chain(), ((-2, 2), (-2, 2)), (5, 5), max_iter=50)
     assert marked.all()
+
+
+@pytest.mark.parametrize("grid", [(0, 0), (0, 4), (4, 0)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bounded_set_zero_cell_grid_is_empty(grid, threads):
+    marked = bounded_set_probe(identity_chain(), ((-2, 2), (-2, 2)), grid, threads=threads)
+    assert marked.dtype == bool and marked.shape == (grid[1], grid[0])
+
+
+@pytest.mark.parametrize("grid", [(-1, 4), (4, -1), (-2, -2)])
+def test_negative_grid_counts_are_invalid(grid):
+    with pytest.raises(InvalidParameter):
+        grid_centres(((-2, 2), (-2, 2)), grid)
+    with pytest.raises(InvalidParameter):
+        bounded_set_probe(identity_chain(), ((-2, 2), (-2, 2)), grid)
 
 
 def test_bounded_set_henon_contains_fixed_cells(henon075):

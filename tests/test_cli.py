@@ -519,7 +519,32 @@ _CONFIG_ERRORS = {
     "density-cells": ([*_DENSITY, "--cells", "0"], "cells_per_axis must be positive"),
     "density-box-empty": ([*_DENSITY, "--box-min", "1", "--box-max", "1"], "box needs lo < hi"),
     "density-box-reversed": ([*_DENSITY, "--box-min", "2", "--box-max", "-2"], "box needs lo < hi"),
+    "bounded-set-grid-negative": (["bounded-set", "--map", HENON, "--grid=-1,4"], "grid counts"),
+    "nonauto-probe-grid-negative": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid=4,-1"], "grid counts",
+    ),
+    "nonauto-report-grid-empty": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "report", "--grid=0,3"],
+        "the report needs at least one grid cell or witness",
+    ),
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounded-set", "--map", HENON, "--grid=0,0"],
+        ["bounded-set", "--map", HENON, "--grid=0,3"],
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid=3,0"],
+    ],
+)
+def test_zero_cell_grids_give_empty_images(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("0/0 cells")
+    ppm = next(out.glob("*.ppm")).read_bytes()
+    na, nb = argv[-1].split("=")[1].split(",")
+    assert ppm == f"P6\n{na} {nb}\n255\n".encode("ascii")
 
 
 @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))

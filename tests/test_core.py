@@ -23,6 +23,8 @@ from holodyn.core import (
     diag_linear_chain,
     find_fixed_point,
     henon_chain,
+    hypot_below,
+    hypot_max,
     map_from_dict,
     map_to_dict,
 )
@@ -428,7 +430,8 @@ _non_finite_z = st.one_of(
     _finite_z,
     st.sampled_from(
         [complex(_inf, 0.0), complex(-_inf, 1.0), complex(0.0, _inf), complex(_nan, 0.0),
-         complex(1.0, _nan), complex(_inf, _nan), complex(_inf, -_inf), complex(1e300, 1e300)]
+         complex(1.0, _nan), complex(_inf, _nan), complex(_inf, -_inf), complex(1e300, 1e300),
+         complex(1.7e308, 1.7e308)]  # finite, but its modulus overflows
     ),
 )
 
@@ -472,6 +475,83 @@ def test_steps_keep_the_escape_verdict_on_non_finite_inputs(step, xs, ys, cap):
         gx, gy = np.broadcast_arrays(*step.apply(x, y))
         wx, wy = np.broadcast_arrays(*ref_apply(x, y))
         assert np.array_equal(_escaped(gx, gy, cap), _escaped(wx, wy, cap))
+
+
+# images on the cap (|6e11 + 8e11 i| = 1e12 exactly), one ulp above it, and
+# finite ones whose modulus overflows to inf
+_images = st.one_of(
+    _non_finite_z,
+    st.sampled_from(
+        [complex(1e12, 0.0), complex(math.nextafter(1e12, _inf), 0.0), complex(6e11, 8e11),
+         complex(-1.7e308, 1.7e308), complex(1e308, -1e308), complex(-_inf, 0.0)]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.lists(_images, min_size=1, max_size=8),
+    ys=st.lists(_images, min_size=1, max_size=8),
+    cap=st.sampled_from([1e12, math.inf, 1.0, 0.0, math.nan]),
+)
+def test_escape_test_matches_the_finiteness_formula(xs, ys, cap):
+    n = min(len(xs), len(ys))
+    x, y = np.array(xs[:n], dtype=complex), np.array(ys[:n], dtype=complex)
+    with np.errstate(all="ignore"):
+        want = ~(np.isfinite(x) & np.isfinite(y)) | (np.maximum(np.abs(x), np.abs(y)) > cap)
+    assert np.array_equal(_escaped(x, y, cap), want)
+
+
+# -- exact distance tests -----------------------------------------------------------
+#
+# hypot_below and hypot_max must give np.hypot's answers bit for bit.  The
+# inputs crowd the places where max(p, q) alone stops deciding: both band edges
+# of hypot_below (bound / 1.5 and bound), the circle hypot == bound, points
+# whose hypot beats that of the point with the largest max(p, q), and 0,
+# subnormals, overflow, inf and nan.
+
+_HYPOT_SPECIALS = np.array(
+    [0.0, 5e-324, 1.5e-323, 1e-310, 2.2250738585072014e-308, 1e308, 1.7e308, _inf, _nan]
+)
+
+
+def _hypot_groups(seed, n, bound):
+    g = np.random.default_rng(seed)
+    scale = bound if 0 < bound < _inf else float(g.choice([1e-3, 1.0, 1e300]))
+
+    def near(v):  # relative offsets from 1e-16 to 1e-3, either side
+        return v * (1 + g.choice([1e-16, 1e-15, 1e-12, 1e-3], n) * g.uniform(-1, 1, n))
+
+    groups = []
+    for edge in (scale / 1.5, scale):
+        m = near(np.full(n, edge))
+        other = m * g.choice([0.0, 1.0, g.random()], n)
+        groups.append((m, other) if g.random() < 0.5 else (other, m))
+    theta = g.uniform(0.0, np.pi / 2, n)
+    r = scale * (1 + 1e-15 * g.uniform(-1, 1, n))
+    groups.append((r * np.cos(theta), r * np.sin(theta)))
+    m = near(np.full(n, scale / math.sqrt(2)))  # hypot(m, m) against hypot(scale, 0)
+    groups.append((np.append(m, scale), np.append(m, 0.0)))
+    groups.append((g.choice(_HYPOT_SPECIALS, n), g.choice(_HYPOT_SPECIALS, n)))
+    ulps = 5e-324 * g.integers(0, 8, (2, n))  # the smallest subnormals
+    groups.append((ulps[0], ulps[1]))
+    groups.append(tuple(np.concatenate(c) for c in zip(*groups)))
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    bound=st.sampled_from([1e-3, 0.5, math.inf, 0.0, 5e-324, math.nan]),
+)
+def test_hypot_helpers_equal_libm_hypot(seed, n, bound):
+    for p, q in _hypot_groups(seed, n, bound):
+        with np.errstate(over="ignore"):  # hypot(1.7e308, 1.7e308) overflows in both
+            want = np.hypot(p, q)
+            below, top = hypot_below(p, q, bound), hypot_max(p, q)
+        assert below.dtype == bool and np.array_equal(below, want < bound)
+        assert np.float64(top).tobytes() == want.max().tobytes()
 
 
 # steps that are exact no-ops, so apply returns its input arrays

@@ -19,11 +19,14 @@ from hypothesis import given, settings, strategies as st
 from holodyn import manifold, parabolic
 from holodyn.basin import (
     HYSTERESIS,
+    _angle_2pi,
     VERDICT_CONVERGED,
     VERDICT_ESCAPED,
     dichotomy_probe,
     orbit,
     orbit_verdicts,
+    planar_homeo,
+    psi,
 )
 from holodyn.core import (
     DEFAULT_CAP,
@@ -36,13 +39,16 @@ from holodyn.core import (
     henon_chain,
     iterate_live,
 )
+from holodyn.errors import InvalidParameter
 from holodyn.nonauto import (
     MapSequence,
     PlanarDemo,
     constant_sequence,
     grid_centres,
+    demonstrator_witnesses,
     list_sequence,
     nonauto_attracting_probe,
+    pointwise_vs_uniform_report,
 )
 from holodyn.parabolic import (
     _clusters,
@@ -189,6 +195,43 @@ def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3, cap=DEFAULT_CAP):
         near = alive & (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol)
         run = np.where(near, run + 1, 0)
     return (alive & (run >= min(HYSTERESIS + 1, n_max + 1))).reshape(nb, na)
+
+
+def planar_homeo_ref(z):
+    """basin.planar_homeo as written with np.mod for the angle in [0, 2 pi)."""
+    zz = np.asarray(z, dtype=complex)
+    r = np.abs(zz)
+    out = np.empty_like(zz)
+    outer = r >= 1.0
+    theta = np.mod(np.angle(zz[outer]), 2.0 * np.pi)
+    out[outer] = (r[outer] + 1.0) / 2.0 * np.exp(1j * psi(theta))
+    zi = zz[~outer]
+    near_one = np.abs(zi - 1.0) < 1e-14
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.abs(zi - 1.0) ** 2 / (2.0 - 2.0 * zi.real)
+    c = 1.0 - s
+    w = c + s * np.exp(1j * psi(np.mod(np.angle(zi - c), 2.0 * np.pi)))
+    w[near_one] = 1.0
+    out[~outer] = w
+    return out
+
+
+def pointwise_ref(seq, box, n_max, grid, conv_tol=1e-3, witnesses=()):
+    """The report's (n, sup, fraction) rows with every distance from np.hypot."""
+    xs, ys = grid_centres(box, grid)
+    if witnesses:
+        xs = np.concatenate([xs, np.asarray([w[0] for w in witnesses], dtype=complex)])
+        ys = np.concatenate([ys, np.asarray([w[1] for w in witnesses], dtype=complex)])
+    dist = np.hypot(np.abs(xs), np.abs(ys))
+    rows = [(0, float(dist.max()), float(np.mean(dist < conv_tol)))]
+    for j in range(1, n_max + 1):
+        nx, ny = seq.map_at(j).apply(xs, ys)
+        bad = _escaped_ref(nx, ny, DEFAULT_CAP)
+        xs = np.where(bad, xs, nx)
+        ys = np.where(bad, ys, ny)
+        dist = np.hypot(np.abs(xs), np.abs(ys))
+        rows.append((j, float(dist.max()), float(np.mean(dist < conv_tol))))
+    return rows
 
 
 def clusters_ref(points, link):
@@ -555,3 +598,70 @@ def test_graph_point_unchanged_by_block_size():
     assert (got.u, got.certified_radius, got.levels, got.final_horizon) == (
         ref.u, ref.certified_radius, ref.levels, ref.final_horizon,
     )
+
+
+# -- nonauto.pointwise_vs_uniform_report and basin.planar_homeo ---------------------
+
+# signed zeros; angle +-pi outside the disc and, about the inner circle's
+# centre, for real points inside it; the unit circle; and 1 itself
+_PLANAR_SPECIALS = np.array(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+     complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-2.5, 0.0), complex(-2.5, -0.0),
+     complex(-0.5, 0.0), complex(-0.5, -0.0), complex(0.5, -0.0), complex(1e-300, -0.0),
+     1j, -1j, complex(0.6, 0.8), complex(0.6, -0.8), complex(1.0, 0.0), complex(1.0, -0.0),
+     complex(1.0, 1e-15), complex(math.nextafter(1.0, 0.0), 0.0), complex(1.0 + 2**-52, -0.0)]
+)
+
+
+def _planar_inputs(seed, n):
+    g = np.random.default_rng(seed)
+    circle = np.exp(1j * g.uniform(-np.pi, np.pi, n))  # |z| within an ulp of 1
+    disc = 2.0 * np.sqrt(g.random(n)) * np.exp(1j * g.uniform(-np.pi, np.pi, n))
+    return np.concatenate([_PLANAR_SPECIALS, circle, disc, g.choice(_PLANAR_SPECIALS, n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, n=st.integers(0, 200))
+def test_planar_homeo_matches_its_np_mod_form(seed, n):
+    z = _planar_inputs(seed, n)
+    assert _angle_2pi(z).tobytes() == np.mod(np.angle(z), 2.0 * np.pi).tobytes()
+    assert planar_homeo(z).tobytes() == planar_homeo_ref(z).tobytes()
+    for w in z[:: max(1, z.size // 16)]:
+        got = planar_homeo(complex(w))
+        assert isinstance(got, complex)
+        assert np.array([got]).tobytes() == planar_homeo_ref(w).reshape(1).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.integers(0, len(_SEQUENCES) - 1),
+    half=st.floats(0.1, 3.0),
+    grid=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    n_max=st.integers(0, 40),
+    conv_tol=st.sampled_from([1e-3, 0.05, 0.5, 2.0]),
+    seed=_seeds,
+    k=st.integers(0, 12),
+)
+def test_pointwise_report_matches_hypot_rows(s, half, grid, n_max, conv_tol, seed, k):
+    box = ((-half, half), (-half, 0.5 * half))
+    g = np.random.default_rng(seed)
+    shifted = g.choice(_PLANAR_SPECIALS, k) - 1.0  # the demonstrator's origin frame
+    witnesses = [(complex(x), complex(y)) for x, y in zip(shifted, g.choice([0j, -0.0 - 0.0j], k))]
+    args = (_SEQUENCES[s], box, n_max, grid)
+    if grid[0] * grid[1] + k == 0:
+        with pytest.raises(InvalidParameter):
+            pointwise_vs_uniform_report(*args, conv_tol=conv_tol, witnesses=witnesses)
+        return
+    rep = pointwise_vs_uniform_report(*args, conv_tol=conv_tol, witnesses=witnesses)
+    rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
+    want = pointwise_ref(*args, conv_tol=conv_tol, witnesses=witnesses)
+    assert np.array(rows).tobytes() == np.array(want).tobytes()
+
+
+def test_pointwise_report_of_the_demonstrator_matches_hypot_rows():
+    args = (constant_sequence(PlanarDemo()), ((-1.5, 1.5), (-1.5, 1.5)), 12, (21, 21))
+    witnesses = demonstrator_witnesses(12)
+    rep = pointwise_vs_uniform_report(*args, witnesses=witnesses)
+    rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
+    assert np.array(rows).tobytes() == np.array(pointwise_ref(*args, witnesses=witnesses)).tobytes()
+    assert min(r.sup_distance for r in rep.rows[1:]) > 1.0
