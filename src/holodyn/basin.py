@@ -374,7 +374,7 @@ def psi(theta):
 def psi_iterate(theta: float, n: int) -> float:
     t = float(theta)
     for _ in range(n):
-        t = t * (4.0 * math.pi - t) / (2.0 * math.pi)
+        t = psi(t)
     return t
 
 

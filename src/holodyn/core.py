@@ -152,9 +152,6 @@ class ShearX(_Step):
     def inverted(self) -> "ShearX":
         return ShearX(tuple(-c for c in self.coeffs))
 
-    def det(self) -> complex:
-        return 1.0 + 0j
-
 
 @dataclass(frozen=True)
 class ShearY(_Step):
@@ -174,9 +171,6 @@ class ShearY(_Step):
 
     def inverted(self) -> "ShearY":
         return ShearY(tuple(-c for c in self.coeffs))
-
-    def det(self) -> complex:
-        return 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -226,9 +220,6 @@ class Translation(_Step):
 
     def inverted(self) -> "Translation":
         return Translation(-self.bx, -self.by)
-
-    def det(self) -> complex:
-        return 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -302,7 +293,8 @@ class _ChainOps:
         return j
 
     def differential_batch(self, xs, ys):
-        """Per-point Jacobians as four arrays (j11, j12, j21, j22)."""
+        """Per-point Jacobians as four arrays (j11, j12, j21, j22), then the
+        image (x, y) the same pass computes, apply(xs, ys) bit for bit."""
         shape = np.broadcast(xs, ys).shape
         j11 = np.ones(shape, dtype=complex)
         j12 = np.zeros(shape, dtype=complex)
@@ -318,10 +310,14 @@ class _ChainOps:
                 c * j12 + d * j22,
             )
             x, y = step.apply(x, y)
-        return j11, j12, j21, j22
+        return j11, j12, j21, j22, x, y
 
     def to_polynomial(self) -> tuple[Poly2, Poly2]:
-        """The chain as an exact pair of bivariate polynomials."""
+        """The chain as an exact pair of bivariate polynomials.
+
+        Written apart from the steps' emitted lines: a value line computes a
+        term k x x as (k x) x, which over Poly2 rounds otherwise than the
+        k (x x) here, and the normal forms are pinned to this order."""
         fx, fy = Poly2.x(), Poly2.y()
         for step in self.steps:
             if isinstance(step, ShearX):
@@ -383,13 +379,9 @@ class AutoChain(_ChainOps):
     """Automorphism of C^2 as a composition of invertible elementary steps.
 
     Steps apply in list order: the chain is steps[-1] o ... o steps[0].
-    When volume_preserving is set, every linear step must have determinant
-    1 within representation accuracy (shears and translations always have
-    Jacobian determinant 1).
     """
 
     steps: tuple[Step, ...]
-    volume_preserving: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -398,34 +390,21 @@ class AutoChain(_ChainOps):
                 raise InvalidParameter(
                     f"AutoChain accepts only invertible steps, got {type(step).__name__}"
                 )
-        if self.volume_preserving:
-            for step in self.steps:
-                if isinstance(step, Linear) and abs(step.det() - 1.0) > _DET_ONE_TOL:
-                    raise InvalidParameter(
-                        f"volume-preserving chain has linear step with det {step.det()!r}"
-                    )
 
-    @classmethod
-    def of(cls, *steps: Step) -> "AutoChain":
-        """Build a chain, inferring the volume-preserving flag from the steps."""
-        vp = all(
-            not isinstance(s, Linear) or abs(s.det() - 1.0) <= _DET_ONE_TOL for s in steps
+    @property
+    def volume_preserving(self) -> bool:
+        """Every linear step has determinant 1 within _DET_ONE_TOL; shears
+        and translations always have Jacobian determinant 1."""
+        return all(
+            abs(s.det() - 1.0) <= _DET_ONE_TOL for s in self.steps if isinstance(s, Linear)
         )
-        return cls(tuple(steps), volume_preserving=vp)
 
     def then(self, *steps: Step) -> "AutoChain":
         """The chain followed by further steps (composition on the left)."""
-        return AutoChain.of(*(self.steps + tuple(steps)))
+        return AutoChain(self.steps + steps)
 
     def inverted(self) -> "AutoChain":
-        inv = tuple(s.inverted() for s in reversed(self.steps))
-        return AutoChain(inv, volume_preserving=self.volume_preserving)
-
-    def determinant(self) -> complex:
-        det = 1.0 + 0j
-        for step in self.steps:
-            det *= step.det()
-        return det
+        return AutoChain(tuple(s.inverted() for s in reversed(self.steps)))
 
     # -- capped evaluation -------------------------------------------------
 
@@ -669,17 +648,17 @@ def find_fixed_point(
 def henon_chain(c: float | complex) -> AutoChain:
     """The volume-preserving Henon-type map (x, y) -> (x^2 + c - y, x)."""
     rot = Linear(0.0, -1.0, 1.0, 0.0)
-    return AutoChain.of(rot, ShearX((complex(c), 0.0, 1.0)))
+    return AutoChain((rot, ShearX((complex(c), 0.0, 1.0))))
 
 
 def diag_linear_chain(a: complex, d: complex) -> AutoChain:
-    return AutoChain.of(Linear(a, 0.0, 0.0, d))
+    return AutoChain((Linear(a, 0.0, 0.0, d),))
 
 
 def conjugate_by_translation(chain: AutoChain, p: Point) -> AutoChain:
     """T_{-p} o chain o T_{p}: moves a fixed point at p to the origin."""
     steps = (Translation(p[0], p[1]),) + chain.steps + (Translation(-p[0], -p[1]),)
-    return AutoChain(steps, volume_preserving=chain.volume_preserving)
+    return AutoChain(steps)
 
 
 # -- map definition files ---------------------------------------------------
@@ -747,16 +726,17 @@ def step_to_dict(step: Step) -> dict:
 
 
 def map_from_dict(d: dict) -> AutoChain | EndoChain:
-    """Parse a map definition; quadratic_jet steps force an endomorphism."""
+    """Parse a map definition; quadratic_jet steps force an endomorphism.
+    A declared "volume_preserving": true is checked against the steps."""
     if not isinstance(d, dict) or "steps" not in d:
         raise MapFormatError("map definition must be an object with a 'steps' list")
     steps = tuple(step_from_dict(s) for s in d["steps"])
     if any(isinstance(s, QuadraticJet) for s in steps):
         return EndoChain(steps)
-    vp = d.get("volume_preserving")
-    if vp is None:
-        return AutoChain.of(*steps)
-    return AutoChain(steps, volume_preserving=bool(vp))
+    chain = AutoChain(steps)
+    if d.get("volume_preserving") and not chain.volume_preserving:
+        raise InvalidParameter("map declares volume_preserving but a linear step has det != 1")
+    return chain
 
 
 def map_to_dict(chain: AutoChain | EndoChain) -> dict:

@@ -78,13 +78,16 @@ class LocalGraph:
     stable_direction: np.ndarray
     unstable_direction: np.ndarray
     delta: float
-    epsilon: float
     s_grid: np.ndarray
     t_values: np.ndarray
     mesh: tuple[int, int]
     iterations: int
     sup_changes: tuple[float, ...]
     fit_coeffs: np.ndarray = field(repr=False)
+
+    @property
+    def epsilon(self) -> float:
+        return 2.0 * self.delta
 
     def gamma(self, s):
         t = polyval(self.fit_coeffs, s)
@@ -150,12 +153,11 @@ def local_stable_graph(
         for _ in range(16):
             x = bx + s_grid * vs[0] + t_cur * vu[0]
             y = by + s_grid * vs[1] + t_cur * vu[1]
-            fx, fy = chain.apply(x, y)
+            j11, j12, j21, j22, fx, fy = chain.differential_batch(x, y)
             dx, dy = fx - bx, fy - by
             s1 = ei[0, 0] * dx + ei[0, 1] * dy
             t1 = ei[1, 0] * dx + ei[1, 1] * dy
             residual = t1 - polyval(coeffs, s1)
-            j11, j12, j21, j22 = chain.differential_batch(x, y)
             dfx = j11 * vu[0] + j12 * vu[1]
             dfy = j21 * vu[0] + j22 * vu[1]
             ds1 = ei[0, 0] * dfx + ei[0, 1] * dfy
@@ -194,7 +196,6 @@ def local_stable_graph(
         stable_direction=vs,
         unstable_direction=vu,
         delta=delta,
-        epsilon=2.0 * delta,
         s_grid=s_grid,
         t_values=t_vals,
         mesh=mesh,

@@ -60,7 +60,7 @@ class MapSequence:
 
     generator: Callable[[int], MapLike]
     tangency_required: bool = False
-    _checked: set = field(default_factory=set, repr=False)
+    _checked: set = field(default_factory=set, init=False, repr=False)
 
     def map_at(self, j: int) -> MapLike:
         m = self.generator(j)
@@ -116,7 +116,8 @@ def nonauto_attracting_probe(
     cap: float = DEFAULT_CAP,
 ) -> np.ndarray:
     """Cells (real 2-D slice) whose centre composition-orbit ends within
-    conv_tol of 0 at step n_max and for the 20 preceding steps."""
+    conv_tol of 0 at step n_max and for the 20 preceding iterates, the
+    starting point counted; for n_max < 20, every iterate from the start."""
     na, nb = grid
     xs, ys = grid_centres(box, grid)
     if xs.size == 0:
@@ -130,8 +131,8 @@ def nonauto_attracting_probe(
         near = keep & hypot_below(np.abs(nx), np.abs(ny), conv_tol)
         return keep, (nx, ny, np.where(near, run + 1, 0))
 
-    state = (xs, ys, np.zeros(xs.shape[0], dtype=np.int64))
-    idx, (_, _, run) = iterate_live(advance, state, n_max)
+    start_near = hypot_below(np.abs(xs), np.abs(ys), conv_tol).astype(np.int64)
+    idx, (_, _, run) = iterate_live(advance, (xs, ys, start_near), n_max)
     marked = np.zeros(xs.shape[0], dtype=bool)
     marked[idx[run >= min(HYSTERESIS + 1, n_max + 1)]] = True
     return marked.reshape(nb, na)
@@ -429,7 +430,7 @@ def sequence_from_dict(d: dict) -> MapSequence:
             from .core import ShearX
 
             coeffs = tuple(complex(v) for v in params.get("coeffs", [0.0, 1.0]))
-            fwd = AutoChain.of(ShearX(coeffs))
+            fwd = AutoChain((ShearX(coeffs),))
             back = fwd.inverted()
             return MapSequence(lambda j: fwd if j % 2 == 1 else back)
         raise MapFormatError(f"unknown family {name!r}")

@@ -62,23 +62,19 @@ class HomogeneousQuadratic:
 
     p: tuple[complex, complex, complex]
     q: tuple[complex, complex, complex]
-    volume_preserving: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
-        if self.volume_preserving and not self.is_divergence_free():
-            raise InvalidParameter(
-                "flagged volume-preserving but div P2 != 0 "
-                f"(needs q_xy = -2 p_a and q_c = -p_xy / 2): p={self.p} q={self.q}"
-            )
 
     @classmethod
     def normal_form(cls, c: complex) -> "HomogeneousQuadratic":
         """The one-parameter family (x^2 + 2xy + c y^2, -2xy - y^2)."""
-        return cls((1.0, 2.0, complex(c)), (0.0, -2.0, -1.0), volume_preserving=True)
+        return cls((1.0, 2.0, complex(c)), (0.0, -2.0, -1.0))
 
     def is_divergence_free(self) -> bool:
+        """div P2 = 0 (q_xy = -2 p_a, q_c = -p_xy / 2): the quadratic part of
+        a volume-preserving map, whose Jacobian determinant is 1 + O(|z|^2)."""
         scale = self.norm() + 1.0
         return (
             abs(self.q[1] + 2 * self.p[0]) <= _DIV_TOL * scale
@@ -150,11 +146,6 @@ class CharacteristicDirection:
     lam: complex
     degenerate: bool
     chart: str
-
-    def residual(self, p2: HomogeneousQuadratic) -> float:
-        vx, vy = complex(self.direction[0]), complex(self.direction[1])
-        px, qy = p2.eval(vx, vy)
-        return math.hypot(abs(px - self.lam * vx), abs(qy - self.lam * vy))
 
 
 def _newton_polish_root(coeffs: np.ndarray, r: complex) -> complex:
@@ -250,7 +241,6 @@ def make_nondegenerate(
     return HomogeneousQuadratic(
         (p2.p[0] + eps, p2.p[1], p2.p[2]),
         (p2.q[0], p2.q[1] - 2 * eps, p2.q[2]),
-        volume_preserving=p2.volume_preserving,
     )
 
 
@@ -283,13 +273,11 @@ def normalize(p2: HomogeneousQuadratic, v: CharacteristicDirection) -> Normalize
     q1 = p2.conjugate_linear(m1)
     b = q1.p[1] / 2.0
     if abs(b) <= _ZERO_TOL * max(q1.norm(), 1.0):
-        quad = HomogeneousQuadratic(q1.p, q1.q, volume_preserving=True)
-        return NormalizeResult(quad, q1.p[2], m1, b_was_zero=True)
+        return NormalizeResult(q1, q1.p[2], m1, b_was_zero=True)
     m2 = np.array([[1.0, 0.0], [0.0, 1.0 / b]], dtype=complex)
     m = m1 @ m2
     q2 = p2.conjugate_linear(m)
-    quad = HomogeneousQuadratic(q2.p, q2.q, volume_preserving=True)
-    return NormalizeResult(quad, q2.p[2], m, b_was_zero=False)
+    return NormalizeResult(q2, q2.p[2], m, b_was_zero=False)
 
 
 # -- blow-up dynamics --------------------------------------------------------
@@ -680,7 +668,7 @@ def quadratic_shear(m: complex, t: complex) -> AutoChain:
     a generalized shear with exact inverse z -> z - t (1, m) (m x - y)^2.
     """
     a = Linear(m, -1.0, 1.0, 0.0)
-    return AutoChain.of(a, ShearY((0.0, 0.0, complex(t))), a.inverted())
+    return AutoChain((a, ShearY((0.0, 0.0, complex(t))), a.inverted()))
 
 
 def tangent_shear_chain(c: complex) -> AutoChain:
@@ -703,8 +691,7 @@ def tangent_shear_chain(c: complex) -> AutoChain:
         raise InvalidParameter("double shear direction (c = 3/4); pick another c")
     t1 = (-1.0 - c * m2) / (m1 - m2)
     t2 = c - t1
-    chain = AutoChain.of(*(quadratic_shear(m1, t1).steps + quadratic_shear(m2, t2).steps))
-    return chain
+    return AutoChain(quadratic_shear(m1, t1).steps + quadratic_shear(m2, t2).steps)
 
 
 def normal_form_family(c: complex) -> EndoChain:

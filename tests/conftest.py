@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ def quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, comple
 
     disc = cmath.sqrt(b * b - 4 * a * c)
     return (-b + disc) / (2 * a), (-b - disc) / (2 * a)
+
+
+def direction_residual(d, p2) -> float:
+    """|P2(v) - lambda v| for a characteristic direction d with vector v."""
+    vx, vy = complex(d.direction[0]), complex(d.direction[1])
+    px, qy = p2.eval(vx, vy)
+    return math.hypot(abs(px - d.lam * vx), abs(qy - d.lam * vy))
 
 
 def finite_difference_jacobian(chain, z, h=1e-5):
@@ -135,7 +143,7 @@ def literal_formulas(step):
 
 
 def identity_chain() -> AutoChain:
-    return AutoChain.of()
+    return AutoChain(())
 
 
 def bidisc_points(seed: int, n: int, radius: float):

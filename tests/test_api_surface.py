@@ -10,12 +10,13 @@ positions are counted only up to the first ``*args``.  Calls are matched to
 definitions by name alone, so a parameter may be passed to a namesake; that
 can hide a knob but never report a false one.
 
-A public top-level function or class of ``src/holodyn`` is used when its
-name is read (as a name or an attribute) somewhere in ``src/``,
-``scripts/`` or ``perfbench/``; a function under a decorator counts as
-used, since the decorator registers it (the ``cli.cmd_*`` handlers).
-Names are matched alone here too, so a namesake can hide dead code but
-never report live code as dead.
+A public top-level function or class of ``src/holodyn``, and a public
+method or property of any class there, is used when its name is read (as
+a name, an attribute or a whole string, as ``getattr`` takes it) somewhere
+in ``src/``, ``scripts/`` or ``perfbench/``; a top-level function under a
+decorator counts as used, since the decorator registers it (the
+``cli.cmd_*`` handlers).  Names are matched alone here too, so a namesake
+can hide dead code but never report live code as dead.
 """
 from __future__ import annotations
 
@@ -115,9 +116,18 @@ def test_every_public_definition_is_used_outside_the_tests():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
     uncalled = []
     for path in sorted(LIBRARY.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                uncalled += [
+                    f"{path.stem}.{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                    and m.name not in read
+                ]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             registered = isinstance(node, ast.FunctionDef) and node.decorator_list

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -25,10 +27,11 @@ from holodyn.core import (
     henon_chain,
     hypot_below,
     hypot_max,
+    load_map,
     map_from_dict,
     map_to_dict,
 )
-from holodyn.errors import NoConvergence, SingularDifferential
+from holodyn.errors import InvalidParameter, NoConvergence, SingularDifferential
 from holodyn.poly import polyder, polyval
 
 import mp_oracle
@@ -41,6 +44,8 @@ from conftest import (
     quadratic_roots,
     total_degree,
 )
+
+MAPS = Path(__file__).resolve().parents[1] / "maps"
 
 
 def test_identity_chain_evaluates_to_input():
@@ -57,7 +62,7 @@ def test_henon_fixed_point_from_quadratic_oracle(henon075):
 
 
 def test_single_shear_step():
-    ch = AutoChain.of(ShearX((0.0, 0.0, 1.0)))
+    ch = AutoChain((ShearX((0.0, 0.0, 1.0)),))
     assert ch.evaluate((0.0, 2.0)) == (4.0, 2.0)
 
 
@@ -230,7 +235,7 @@ def _dist(got, want):
     y=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
 )
 def test_inverse_round_trip_property(steps, x, y):
-    ch = AutoChain.of(*steps)
+    ch = AutoChain(steps)
     w = ch.evaluate((x, y), cap=1e15)
     assert _dist(w, mp_oracle.forward(ch, (x, y))) <= 2 * _forward_bound(ch.steps, (x, y))
     # the inverted chain runs each step's inverse formula with rounded coefficients
@@ -255,7 +260,7 @@ def test_round_trip_thousand_points(henon075):
 @settings(max_examples=40, deadline=None)
 @given(steps=_steps_strategy(), x=_coeff, y=_coeff)
 def test_volume_preserving_determinant_property(steps, x, y):
-    ch = AutoChain.of(*steps)
+    ch = AutoChain(steps)
     if not ch.volume_preserving:
         return
     j = ch.differential((x, y))
@@ -326,7 +331,7 @@ def test_find_fixed_point_identity_degenerate():
 
 
 def test_find_fixed_point_translation_singular():
-    ch = AutoChain.of(Translation(1.0, 0.0))
+    ch = AutoChain((Translation(1.0, 0.0),))
     with pytest.raises(SingularDifferential):
         find_fixed_point(ch, (0.0, 0.0))
 
@@ -373,10 +378,25 @@ def test_quadratic_jet_maps_load_as_endomorphisms():
 def test_autochain_rejects_jets_and_bad_flags():
     with pytest.raises(ValueError):
         AutoChain((QuadraticJet((1, 0, 0), (0, 0, 0)),))
-    with pytest.raises(ValueError):
-        AutoChain((Linear(2.0, 0.0, 0.0, 1.0),), volume_preserving=True)
+    steps = [{"kind": "linear", "matrix": [[2, 0], [0, 1]]}]
+    with pytest.raises(InvalidParameter):
+        map_from_dict({"volume_preserving": True, "steps": steps})
+    # a file may leave the flag out or set it false; the written map carries
+    # the value derived from the steps
+    for d in ({"volume_preserving": False, "steps": steps}, {"steps": steps}):
+        assert map_to_dict(map_from_dict(d))["volume_preserving"] is False
+    assert AutoChain((Linear(2.0, 0.0, 0.0, 0.5),)).volume_preserving
+    assert not AutoChain((Linear(2.0, 0.0, 0.0, 1.0),)).volume_preserving
     with pytest.raises(ValueError):
         Linear(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in MAPS.glob("*.json") if not p.name.startswith("seq_"))
+)
+def test_shipped_map_files_round_trip(path):
+    # pins the volume_preserving derived from the steps against each file
+    assert map_to_dict(load_map(str(path))) == json.loads(path.read_text())
 
 
 def test_to_polynomial_exact_for_henon(henon075):
@@ -561,12 +581,12 @@ _NO_OPS = (Linear(1.0, 0.0, 0.0, 1.0), ShearX((0.0, 0.0)), Linear(0.0, 1.0, 1.0,
 def test_callers_keep_their_input_arrays_when_a_step_returns_them():
     xs, ys = bidisc_points(13, 200, 1.5)
     x0, y0 = xs.copy(), ys.copy()
-    chain = AutoChain.of(*_NO_OPS, *henon_chain(0.75).steps, *_NO_OPS)
+    chain = AutoChain((*_NO_OPS, *henon_chain(0.75).steps, *_NO_OPS))
     assert chain.steps[0].apply(xs, ys)[0] is xs
     fx, fy, _ = chain.evaluate_batch(xs, ys)
     chain.inverted().evaluate_batch(fx, fy)
     orbit_verdicts(chain, xs, ys, 40, target=(0.5 + 0j, 0.5 + 0j))
-    orbit_verdicts(AutoChain.of(*_NO_OPS), xs, ys, 40, target=(0j, 0j))
+    orbit_verdicts(AutoChain(_NO_OPS), xs, ys, 40, target=(0j, 0j))
     assert np.array_equal(xs, x0) and np.array_equal(ys, y0)
 
     nf = parabolic.normal_form_family(1.0)

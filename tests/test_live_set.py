@@ -186,7 +186,7 @@ def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3, cap=DEFAULT_CAP):
         return np.zeros((nb, na), dtype=bool)
     xs, ys = grid_centres(box, grid)
     alive = np.ones(xs.shape[0], dtype=bool)
-    run = np.zeros(xs.shape[0], dtype=np.int64)
+    run = (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol).astype(np.int64)  # the start counts
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
         alive &= ~_escaped_ref(nx, ny, cap)
@@ -293,7 +293,7 @@ def _sector_inputs(seed, n, x, spread):
 # the swap map (x, y) -> (a y, b x) with ab < 1 converges to 0 while its
 # distance to 0 alternates, so runs in a conv_tol ball start and reset
 def _swap(a, b):
-    return AutoChain.of(Linear(0.0, a, b, 0.0))
+    return AutoChain((Linear(0.0, a, b, 0.0),))
 
 
 _ORBIT_CHAINS = [
@@ -301,7 +301,7 @@ _ORBIT_CHAINS = [
     henon_chain(-0.3 + 0.2j),
     diag_linear_chain(0.5, 0.9j),
     _swap(0.5, 1.9),
-    AutoChain.of(ShearX((0.0, 0.0, 1.0))),
+    AutoChain((ShearX((0.0, 0.0, 1.0)),)),
 ]
 
 
@@ -515,7 +515,7 @@ def test_dichotomy_empty_input_and_zero_steps():
 
 
 def _alternating(coeffs):
-    fwd = AutoChain.of(ShearX(coeffs))
+    fwd = AutoChain((ShearX(coeffs),))
     back = fwd.inverted()
     return MapSequence(lambda j: fwd if j % 2 == 1 else back)
 

@@ -49,7 +49,7 @@ def test_constant_sequence_matches_autonomous(henon075):
 
 
 def test_alternating_shear_cancels_every_even_step():
-    fwd = AutoChain.of(ShearX((0.0, 0.0, 1.0)))
+    fwd = AutoChain((ShearX((0.0, 0.0, 1.0)),))
     seq = list_sequence([fwd, fwd.inverted()] * 4)
     states, _ = nonauto_orbit(seq, (0.4, 0.7), 8)
     for k in range(5):
@@ -84,6 +84,15 @@ def test_tangency_gate_accepts_tangent_chain():
 def test_probe_contraction_marks_everything():
     seq = constant_sequence(diag_linear_chain(0.5, 0.5))
     marked = nonauto_attracting_probe(seq, ((-1, 1), (-1, 1)), (9, 9), 60)
+    assert marked.all()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 5, 20, 21])
+def test_probe_counts_the_start_for_short_horizons(n_max):
+    # every cell starts and stays within conv_tol, so each is marked even
+    # when n_max leaves no room for 20 steps after the start
+    seq = constant_sequence(diag_linear_chain(0.5, 0.5))
+    marked = nonauto_attracting_probe(seq, ((-1e-4, 1e-4), (-1e-4, 1e-4)), (4, 4), n_max)
     assert marked.all()
 
 

@@ -36,7 +36,7 @@ from holodyn.parabolic import (
     tangent_shear_chain,
 )
 
-from conftest import expansion_pair_margin, identity_chain, quadratic_roots
+from conftest import direction_residual, expansion_pair_margin, identity_chain, quadratic_roots
 
 
 # -- quadratic parts ----------------------------------------------------------
@@ -72,9 +72,11 @@ def test_quadratic_part_rejects_non_tangent(henon075):
 
 
 def test_divergence_free_flag_validation():
+    bad = HomogeneousQuadratic((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert not bad.is_divergence_free()
     with pytest.raises(ValueError):
-        HomogeneousQuadratic((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), volume_preserving=True)
-    q = HomogeneousQuadratic((1.0, 2.0, 3.0), (5.0, -2.0, -1.0), volume_preserving=True)
+        normalize(bad, characteristic_directions(bad)[0])
+    q = HomogeneousQuadratic((1.0, 2.0, 3.0), (5.0, -2.0, -1.0))
     assert q.is_divergence_free()
 
 
@@ -96,7 +98,7 @@ def test_characteristic_directions_c3_oracle():
     for g, w in zip(got, want):
         assert abs(g - w) < 1e-9
     for d in dirs:
-        assert d.residual(p2) < 1e-10 * p2.norm()
+        assert direction_residual(d, p2) < 1e-10 * p2.norm()
         assert not d.degenerate
     lam_origin = [d for d in dirs if abs(_chart_u(d)) < 1e-9][0]
     assert abs(lam_origin.lam - 1.0) < 1e-12
@@ -120,7 +122,7 @@ def test_characteristic_directions_merge_multiplicity():
     assert len(finite) == 1
     assert finite[0].degenerate
     for d in dirs:
-        assert d.residual(p2) < 1e-10 * max(p2.norm(), 1.0)
+        assert direction_residual(d, p2) < 1e-10 * max(p2.norm(), 1.0)
 
 
 def test_characteristic_directions_all_marker():
