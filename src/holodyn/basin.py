@@ -5,8 +5,8 @@ converged once it sits within conv_tol of the target for 20 consecutive
 steps, which keeps transits through a neighbourhood from flagging early.
 The distance is hypot(|dx|, |dy|), decided exactly by core.hypot_below,
 which calls libm hypot only where max(|dx|, |dy|) cannot decide it.
-Escape means the magnitude cap was exceeded.  All grid/sample probes run
-vectorised, iterate only the points whose orbit is still undecided (see
+Escape means a coordinate passed core.DEFAULT_CAP.  All grid/sample probes
+run vectorised, iterate only the points whose orbit is still undecided (see
 core.iterate_live) and draw their randomness as deterministic
 counter-based batches, so results are independent of chunking.
 """
@@ -39,11 +39,9 @@ VERDICT_ESCAPED = 2
 
 @dataclass(eq=False)
 class OrbitRecord:
-    start: Point
     states: list[Point]
     verdict: str  # 'converged' | 'escaped' | 'undecided'
     step: int | None
-    target: Point | None
 
     @property
     def converged(self) -> bool:
@@ -66,7 +64,7 @@ def orbit(
         nx, ny = chain.apply(x, y)
         m = max(abs(nx), abs(ny))
         if not math.isfinite(m) or m > DEFAULT_CAP:
-            return OrbitRecord((z[0], z[1]), states, "escaped", n, target)
+            return OrbitRecord(states, "escaped", n)
         x, y = nx, ny
         if len(states) < keep_states:
             states.append((x, y))
@@ -74,8 +72,8 @@ def orbit(
             d = math.hypot(abs(x - target[0]), abs(y - target[1]))
             run = run + 1 if d < conv_tol else 0
             if run >= HYSTERESIS:
-                return OrbitRecord((z[0], z[1]), states, "converged", n, target)
-    return OrbitRecord((z[0], z[1]), states, "undecided", None, target)
+                return OrbitRecord(states, "converged", n)
+    return OrbitRecord(states, "undecided", None)
 
 
 def orbit_verdicts(
@@ -85,7 +83,6 @@ def orbit_verdicts(
     max_iter: int,
     target: Point | None = None,
     conv_tol: float = 1e-3,
-    cap: float = DEFAULT_CAP,
 ):
     """Vectorised orbit verdicts; returns (codes, steps) arrays."""
     x = np.asarray(xs, dtype=complex)
@@ -95,7 +92,7 @@ def orbit_verdicts(
 
     def advance(k, idx, xk, yk, run):
         nx, ny = chain.apply(xk, yk)
-        esc = _escaped(nx, ny, cap)
+        esc = _escaped(nx, ny)
         codes[idx[esc]] = VERDICT_ESCAPED
         steps[idx[esc]] = k
         keep = ~esc
@@ -131,7 +128,6 @@ def dichotomy_probe(
     m_max: int,
     samples: int = 512,
     seed: int = 11,
-    cap: float = DEFAULT_CAP,
 ) -> DichotomyReport:
     """Search the closed r-ball around fp for points whose first m iterates
     all stay outside the open r-ball.
@@ -160,7 +156,7 @@ def dichotomy_probe(
 
     def advance(k, idx, xk, yk):
         nx, ny = chain.apply(xk, yk)
-        esc = _escaped(nx, ny, cap)
+        esc = _escaped(nx, ny)
         # escape: every later iterate stays outside the ball
         exit_run[idx[esc]] = m_max
         # esc covers every non-finite image, so "not below r" is ">= r" here

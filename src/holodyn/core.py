@@ -55,6 +55,7 @@ Point = tuple[complex, complex]
 
 DEFAULT_CAP = 1e12
 NEUTRAL_TOL = 1e-9
+_NEWTON_MAX_ITER = 100
 IDENTITY_TOL = 1e-9
 _DET_ONE_TOL = 1e-12
 
@@ -418,14 +419,14 @@ class AutoChain(_ChainOps):
                 raise Overflow(m, i)
         return x, y
 
-    def evaluate_batch(self, xs, ys, cap: float = DEFAULT_CAP):
+    def evaluate_batch(self, xs, ys):
         """Vectorised evaluation; returns (xs, ys, ok) with escapers frozen at 0."""
         x = np.array(xs, dtype=complex, copy=True)
         y = np.array(ys, dtype=complex, copy=True)
         ok = np.ones(x.shape, dtype=bool)
         for step in self.steps:
             nx, ny = step.apply(x, y)
-            ok &= ~_escaped(nx, ny, cap)
+            ok &= ~_escaped(nx, ny)
             x = np.where(ok, nx, 0j)
             y = np.where(ok, ny, 0j)
         return x, y, ok
@@ -436,14 +437,12 @@ class AutoChain(_ChainOps):
         return self.inverted().evaluate_batch(xs, ys)
 
 
-def _escaped(nx, ny, cap):
-    """True where an image is non-finite or has a coordinate above cap."""
+def _escaped(nx, ny):
+    """True where an image is non-finite or has a coordinate above DEFAULT_CAP:
+    the one escape test of every batch path and probe.  A non-finite
+    coordinate has a nan or inf modulus, which fails <=."""
     with np.errstate(invalid="ignore", over="ignore"):
-        if math.isfinite(cap):
-            # a non-finite coordinate has a nan or inf modulus, which fails <=
-            return ~(np.maximum(np.abs(nx), np.abs(ny)) <= cap)
-        # an infinite modulus is not above cap = inf, so test finiteness apart
-        return ~(np.isfinite(nx) & np.isfinite(ny)) | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
+        return ~(np.maximum(np.abs(nx), np.abs(ny)) <= DEFAULT_CAP)
 
 
 def hypot_below(p, q, bound):
@@ -484,8 +483,10 @@ def iterate_live(advance, arrays, steps: int):
     idx holds the original indices of the points whose state is in arrays
     (np.arange(n) at first); points where keep is false leave both, and
     advance records their verdicts by scattering through idx.  Returns the
-    final (idx, arrays).
+    final (idx, arrays).  A negative step count raises InvalidParameter.
     """
+    if steps < 0:
+        raise InvalidParameter(f"step count must be >= 0, got {steps}")
     idx = np.arange(len(arrays[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing on the way out is an escape
         for k in range(1, steps + 1):
@@ -577,11 +578,10 @@ def find_fixed_point(
     chain: AutoChain,
     seed: Point,
     tol: float = 1e-12,
-    max_iter: int = 100,
 ) -> FixedPointInfo:
     """Newton iteration on f(z) - z with residual-halving damping.
 
-    Raises NoConvergence after max_iter, SingularDifferential when the
+    Raises NoConvergence after _NEWTON_MAX_ITER, SingularDifferential when the
     Newton matrix df - I degenerates (conditioning info attached).
     """
     if tol <= 0:
@@ -594,7 +594,7 @@ def find_fixed_point(
         raise NoConvergence(f"seed escapes under f: {exc}") from exc
 
     iterations = 0
-    for iterations in range(max_iter):
+    for iterations in range(_NEWTON_MAX_ITER):
         if r < tol:
             break
         j = chain.differential(z) - np.eye(2)
@@ -620,7 +620,7 @@ def find_fixed_point(
         z, g, r = z_new, g_new, r_new
     else:
         raise NoConvergence(
-            f"Newton did not reach tol {tol:.1e} in {max_iter} iterations", residual=r
+            f"Newton did not reach tol {tol:.1e} in {_NEWTON_MAX_ITER} iterations", residual=r
         )
 
     j = chain.differential(z)

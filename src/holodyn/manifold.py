@@ -34,7 +34,6 @@ from .core import (
     AutoChain,
     Classification,
     FixedPointInfo,
-    DEFAULT_CAP,
     Point,
     find_fixed_point,
 )
@@ -245,13 +244,12 @@ def pullback_clouds(
     chain: AutoChain,
     graph: LocalGraph,
     depth: int,
-    cap: float = DEFAULT_CAP,
 ) -> Iterator[PointCloud]:
     """Yield the clouds f^{-n}(graph samples) for n = 0..depth.
 
     Depth n applies the exact inverse once to the state depth n-1 reached,
-    so the whole sweep costs depth inverse passes.  Points that overflow
-    the cap are dropped and counted, not fatal.
+    so the whole sweep costs depth inverse passes.  Points that pass
+    DEFAULT_CAP are dropped and counted, not fatal.
     """
     if depth < 0:
         raise InvalidParameter("depth must be >= 0")
@@ -262,7 +260,7 @@ def pullback_clouds(
     inv = chain.inverted()
     for n in range(depth + 1):
         if n:
-            xs, ys, step_ok = inv.evaluate_batch(xs, ys, cap=cap)
+            xs, ys, step_ok = inv.evaluate_batch(xs, ys)
             ok &= step_ok
         yield PointCloud(np.stack([xs[ok], ys[ok]], axis=1), int(np.count_nonzero(~ok)))
 
@@ -271,10 +269,9 @@ def pullback_cloud(
     chain: AutoChain,
     graph: LocalGraph,
     depth: int,
-    cap: float = DEFAULT_CAP,
 ) -> PointCloud:
     """The last cloud of pullback_clouds: every graph sample pulled back depth times."""
-    for cloud in pullback_clouds(chain, graph, depth, cap):
+    for cloud in pullback_clouds(chain, graph, depth):
         pass
     return cloud
 
@@ -468,23 +465,23 @@ def stability_experiment(
     family: Callable[[float], AutoChain],
     t_values: Sequence[float],
     delta: float,
-    mesh: tuple[int, int] = (10, 16),
     tol: float = 1e-9,
     pullback_depth: int = 4,
 ) -> list[StabilityRow]:
     """Graph and cloud distances for a perturbation family.
 
     The perturbed fixed point is tracked by Newton seeded at the
-    unperturbed one; distances are graph_distance for the local graphs and
-    the symmetric Hausdorff distance for depth-n pullback clouds.
+    unperturbed one; distances are graph_distance for the local graphs, both
+    on local_stable_graph's default mesh, and the symmetric Hausdorff
+    distance for depth-n pullback clouds.
     """
-    base_graph = local_stable_graph(chain, fp, delta, mesh=mesh, tol=tol)
+    base_graph = local_stable_graph(chain, fp, delta, tol=tol)
     base_cloud = pullback_cloud(chain, base_graph, pullback_depth)
     rows = []
     for t in t_values:
         pert = family(t)
         fp_t = find_fixed_point(pert, fp.location)
-        graph_t = local_stable_graph(pert, fp_t, delta, mesh=mesh, tol=tol)
+        graph_t = local_stable_graph(pert, fp_t, delta, tol=tol)
         cloud_t = pullback_cloud(pert, graph_t, pullback_depth)
         rows.append(
             StabilityRow(

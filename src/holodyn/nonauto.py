@@ -113,7 +113,6 @@ def nonauto_attracting_probe(
     grid: tuple[int, int],
     n_max: int,
     conv_tol: float = 1e-3,
-    cap: float = DEFAULT_CAP,
 ) -> np.ndarray:
     """Cells (real 2-D slice) whose centre composition-orbit ends within
     conv_tol of 0 at step n_max and for the 20 preceding iterates, the
@@ -127,7 +126,7 @@ def nonauto_attracting_probe(
 
     def advance(j, idx, xj, yj, run):
         nx, ny = maps[j - 1].apply(xj, yj)
-        keep = ~_escaped(nx, ny, cap)
+        keep = ~_escaped(nx, ny)
         near = keep & hypot_below(np.abs(nx), np.abs(ny), conv_tol)
         return keep, (nx, ny, np.where(near, run + 1, 0))
 
@@ -235,7 +234,6 @@ class DisjointnessReport:
     disjoint: bool
     min_gap: float
     worst_pair: tuple[str, str]
-    pair_gaps: dict[tuple[str, str], float]
     sampled_min: float
 
 
@@ -272,7 +270,6 @@ def disjointness_check(params: SectorSetParams, samples: int = 2000, seed: int =
         disjoint=min_gap > 0,
         min_gap=min_gap,
         worst_pair=worst_pair,
-        pair_gaps=gaps,
         sampled_min=sampled_min,
     )
 
@@ -328,9 +325,6 @@ class PointwiseUniformRow:
 @dataclass(eq=False)
 class PointwiseUniformReport:
     rows: list[PointwiseUniformRow]
-    grid_points: int
-    witness_points: int
-    conv_tol: float
 
 
 def pointwise_vs_uniform_report(
@@ -350,6 +344,8 @@ def pointwise_vs_uniform_report(
     core.hypot_below give its sup and the conv_tol test exactly, calling
     libm hypot only where max(|x|, |y|) cannot decide them.
     """
+    if n_max < 0:
+        raise InvalidParameter(f"n_max must be >= 0, got {n_max}")
     xs, ys = grid_centres(box, grid)
     if witnesses:
         wx = np.asarray([w[0] for w in witnesses], dtype=complex)
@@ -369,16 +365,11 @@ def pointwise_vs_uniform_report(
     rows = [row(0, xs, ys)]
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
-        bad = _escaped(nx, ny, DEFAULT_CAP)
+        bad = _escaped(nx, ny)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
         rows.append(row(j, xs, ys))
-    return PointwiseUniformReport(
-        rows=rows,
-        grid_points=grid[0] * grid[1],
-        witness_points=len(witnesses),
-        conv_tol=conv_tol,
-    )
+    return PointwiseUniformReport(rows=rows)
 
 
 def demonstrator_sequence() -> MapSequence:

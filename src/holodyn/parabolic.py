@@ -343,7 +343,6 @@ class SectorOrbitResult:
     kind: str  # 'converged' | 'left' | 'undecided'
     steps: int
     last: SectorPoint
-    min_abs_x: float
 
 
 def sector_orbit(
@@ -360,17 +359,15 @@ def sector_orbit(
     for the limit statement.
     """
     cur = pt
-    min_abs = abs(pt.x)
     if not in_sector(cur):
-        return SectorOrbitResult("left", 0, cur, min_abs)
+        return SectorOrbitResult("left", 0, cur)
     for n in range(1, max_iter + 1):
         cur = blowup_step(map_like, cur)
-        min_abs = min(min_abs, abs(cur.x))
         if not in_sector(cur):
-            return SectorOrbitResult("left", n, cur, min_abs)
+            return SectorOrbitResult("left", n, cur)
         if abs(cur.x) < floor:
-            return SectorOrbitResult("converged", n, cur, min_abs)
-    return SectorOrbitResult("undecided", max_iter, cur, min_abs)
+            return SectorOrbitResult("converged", n, cur)
+    return SectorOrbitResult("undecided", max_iter, cur)
 
 
 # -- expansion (difference growth in u) --------------------------------------
@@ -400,6 +397,8 @@ def expansion_check(
     For eps in the contraction regime the expected violation count is 0;
     a nonzero count flags eps outside the regime (regime_ok False).
     """
+    if trials < 1:
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
     g = make_generator(seed)
     got = 0
     violations = 0

@@ -1,14 +1,19 @@
-"""Every defaulted parameter of a holodyn function is passed by some call,
-and every public top-level function and class is used outside the tests.
+"""Every defaulted parameter of a holodyn function is passed by some call
+outside the tests, and every public top-level function and class is used
+outside the tests.
 
-A parameter with a default that no call in ``src/``, ``scripts/``,
-``perfbench/`` or ``tests/`` ever sets has one value in use, and such a
-value is a constant of the module that reads it, not an option.  A call
-sets a parameter by keyword or by position; a call of a class sets the
-parameters of its ``__init__``.  ``**kwargs`` forwarding sets nothing, and
-positions are counted only up to the first ``*args``.  Calls are matched to
-definitions by name alone, so a parameter may be passed to a namesake; that
-can hide a knob but never report a false one.
+A value counts as an option only when two callers outside the tests need
+different values.  So a parameter with a default that no call in ``src/``,
+``scripts/`` or ``perfbench/`` sets, even one the tests set, has one value
+in use, and that value is a constant of the module that reads it.  Two kinds
+are exempt, each with its reason: the parameters of the ``_UNCALLED``
+functions, which have no caller outside the tests yet, and those named in
+``_REFERENCE_PARAMETERS``.  A call sets a parameter by keyword or by
+position; a call of a class sets the parameters of its ``__init__``.
+``**kwargs`` forwarding sets nothing, and positions are counted only up to
+the first ``*args``.  Calls are matched to definitions by name alone, so a
+parameter may be passed to a namesake; that can hide a knob but never report
+a false one.
 
 A public top-level function or class of ``src/holodyn``, and a public
 method or property of any class there, is used when its name is read (as
@@ -27,7 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "holodyn"
 NON_TEST = ("src", "scripts", "perfbench")
-CALLERS = (*NON_TEST, "tests")
 
 
 def _defaulted_parameters(path: Path):
@@ -67,7 +71,7 @@ def _passed_by_calls():
     """Call name -> (keywords set, most positional arguments) over all callers."""
     keywords = defaultdict(set)
     positions = defaultdict(int)
-    for top in CALLERS:
+    for top in NON_TEST:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if not isinstance(node, ast.Call):
@@ -86,17 +90,25 @@ def _passed_by_calls():
     return keywords, positions
 
 
+# defaulted parameters that no call outside the tests sets, and why they stay
+_REFERENCE_PARAMETERS = {
+    "basin.orbit(conv_tol)": "orbit is the scalar reference that perfbench and the tests "
+    "compare orbit_verdicts against, so it takes any tolerance interior --conv-tol can set",
+}
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
     keywords, positions = _passed_by_calls()
     unpassed = []
     for path in sorted(LIBRARY.glob("*.py")):
         for qual, callee, param, pos in _defaulted_parameters(path):
             by_position = pos is not None and positions[callee] > pos
-            if param not in keywords[callee] and not by_position:
+            if param not in keywords[callee] and not by_position and qual not in _UNCALLED:
                 unpassed.append(f"{qual}({param})")
-    assert not unpassed, (
-        f"{len(unpassed)} defaulted parameters are never passed; make each a constant "
-        "next to its user: " + ", ".join(unpassed)
+    assert sorted(unpassed) == sorted(_REFERENCE_PARAMETERS), (
+        "defaulted parameters no call outside the tests passes (make each a constant "
+        "next to its user), or exceptions that now have a caller: "
+        + ", ".join(sorted(set(unpassed) ^ set(_REFERENCE_PARAMETERS)))
     )
 
 
@@ -138,3 +150,31 @@ def test_every_public_definition_is_used_outside_the_tests():
         "or delete them), or exceptions that now have a caller: "
         + ", ".join(sorted(set(uncalled) ^ set(_UNCALLED)))
     )
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """perfbench/tracer.py wraps the public functions of every layer and takes
+    the chain methods it wraps from cls.__dict__[name]; a library change that
+    moves one of those methods off its class fails here, not in the benchmark."""
+    import importlib
+    import importlib.util
+    import pkgutil
+
+    import holodyn
+
+    modules = [
+        importlib.import_module(f"holodyn.{m.name}") for m in pkgutil.iter_modules(holodyn.__path__)
+    ]
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = [dict(vars(m)) for m in modules]
+    evaluate_batch = holodyn.core.AutoChain.__dict__["evaluate_batch"]
+    rec = tracer.Recorder()
+    try:
+        rec.install()
+        assert holodyn.core.AutoChain.__dict__["evaluate_batch"] is not evaluate_batch
+    finally:
+        rec.uninstall()
+    assert holodyn.core.AutoChain.__dict__["evaluate_batch"] is evaluate_batch
+    assert [dict(vars(m)) for m in modules] == before

@@ -527,6 +527,32 @@ _CONFIG_ERRORS = {
         ["nonauto-run", "--sequence", SEQUENCE, "--mode", "report", "--grid=0,3"],
         "the report needs at least one grid cell or witness",
     ),
+    # a negative step count would give a verdict from zero steps
+    "bounded-set-max-iter-negative": (
+        ["bounded-set", "--map", HENON, "--max-iter=-1", "--grid", "4,4"], "step count must be >= 0",
+    ),
+    "nonauto-probe-n-negative": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--n=-1", "--grid", "4,4"],
+        "step count must be >= 0",
+    ),
+    "nonauto-report-n-negative": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "report", "--n=-3"],
+        "n_max must be >= 0",
+    ),
+    "dichotomy-m-max-negative": (
+        ["dichotomy", "--map", HENON, "--seed-point", "1.4,1.4", "--m-max=-2"],
+        "step count must be >= 0",
+    ),
+    "interior-max-iter-negative": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--max-iter=-1", "--samples", "64"],
+        "step count must be >= 0",
+    ),
+    # no pairs is no evidence: min_margin would be inf and regime_ok true
+    "expansion-check-trials-zero": (["expansion-check", "--trials", "0"], "trials must be >= 1"),
+    "parabolic-graph-expansion-trials-negative": (
+        ["parabolic-graph", "--resolution", "1e-3", "--expansion-trials=-5"],
+        "trials must be >= 1",
+    ),
 }
 
 

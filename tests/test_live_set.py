@@ -69,9 +69,10 @@ from holodyn.rng import ball4_points
 quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-def _escaped_ref(nx, ny, cap):
+def _escaped_ref(nx, ny):
     with np.errstate(invalid="ignore", over="ignore"):
-        return ~(np.isfinite(nx) & np.isfinite(ny)) | (np.maximum(np.abs(nx), np.abs(ny)) > cap)
+        big = np.maximum(np.abs(nx), np.abs(ny)) > DEFAULT_CAP
+        return ~(np.isfinite(nx) & np.isfinite(ny)) | big
 
 
 def blowup_batch_ref(map_like, xs, us):
@@ -109,7 +110,7 @@ def survivors_ref(map_like, x, us, eps, horizon):
 
 
 @quiet
-def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3, cap=DEFAULT_CAP):
+def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3):
     x = np.array(xs, dtype=complex, copy=True)
     y = np.array(ys, dtype=complex, copy=True)
     n = x.shape[0]
@@ -121,7 +122,7 @@ def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3, cap=
         if not active.any():
             break
         nx, ny = chain.apply(x, y)
-        esc = active & _escaped_ref(nx, ny, cap)
+        esc = active & _escaped_ref(nx, ny)
         codes[esc] = VERDICT_ESCAPED
         steps[esc] = k
         active &= ~esc
@@ -139,7 +140,7 @@ def orbit_verdicts_ref(chain, xs, ys, max_iter, target=None, conv_tol=1e-3, cap=
 
 
 @quiet
-def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11, cap=DEFAULT_CAP):
+def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11):
     px, py = fp.location
     cand_x, cand_y = [], []
     if fp.unstable_direction is not None:
@@ -158,7 +159,7 @@ def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11, cap=DEFAULT_CAP):
         if not alive.any():
             break
         nx, ny = chain.apply(x, y)
-        esc = alive & _escaped_ref(nx, ny, cap)
+        esc = alive & _escaped_ref(nx, ny)
         exit_run[esc] = m_max
         alive &= ~esc
         x = np.where(alive, nx, x)
@@ -180,7 +181,7 @@ def dichotomy_ref(chain, fp, r, m_max, samples=512, seed=11, cap=DEFAULT_CAP):
 
 
 @quiet
-def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3, cap=DEFAULT_CAP):
+def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3):
     na, nb = grid
     if na == 0 or nb == 0:
         return np.zeros((nb, na), dtype=bool)
@@ -189,7 +190,7 @@ def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3, cap=DEFAULT_CAP):
     run = (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol).astype(np.int64)  # the start counts
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
-        alive &= ~_escaped_ref(nx, ny, cap)
+        alive &= ~_escaped_ref(nx, ny)
         xs = np.where(alive, nx, xs)
         ys = np.where(alive, ny, ys)
         near = alive & (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol)
@@ -226,7 +227,7 @@ def pointwise_ref(seq, box, n_max, grid, conv_tol=1e-3, witnesses=()):
     rows = [(0, float(dist.max()), float(np.mean(dist < conv_tol)))]
     for j in range(1, n_max + 1):
         nx, ny = seq.map_at(j).apply(xs, ys)
-        bad = _escaped_ref(nx, ny, DEFAULT_CAP)
+        bad = _escaped_ref(nx, ny)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
         dist = np.hypot(np.abs(xs), np.abs(ys))
@@ -310,7 +311,7 @@ def _orbit_inputs(seed, n, scale, huge):
     xs = scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
     ys = scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
     if huge and n:
-        xs[::3] = 1e200  # squares to inf: a non-finite image under cap = inf
+        xs[::3] = 1e200  # squares to inf: a non-finite image
     return xs, ys
 
 
@@ -431,15 +432,12 @@ def test_survivors_first_step_kills_cells_with_vanishing_image():
     max_iter=st.integers(0, 150),
     target=st.sampled_from([None, (0j, 0j), (0.1 + 0j, -0.2j)]),
     conv_tol=st.floats(1e-3, 1.0),
-    cap=st.sampled_from([DEFAULT_CAP, 10.0, math.inf]),
 )
-def test_orbit_verdicts_match_full_array_loop(
-    c, seed, n, scale, huge, max_iter, target, conv_tol, cap
-):
+def test_orbit_verdicts_match_full_array_loop(c, seed, n, scale, huge, max_iter, target, conv_tol):
     chain = _ORBIT_CHAINS[c]
     xs, ys = _orbit_inputs(seed, n, scale, huge)
     args = (chain, xs, ys, max_iter)
-    kw = {"target": target, "conv_tol": conv_tol, "cap": cap}
+    kw = {"target": target, "conv_tol": conv_tol}
     codes, steps = orbit_verdicts(*args, **kw)
     ref_codes, ref_steps = orbit_verdicts_ref(*args, **kw)
     assert codes.dtype == ref_codes.dtype and steps.dtype == ref_steps.dtype
@@ -450,11 +448,15 @@ def test_orbit_verdicts_escape_through_cap_and_non_finite_images():
     xs = np.array([0.1, 3.0, 1e200, 0.2 + 0.1j])
     ys = np.array([0.0, 0.0, 0.0, 0.1])
     chain = henon_chain(0.75)
-    for cap in (DEFAULT_CAP, 10.0, math.inf):
-        got = orbit_verdicts(chain, xs, ys, 60, cap=cap)
-        ref = orbit_verdicts_ref(chain, xs, ys, 60, cap=cap)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert got[0][2] == VERDICT_ESCAPED and got[1][2] == 1
+    got = orbit_verdicts(chain, xs, ys, 60)
+    ref = orbit_verdicts_ref(chain, xs, ys, 60)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert got[0][2] == VERDICT_ESCAPED and got[1][2] == 1  # 1e400 is inf
+    # the orbit of 3 passes DEFAULT_CAP with a finite image
+    rec = orbit(chain, (3.0, 0.0), 60)
+    x, y = chain.apply(*rec.states[-1])
+    assert rec.verdict == "escaped" and DEFAULT_CAP < max(abs(x), abs(y)) < math.inf
+    assert got[0][1] == VERDICT_ESCAPED and got[1][1] == rec.step
     assert orbit_verdicts(chain, xs, ys, 0)[1].tolist() == [-1] * 4
 
 
@@ -491,14 +493,13 @@ def test_orbit_verdicts_hysteresis_resets_when_leaving_the_ball():
     m_max=st.integers(0, 60),
     samples=st.integers(0, 128),
     seed=_seeds,
-    cap=st.sampled_from([DEFAULT_CAP, 5.0, math.inf]),
 )
-def test_dichotomy_matches_full_array_loop(c, loc, unstable, r, m_max, samples, seed, cap):
+def test_dichotomy_matches_full_array_loop(c, loc, unstable, r, m_max, samples, seed):
     chain = _ORBIT_CHAINS[c]
     vu = np.array([0.6, 0.8j]) if unstable else None
     fp = SimpleNamespace(location=loc, unstable_direction=vu)
-    rep = dichotomy_probe(chain, fp, r, m_max, samples=samples, seed=seed, cap=cap)
-    largest, cutoff, witnesses = dichotomy_ref(chain, fp, r, m_max, samples, seed, cap)
+    rep = dichotomy_probe(chain, fp, r, m_max, samples=samples, seed=seed)
+    largest, cutoff, witnesses = dichotomy_ref(chain, fp, r, m_max, samples, seed)
     assert (rep.largest_witnessed_m, rep.cutoff_m0, rep.witnesses) == (largest, cutoff, witnesses)
 
 
@@ -537,23 +538,23 @@ _SEQUENCES = [
     grid=st.tuples(st.integers(0, 12), st.integers(0, 12)),
     n_max=st.integers(0, 80),
     conv_tol=st.floats(1e-3, 1.0),
-    cap=st.sampled_from([DEFAULT_CAP, 4.0, math.inf]),
 )
-def test_nonauto_probe_matches_full_array_loop(s, half, grid, n_max, conv_tol, cap):
+def test_nonauto_probe_matches_full_array_loop(s, half, grid, n_max, conv_tol):
     box = ((-half, half), (-half, 0.5 * half))
     args = (_SEQUENCES[s], box, grid, n_max)
-    got = nonauto_attracting_probe(*args, conv_tol=conv_tol, cap=cap)
-    ref = nonauto_probe_ref(*args, conv_tol=conv_tol, cap=cap)
+    got = nonauto_attracting_probe(*args, conv_tol=conv_tol)
+    ref = nonauto_probe_ref(*args, conv_tol=conv_tol)
     assert got.dtype == bool and got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_nonauto_probe_requests_every_member_after_all_cells_died():
-    seq = list_sequence([diag_linear_chain(100.0, 100.0)] * 3)
-    # all cells pass cap 1e3 at step 2, yet the list has no 5th map
+    seq = list_sequence([diag_linear_chain(1e7, 1e7)] * 3)
+    # every centre has |x| >= 0.25, so all cells pass DEFAULT_CAP at step 2,
+    # yet the list has no 5th map
     with pytest.raises(IndexError):
-        nonauto_probe_ref(seq, ((-1, 1), (-1, 1)), (4, 4), 5, cap=1e3)
+        nonauto_probe_ref(seq, ((-1, 1), (-1, 1)), (4, 4), 5)
     with pytest.raises(IndexError):
-        nonauto_attracting_probe(seq, ((-1, 1), (-1, 1)), (4, 4), 5, cap=1e3)
+        nonauto_attracting_probe(seq, ((-1, 1), (-1, 1)), (4, 4), 5)
 
 
 # -- survivor clusters, diameter and gap -------------------------------------------

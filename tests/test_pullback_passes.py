@@ -24,7 +24,7 @@ from holodyn.manifold import density_sweep, occupied_cells, pullback_clouds
 HENON = str(Path(__file__).resolve().parents[1] / "maps" / "henon075.json")
 
 
-def pullback_cloud_ref(chain, graph, depth, cap):
+def pullback_cloud_ref(chain, graph, depth):
     """The per-depth loop: depth inverse passes from the graph samples."""
     xs, ys = graph.to_ambient(graph.s_grid, graph.t_values)
     xs = np.asarray(xs, dtype=complex)
@@ -32,7 +32,7 @@ def pullback_cloud_ref(chain, graph, depth, cap):
     ok = np.ones(xs.shape, dtype=bool)
     inv = chain.inverted()
     for _ in range(depth):
-        xs, ys, step_ok = inv.evaluate_batch(xs, ys, cap=cap)
+        xs, ys, step_ok = inv.evaluate_batch(xs, ys)
         ok &= step_ok
     return np.stack([xs[ok], ys[ok]], axis=1), int(np.count_nonzero(~ok))
 
@@ -68,17 +68,24 @@ def ref_ids(cells, cells_per_axis):
     return np.unique(np.ravel_multi_index(k, (cells_per_axis,) * 4, mode="clip"))
 
 
-@pytest.mark.parametrize("cap", [1e3, DEFAULT_CAP])
-def test_pullback_clouds_match_per_depth_loop(henon075, henon_graph, cap):
-    clouds = list(pullback_clouds(henon075, henon_graph, 8, cap=cap))
-    assert len(clouds) == 9
+@pytest.mark.parametrize("bound", [1e3, DEFAULT_CAP])
+def test_pullback_clouds_match_per_depth_loop(henon075, henon_graph, bound):
+    # Samples pass 1e3 at depth 6 and DEFAULT_CAP from depth 8 on.  The first
+    # depth where a sample passes 1e3 keeps every sample; the first where one
+    # passes DEFAULT_CAP drops it, and the drops carry on to depth 10.
+    clouds = list(pullback_clouds(henon075, henon_graph, 10))
+    assert len(clouds) == 11
     for depth, cloud in enumerate(clouds):
-        points, dropped = pullback_cloud_ref(henon075, henon_graph, depth, cap)
+        points, dropped = pullback_cloud_ref(henon075, henon_graph, depth)
         assert cloud.points.shape == points.shape
         assert cloud.points.tobytes() == points.tobytes()
         assert cloud.dropped == dropped
-    if cap == 1e3:
-        assert clouds[-1].dropped > 0
+    first = next(c for c in clouds if c.dropped or np.abs(c.points).max() > bound)
+    if bound < DEFAULT_CAP:
+        assert first.dropped == 0 and np.abs(first.points).max() > bound
+    else:
+        assert first.dropped > 0 and np.abs(first.points).max() <= bound
+    assert clouds[0].dropped == 0 and clouds[-1].dropped > 0
 
 
 def test_pullback_clouds_reject_negative_depth(henon075, henon_graph):
