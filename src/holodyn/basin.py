@@ -136,6 +136,8 @@ def dichotomy_probe(
     (where witnesses live for a saddle) with counter-based ball samples.
     Reports the largest witnessed m; cutoff_m0 is the first unwitnessed m.
     """
+    if samples < 0:
+        raise InvalidParameter(f"samples must be >= 0, got {samples}")
     px, py = fp.location
     cand_x = []
     cand_y = []
@@ -236,9 +238,9 @@ def interior_probe(
 
 
 def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, parts)
-    size = (n + parts - 1) // parts
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
+    """At most parts contiguous chunks of range(n); one empty chunk for n = 0."""
+    size = max(1, -(-n // max(1, parts)))
+    return [(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], n: int, threads: int) -> list:
@@ -287,8 +289,6 @@ def bounded_set_probe(
     """
     na, nb = grid
     xs, ys = grid_centres(box, grid)
-    if xs.size == 0:
-        return np.zeros((nb, na), dtype=bool)
 
     def run_chunk(lo: int, hi: int) -> np.ndarray:
         codes, _ = orbit_verdicts(chain, xs[lo:hi], ys[lo:hi], max_iter, target=None)

@@ -17,14 +17,14 @@ for the sign of an exactly-zero component, a non-finite image still counts
 as an escape, and a step may return an input array as one of its outputs.
 
 A step's apply (scalar or array) is its value lines, compiled at first use.
-A chain's tangent push (x, y, dx, dy) -> (x', y', dx', dy'), scalar only, is
-the full lines of all its steps, compiled into one function at the chain's
+A chain's tangent push (x, y, dx, dy) -> (x', y', dx', dy'), scalar or array,
+is the full lines of all its steps, compiled into one function at the chain's
 first use with the coefficients bound by name, never printed.  So (x', y')
 is apply(x, y) bit for bit, and (dx', dy') is (dx, dy) pushed forward by the
 chain's Jacobian; the shooting in parabolic.graph_point calls it once per
-step.  Linear steps skip the same arithmetic in the tangent as in the value,
-so padding a chain with identity steps changes neither.  jacobian and the
-chain differentials are written out apart and evaluate through poly.polyval.
+step, and differential and differential_batch push the unit tangents (1, 0)
+and (0, 1) through it.  Linear steps skip the same arithmetic in the tangent
+as in the value, so padding a chain with identity steps changes neither.
 
 Distances in C^2 are hypot(|dx|, |dy|).  hypot_below and hypot_max decide a
 distance test and a sup exactly, bit for bit as np.hypot would, from
@@ -49,7 +49,7 @@ from .errors import (
     Overflow,
     SingularDifferential,
 )
-from .poly import Poly2, normalize_coeffs, poly_of_poly, polyder, polyval
+from .poly import Poly2, normalize_coeffs, poly_of_poly
 
 Point = tuple[complex, complex]
 
@@ -143,9 +143,6 @@ class ShearX(_Step):
     def __post_init__(self):
         object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
 
-    def jacobian(self, x, y):
-        return 1.0, polyval(polyder(self.coeffs), y), 0.0, 1.0
-
     def _lines(self, bind, tangent):
         lines = [*_horner_lines(self.coeffs, "y", bind, tangent), "x = x + p"]
         return lines + ["dx = dx + dp * dy"] if tangent else lines
@@ -162,9 +159,6 @@ class ShearY(_Step):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
-
-    def jacobian(self, x, y):
-        return 1.0, 0.0, polyval(polyder(self.coeffs), x), 1.0
 
     def _lines(self, bind, tangent):
         lines = [*_horner_lines(self.coeffs, "x", bind, tangent), "y = y + p"]
@@ -192,9 +186,6 @@ class Linear(_Step):
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def jacobian(self, x, y):
-        return self.a, self.b, self.c, self.d
-
     def _lines(self, bind, tangent):
         a, b, c, d = self.a, self.b, self.c, self.d
         return [
@@ -212,9 +203,6 @@ class Linear(_Step):
 class Translation(_Step):
     bx: complex
     by: complex
-
-    def jacobian(self, x, y):
-        return 1.0, 0.0, 0.0, 1.0
 
     def _lines(self, bind, tangent):
         return [f"x, y = x + {bind(self.bx)}, y + {bind(self.by)}"]
@@ -237,16 +225,6 @@ class QuadraticJet(_Step):
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
 
-    def jacobian(self, x, y):
-        pa, pxy, pc = self.p
-        qa, qxy, qc = self.q
-        return (
-            1.0 + 2 * pa * x + pxy * y,
-            pxy * x + 2 * pc * y,
-            2 * qa * x + qxy * y,
-            1.0 + qxy * x + 2 * qc * y,
-        )
-
     def _lines(self, bind, tangent):
         pa, pxy, pc = self.p
         qa, qxy, qc = self.q
@@ -256,7 +234,7 @@ class QuadraticJet(_Step):
         ]
         if not tangent:
             return [f"x, y = {rows[0]}, {rows[1]}"]
-        j = (  # jacobian's entries, with 2 * pa and the like bound as one name
+        j = (  # the Jacobian's entries, with 2 * pa and the like bound as one name
             f"(1.0 + {bind(2 * pa)} * x + {bind(pxy)} * y)",
             f"({bind(pxy)} * x + {bind(2 * pc)} * y)",
             f"({bind(2 * qa)} * x + {bind(qxy)} * y)",
@@ -284,33 +262,21 @@ class _ChainOps:
         return x, y
 
     def differential(self, z: Point) -> np.ndarray:
-        """Exact chain-rule product of per-step Jacobians at z."""
+        """The Jacobian at z: its columns are the unit tangents pushed
+        through the chain."""
         x, y = complex(z[0]), complex(z[1])
-        j = np.eye(2, dtype=complex)
-        for step in self.steps:
-            a, b, c, d = step.jacobian(x, y)
-            j = np.array([[a, b], [c, d]], dtype=complex) @ j
-            x, y = step.apply(x, y)
-        return j
+        _, _, j11, j21 = self._tangent_push(x, y, 1.0 + 0j, 0j)
+        _, _, j12, j22 = self._tangent_push(x, y, 0j, 1.0 + 0j)
+        return np.array([[j11, j12], [j21, j22]], dtype=complex)
 
     def differential_batch(self, xs, ys):
         """Per-point Jacobians as four arrays (j11, j12, j21, j22), then the
         image (x, y) the same pass computes, apply(xs, ys) bit for bit."""
         shape = np.broadcast(xs, ys).shape
-        j11 = np.ones(shape, dtype=complex)
-        j12 = np.zeros(shape, dtype=complex)
-        j21 = np.zeros(shape, dtype=complex)
-        j22 = np.ones(shape, dtype=complex)
+        one, zero = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
         x, y = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
-        for step in self.steps:
-            a, b, c, d = step.jacobian(x, y)
-            j11, j12, j21, j22 = (
-                a * j11 + b * j21,
-                a * j12 + b * j22,
-                c * j11 + d * j21,
-                c * j12 + d * j22,
-            )
-            x, y = step.apply(x, y)
+        _, _, j11, j21 = self._tangent_push(x, y, one, zero)
+        x, y, j12, j22 = self._tangent_push(x, y, zero, one)
         return j11, j12, j21, j22, x, y
 
     def to_polynomial(self) -> tuple[Poly2, Poly2]:
@@ -351,7 +317,7 @@ class _ChainOps:
     @functools.cached_property
     def _tangent_push(self):
         """The compiled (x, y, dx, dy) -> (apply(x, y), df (dx, dy)) of the
-        module docstring, scalar only."""
+        module docstring, scalar or array."""
         return _compile(
             "x, y, dx, dy", lambda bind: [ln for s in self.steps for ln in s._lines(bind, True)]
         )

@@ -133,6 +133,8 @@ def local_stable_graph(
     if delta <= 0 or tol <= 0:
         raise InvalidParameter("delta and tol must be positive")
     n_r, n_theta = mesh
+    if n_r < 1 or n_theta < 1:
+        raise InvalidParameter(f"mesh needs n_r, n_theta >= 1, got {n_r},{n_theta}")
     vs, vu = fp.stable_direction, fp.unstable_direction
     bx, by = fp.location
     e = np.array([[vs[0], vu[0]], [vs[1], vu[1]]], dtype=complex)

@@ -119,8 +119,6 @@ def nonauto_attracting_probe(
     starting point counted; for n_max < 20, every iterate from the start."""
     na, nb = grid
     xs, ys = grid_centres(box, grid)
-    if xs.size == 0:
-        return np.zeros((nb, na), dtype=bool)
     # resolve every member first, so a late failing index raises even if all cells died
     maps = [seq.map_at(j) for j in range(1, n_max + 1)]
 

@@ -399,6 +399,8 @@ def expansion_check(
     """
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    if not epsilon > 0:  # nan included
+        raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
     g = make_generator(seed)
     got = 0
     violations = 0
@@ -560,6 +562,8 @@ def graph_point(
     principle the ring holds exactly one zero of u_N, and no sampled orbit
     through it stays N steps.  levels counts grid levels, final_horizon is N.
     """
+    if not resolution > 0:  # nan included: rho < resolution would never hold
+        raise InvalidParameter(f"resolution must be positive, got {resolution}")
     x = complex(x)
     if not (abs(x) < epsilon and arg_deviation_from_pi(x) < epsilon):
         raise InvalidParameter("x must satisfy |x| < eps and |arg(x) - pi| < eps")

@@ -69,8 +69,8 @@ def finite_difference_jacobian(chain, z, h=1e-5):
 #
 # The steps compile their maps from emitted source lines that leave out exact
 # no-op arithmetic; these are the formulas written out in full, sharing no code
-# with the steps, as the independent oracle for apply, jacobian and the tangent
-# push.
+# with the steps, as the independent oracle for apply and the tangent push
+# (so for differential and differential_batch, which push the unit tangents).
 
 
 def polyval_ref(coeffs, z):
@@ -135,7 +135,7 @@ _REFS = {
 
 
 def literal_formulas(step):
-    """(apply, jacobian) of step as its literal formulas."""
+    """(apply, Jacobian) of step as its literal formulas."""
     return _REFS[type(step)](step)
 
 

@@ -553,6 +553,41 @@ _CONFIG_ERRORS = {
         ["parabolic-graph", "--resolution", "1e-3", "--expansion-trials=-5"],
         "trials must be >= 1",
     ),
+    # a search that cannot end, or has nothing to search
+    "parabolic-graph-resolution-negative": (
+        ["parabolic-graph", "--resolution=-1"], "resolution must be positive",
+    ),
+    "parabolic-graph-resolution-zero": (
+        ["parabolic-graph", "--resolution", "0"], "resolution must be positive",
+    ),
+    "parabolic-graph-resolution-nan": (
+        ["parabolic-graph", "--resolution", "nan"], "resolution must be positive",
+    ),
+    "expansion-check-epsilon-negative": (
+        ["expansion-check", "--epsilon=-0.1"], "epsilon must be positive",
+    ),
+    "dichotomy-samples-negative": (
+        ["dichotomy", "--map", HENON, "--seed-point", "1.4,1.4", "--samples=-5"],
+        "samples must be >= 0",
+    ),
+    "stable-graph-mesh-no-ring": (
+        ["stable-graph", "--map", HENON, "--seed-point", "1.4,1.4", "--mesh=0,16"], "mesh needs",
+    ),
+    "stable-graph-mesh-no-angle": (
+        ["stable-graph", "--map", HENON, "--seed-point", "1.4,1.4", "--mesh=1,0"], "mesh needs",
+    ),
+    "pullback-mesh-negative": (
+        ["pullback", "--map", HENON, "--seed-point", "1.4,1.4", "--mesh=-1,4"], "mesh needs",
+    ),
+    "density-mesh-no-ring": ([*_DENSITY, "--mesh=0,16"], "mesh needs"),
+    # the step count is checked before an empty grid returns its empty image
+    "bounded-set-empty-grid-max-iter-negative": (
+        ["bounded-set", "--map", HENON, "--grid=0,0", "--max-iter=-1"], "step count must be >= 0",
+    ),
+    "nonauto-probe-empty-grid-n-negative": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid=0,3", "--n=-1"],
+        "step count must be >= 0",
+    ),
 }
 
 
