@@ -138,6 +138,8 @@ def dichotomy_probe(
     """
     if samples < 0:
         raise InvalidParameter(f"samples must be >= 0, got {samples}")
+    if not r > 0:  # nan too: no point is ever inside such a ball, so every m looks witnessed
+        raise InvalidParameter(f"r must be positive, got {r}")
     px, py = fp.location
     cand_x = []
     cand_y = []
@@ -217,6 +219,8 @@ def interior_probe(
     """
     if samples <= 0:
         raise EmptySample("interior_probe needs at least one sample")
+    if not (radius > 0 and conv_tol > 0):  # nan too: no sample could ever converge
+        raise InvalidParameter(f"radius and conv_tol must be positive, got {radius}, {conv_tol}")
     xs, ys = ball4_points(seed, samples, radius, center=fp.location)
     target = fp.location
 
@@ -264,6 +268,8 @@ def grid_centres(
     na, nb = grid
     if na < 0 or nb < 0:
         raise InvalidParameter(f"grid counts must be >= 0, got {na},{nb}")
+    if not np.isfinite([a0, a1, b0, b1]).all():
+        raise InvalidParameter(f"box bounds must be finite, got {box}")
     aa = a0 + (np.arange(na) + 0.5) * (a1 - a0) / na
     bb = b0 + (np.arange(nb) + 0.5) * (b1 - b0) / nb
     xs = np.repeat(aa[None, :], nb, axis=0).ravel().astype(complex)

@@ -130,7 +130,7 @@ def local_stable_graph(
     """Graph-transform fixed point; see the module docstring for the scheme."""
     if fp.classification is not Classification.SADDLE:
         raise NotASaddle(f"fixed point is {fp.classification.value}")
-    if delta <= 0 or tol <= 0:
+    if not (delta > 0 and tol > 0):  # nan too
         raise InvalidParameter("delta and tol must be positive")
     n_r, n_theta = mesh
     if n_r < 1 or n_theta < 1:

@@ -4,9 +4,21 @@ Floats are rendered with 17 significant digits (round-trip exact for
 doubles) and NaN as NaN, so reruns with identical inputs compare
 byte-identical.  Complex values serialize as [re, im] pairs, dataclass
 instances as objects of their fields in declaration order, and enum members
-as their values.  CSV is written from columns (integer ones as %d, the rest
-as %.17g) a block of rows at a time: one % format and one write per block,
-no Python code per cell.
+as their values.
+
+CSV is written from columns, integer ones as %d and the rest as format_float
+(%.17g, NaN as NaN), a block of rows at a time with one write per block.
+_float17 formats float cells without a dtoa call where %.17g prints fixed
+notation, that is for finite |v| in [1e-4, 1e17) whose decimal exponent E
+(10**E <= |v| < 10**(E+1) after rounding to 17 digits) is in [-4, 16].  The
+17 digits are then D = round_half_even(|v| * 10**k) with k = 16 - E, and
+they are exact: 10**k is a double for k <= 22; Dekker's TwoProduct writes
+|v| * 10**k as p + e without error; and p >= 1e16 > 2**53 is an even
+integer, so rounding p + e half to even is p + rint(e).  An E taken from
+log10 that is off by one, or a rounding that carries to 10**17, leaves D
+outside [1e16, 1e17); E is corrected by one and D computed again.  A cell
+still outside, or whose E leaves [-4, 16], goes through format_float like
+every other cell: 0, -0, NaN, inf, and |v| < 1e-4 or >= 1e17.
 """
 from __future__ import annotations
 
@@ -85,17 +97,26 @@ _BLOCK_ROWS = 2048  # one format per whole cloud costs ~4 MB of peak RSS on the 
 
 def write_csv(path, header: list[str], columns) -> None:
     """Equal-length 1-D columns (arrays or sequences) as CSV rows under header."""
+    from . import _float17
+
     columns = [np.asarray(c) for c in columns]
-    n, k = len(columns[0]), len(columns)
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            m = min(_BLOCK_ROWS, n - lo)
-            cells = [None] * (k * m)  # row-major: column j fills every k-th cell
-            for j, c in enumerate(columns):
-                cells[j::k] = c[lo:lo + m].tolist()
-            fh.write(((row * m) % tuple(cells)).replace("nan", "NaN"))  # %g's NaN, its only "nan"
+    ints = [c.dtype.kind in "iu" for c in columns]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[lo:lo + _BLOCK_ROWS] for c in columns]
+            if any(ints):
+                cells = [
+                    _float17.text_cells(["%d" % x for x in b.tolist()]) if i
+                    else _float17.float_cells(b.astype(float))
+                    for b, i in zip(block, ints)
+                ]
+                chars, keep = (np.stack(part, axis=1) for part in zip(*cells))
+            else:  # one formatter call for the whole block
+                x = np.stack(block, axis=1).astype(float, copy=False)
+                chars, keep = _float17.float_cells(x)
+            chars[:, -1, -1] = ord("\n")
+            fh.write(chars[keep])
 
 
 def write_ppm(path, marked: np.ndarray) -> None:

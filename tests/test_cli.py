@@ -588,6 +588,33 @@ _CONFIG_ERRORS = {
         ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--grid=0,3", "--n=-1"],
         "step count must be >= 0",
     ),
+    # a ball, tolerance or box that no orbit can meet would report a vacuous result
+    "dichotomy-r-negative": (
+        ["dichotomy", "--map", HENON, "--seed-point", "1.4,1.4", "--r=-1"], "r must be positive",
+    ),
+    "dichotomy-r-nan": (
+        ["dichotomy", "--map", HENON, "--seed-point", "1.4,1.4", "--r=nan"], "r must be positive",
+    ),
+    "stable-graph-delta-nan": (
+        ["stable-graph", "--map", HENON, "--seed-point", "1.4,1.4", "--delta", "nan"],
+        "delta and tol must be positive",
+    ),
+    "interior-radius-negative": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--samples", "64", "--radius=-1"],
+        "radius and conv_tol must be positive",
+    ),
+    "interior-radius-nan": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--samples", "64", "--radius=nan"],
+        "radius and conv_tol must be positive",
+    ),
+    "interior-conv-tol-nan": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--samples=64", "--conv-tol=nan"],
+        "radius and conv_tol must be positive",
+    ),
+    "bounded-set-box-nan": (
+        ["bounded-set", "--map", HENON, "--box-min", "nan", "--grid", "4,4"],
+        "box bounds must be finite",
+    ),
 }
 
 

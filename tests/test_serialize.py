@@ -2,16 +2,19 @@
 
 The writer renders columns a block of rows at a time.  Its files must equal,
 byte for byte, those of the per-cell formatter it replaced, which is kept
-here as the reference.
+here as the reference.  Its float formatter is checked cell by cell against
+'%.17g' on its own.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from holodyn import serialize
+from holodyn import _float17, serialize
 from holodyn.serialize import format_float, write_csv
 
 BLOCK = serialize._BLOCK_ROWS
@@ -96,3 +99,60 @@ def test_complex_points_viewed_as_four_columns(tmp_path):
     write_csv(got, header, pts.view(np.float64).T)
     write_csv_per_cell(want, header, [(p[0].real, p[0].imag, p[1].real, p[1].imag) for p in pts])
     assert got.read_bytes() == want.read_bytes()
+
+
+# -- the float formatter against '%.17g' ---------------------------------------
+
+
+def _formatted(values) -> list[bytes]:
+    chars, keep = _float17.float_cells(np.array(values, dtype=np.float64))
+    return [c[k].tobytes() for c, k in zip(chars, keep)]
+
+
+def _percent_g(values) -> list[bytes]:
+    """'%.17g' % x and its separator, NaN spelled as format_float spells it."""
+    return [(format_float(x) + ",").encode("ascii") for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(width=64) | st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4),
+        min_size=1, max_size=40,
+    )
+)
+def test_formatter_matches_percent_g(values):
+    assert _formatted(values) == _percent_g(values)
+
+
+def test_formatter_near_powers_of_ten():
+    """log10 lands on the wrong side of 10**j, and rounding carries to 10**j."""
+    values = [
+        sign * float(f"1e{j}") * (1 + eps)
+        for j in range(-6, 19) for eps in (-(2.0**-52), 0.0, 2.0**-52) for sign in (1, -1)
+    ]
+    values += [math.nextafter(float(f"1e{j}"), 0.0) for j in range(-6, 19)]
+    assert _formatted(values) == _percent_g(values)
+
+
+def _ties() -> list[float]:
+    """Doubles whose 17-digit rounding is an exact tie: for odd m, m / 2**(17 - E)
+    times 10**(16 - E) is an odd number of halves, and a double while m < 2**53.
+    E stops at 15, above which no such double exists."""
+    out = []
+    for e in range(-4, 16):
+        scale = 2 ** (17 - e)
+        lo = math.ceil(Fraction(10) ** e * scale) | 1
+        hi = min(math.floor(Fraction(10) ** (e + 1) * scale), 2**53) - 1 | 1
+        for m in (*range(lo, lo + 20, 2), *range(hi - 20, hi + 1, 2)):
+            x = m / scale
+            assert Fraction(x) == Fraction(m, scale)  # exact
+            assert Fraction(x) * 10 ** (16 - e) % 1 == Fraction(1, 2)
+            out.append(x)
+    return out
+
+
+def test_formatter_rounds_ties_to_even():
+    assert _formatted([4000000000000001 / 4]) == [b"1000000000000000.2,"]
+    ties = _ties()
+    assert _formatted(ties) == _percent_g(ties)
