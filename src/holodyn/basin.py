@@ -27,7 +27,7 @@ from .core import (
     hypot_below,
     iterate_live,
 )
-from .errors import EmptySample, InvalidParameter, NotFound, PoleHit
+from .errors import InvalidParameter, NotFound, PoleHit
 from .rng import ball4_points, make_generator
 
 HYSTERESIS = 20
@@ -218,7 +218,7 @@ def interior_probe(
     function of (seed, index) so the fraction is chunking-independent.
     """
     if samples <= 0:
-        raise EmptySample("interior_probe needs at least one sample")
+        raise InvalidParameter("interior_probe needs at least one sample")
     if not (radius > 0 and conv_tol > 0):  # nan too: no sample could ever converge
         raise InvalidParameter(f"radius and conv_tol must be positive, got {radius}, {conv_tol}")
     xs, ys = ball4_points(seed, samples, radius, center=fp.location)
@@ -310,7 +310,7 @@ def sphere_map(m: int, z: complex) -> complex:
     """Closed form of the m-th iterate of z -> z / (1 + z): z / (1 + m z)."""
     denom = 1.0 + m * z
     if abs(denom) <= 1e-12 * (1.0 + abs(m * z)):
-        raise PoleHit(m)
+        raise PoleHit(f"iterate hit the pole 1 + z = 0 at step {m}")
     return z / denom
 
 
@@ -320,13 +320,16 @@ def sphere_map_iterate(m: int, z: complex) -> complex:
     for k in range(m):
         denom = 1.0 + w
         if abs(denom) <= 1e-12 * (1.0 + abs(w)):
-            raise PoleHit(k)
+            raise PoleHit(f"iterate hit the pole 1 + z = 0 at step {k}")
         w = w / denom
     return w
 
 
 def sphere_map_iterate_check(z: complex, m: int) -> float:
-    """|closed form - m-fold iteration|."""
+    """|closed form - m-fold iteration|; for m < 0 the iteration would take
+    no step, so that raises InvalidParameter."""
+    if m < 0:
+        raise InvalidParameter(f"step count must be >= 0, got {m}")
     return abs(sphere_map(m, z) - sphere_map_iterate(m, z))
 
 
@@ -430,7 +433,7 @@ def nonuniformity_witness(m: int) -> tuple[float, complex]:
         raise InvalidParameter("m must be >= 1")
     lo, hi = 0.0, 2.0 * math.pi * 0.999
     if psi_iterate(hi, m) < math.pi:
-        raise NotFound("psi^m never reaches pi on the bracket", deepest=hi)
+        raise NotFound("psi^m never reaches pi on the bracket")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -442,8 +445,5 @@ def nonuniformity_witness(m: int) -> tuple[float, complex]:
     theta = hi
     val = psi_iterate(theta, m)
     if not (math.pi / 2 <= val <= 3 * math.pi / 2):
-        raise NotFound(
-            f"bisection exhausted precision at theta = {theta:.3e} (psi^m = {val:.3e})",
-            deepest=theta,
-        )
+        raise NotFound(f"bisection exhausted precision at theta = {theta:.3e} (psi^m = {val:.3e})")
     return theta, complex(math.cos(theta), math.sin(theta))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import basin, manifold, nonauto, parabolic
 from .core import AutoChain, EndoChain, FixedPointInfo, find_fixed_point, load_map
-from .errors import HolodynError, InvalidParameter, MapFormatError
+from .errors import HolodynError, InvalidParameter
 from .serialize import fields, format_float, write_csv, write_json, write_ppm
 
 
@@ -36,7 +36,7 @@ def _parse(text: str, kind: type = complex, count: int | None = 2) -> tuple:
             raise ValueError(f"expected {count} comma-separated value(s)")
         return tuple(kind(v) for v in parts)
     except ValueError as exc:
-        raise MapFormatError(f"bad value {text!r}: {exc}") from exc
+        raise InvalidParameter(f"bad value {text!r}: {exc}") from exc
 
 
 def _point_columns(points) -> np.ndarray:
@@ -71,7 +71,7 @@ class Run:
     def auto_chain(self) -> AutoChain:
         m = self.load_map()
         if not isinstance(m, AutoChain):
-            raise MapFormatError("this subcommand needs an invertible map (no quadratic_jet)")
+            raise InvalidParameter("this subcommand needs an invertible map (no quadratic_jet)")
         return m
 
     def chain_and_fixed_point(self) -> tuple[AutoChain, FixedPointInfo]:
@@ -214,6 +214,11 @@ def cmd_pullback(run: Run) -> int:
 )
 def cmd_density(run: Run) -> int:
     a = run.args
+    axes = {"re_x": 0, "im_x": 1, "re_y": 2, "im_y": 3}
+    try:
+        plane = tuple(axes[t] for t in _parse(a.plane, str))
+    except KeyError as exc:
+        raise InvalidParameter(f"bad --plane {a.plane!r}") from exc
     chain, fp = run.chain_and_fixed_point()
     graph = run.local_graph(chain, fp)
     box = (a.box_min, a.box_max)
@@ -225,12 +230,7 @@ def cmd_density(run: Run) -> int:
         run.path("density.json"),
         {**fields(last), "sweep": [fields(r, "depth", "occupied", "fraction") for r in reports]},
     )
-    axes = {"re_x": 0, "im_x": 1, "re_y": 2, "im_y": 3}
-    try:
-        i, j = (axes[t] for t in a.plane.split(","))
-    except KeyError as exc:
-        raise MapFormatError(f"bad --plane {a.plane!r}") from exc
-    write_ppm(run.path("density.ppm"), manifold.occupancy_image(cloud.points, box, a.cells, (i, j)))
+    write_ppm(run.path("density.ppm"), manifold.occupancy_image(cloud.points, box, a.cells, plane))
     return run.finish(
         f"depth {last.depth}: {last.occupied}/{last.total} cells (fraction {last.fraction:.6f})"
     )
@@ -291,7 +291,7 @@ def cmd_normalize(run: Run) -> int:
     _, p2 = _tangent_map(run)
     dirs = parabolic.characteristic_directions(p2)
     if isinstance(dirs, parabolic.AllDirections):
-        raise MapFormatError("P2 vanishes; nothing to normalize")
+        raise InvalidParameter("P2 vanishes; nothing to normalize")
     nondeg = [d for d in dirs if not d.degenerate]
     if not nondeg:
         raise parabolic.DegenerateDirection("no non-degenerate direction to normalize")
@@ -409,8 +409,9 @@ def cmd_gallery(run: Run) -> int:
     ex = run.args.example
     if ex == "sphere":
         z, m = _parse(run.args.z, count=1)[0], run.args.m
+        residual = basin.sphere_map_iterate_check(z, m)  # first: it rejects m < 0
         val = basin.sphere_map(m, z)
-        out = {"value": val, "residual": basin.sphere_map_iterate_check(z, m)}
+        out = {"value": val, "residual": residual}
         text = f"{val.real:g}" if val.imag == 0 else f"{val.real:g}{val.imag:+g}j"
     elif ex == "psi":
         val = float(basin.psi(run.args.theta))
@@ -446,7 +447,7 @@ def cmd_nonauto_run(run: Run) -> int:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise MapFormatError(f"invalid sequence JSON: {exc}") from exc
+            raise InvalidParameter(f"invalid sequence JSON: {exc}") from exc
     seq = nonauto.sequence_from_dict(payload)
     if a.mode == "orbit":
         states, overflow = nonauto.nonauto_orbit(seq, _parse(a.z), a.n)
@@ -473,7 +474,9 @@ def cmd_nonauto_run(run: Run) -> int:
 
 @subcommand(
     "sector-sets", "the five target components are pairwise disjoint compact sets",
-    arg("--R", 2.0), EPSILON, DELTA, arg("--z"), arg("--check-samples", 2000), SEED,
+    # its own epsilon and delta: at the sector defaults Ball_delta meets KxDisc
+    arg("--R", 2.0), arg("--epsilon", 0.1), arg("--delta", 0.005), arg("--z"),
+    arg("--check-samples", 2000), SEED,
 )
 def cmd_sector_sets(run: Run) -> int:
     a = run.args
@@ -519,10 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return SUBCOMMANDS[args.subcommand].handler(Run(args))
-    except (MapFormatError, InvalidParameter) as exc:
+    except InvalidParameter as exc:
         print(f"holodyn: config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"holodyn: i/o error: {exc}", file=sys.stderr)
         return 2
     except HolodynError as exc:

@@ -42,13 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    MapFormatError,
-    NoConvergence,
-    Overflow,
-    SingularDifferential,
-)
+from .errors import InvalidParameter, NoConvergence, Overflow, SingularDifferential
 from .poly import Poly2, normalize_coeffs, poly_of_poly
 
 Point = tuple[complex, complex]
@@ -382,7 +376,7 @@ class AutoChain(_ChainOps):
             x, y = step.apply(x, y)
             m = max(abs(x), abs(y))
             if not math.isfinite(m) or m > cap:
-                raise Overflow(m, i)
+                raise Overflow(f"coordinate magnitude {m:.3e} exceeded cap at step {i}")
         return x, y
 
     def evaluate_batch(self, xs, ys):
@@ -548,9 +542,9 @@ def find_fixed_point(
     """Newton iteration on f(z) - z with residual-halving damping.
 
     Raises NoConvergence after _NEWTON_MAX_ITER, SingularDifferential when the
-    Newton matrix df - I degenerates (conditioning info attached).
+    Newton matrix df - I degenerates.
     """
-    if tol <= 0:
+    if not tol > 0:  # nan too: r < tol would never hold
         raise InvalidParameter("tol must be positive")
     _check_finite(seed)
     z = (complex(seed[0]), complex(seed[1]))
@@ -567,7 +561,9 @@ def find_fixed_point(
         det = complex(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
         scale = float(np.max(np.abs(j))) + 1.0
         if abs(det) <= 1e-14 * scale * scale:
-            raise SingularDifferential(det, scale)
+            raise SingularDifferential(
+                f"Newton matrix singular: |det| = {abs(det):.3e} against scale {scale:.3e}"
+            )
         dx = (j[1, 1] * g[0] - j[0, 1] * g[1]) / det
         dy = (-j[1, 0] * g[0] + j[0, 0] * g[1]) / det
         step = 1.0
@@ -585,9 +581,7 @@ def find_fixed_point(
             step *= 0.5
         z, g, r = z_new, g_new, r_new
     else:
-        raise NoConvergence(
-            f"Newton did not reach tol {tol:.1e} in {_NEWTON_MAX_ITER} iterations", residual=r
-        )
+        raise NoConvergence(f"Newton did not reach tol {tol:.1e} in {_NEWTON_MAX_ITER} iterations")
 
     j = chain.differential(z)
     cls, stable_dim, eigs = classify_differential(j)
@@ -635,7 +629,7 @@ def _cx_from_json(v) -> complex:
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
-    raise MapFormatError(f"expected number or [re, im] pair, got {v!r}")
+    raise InvalidParameter(f"expected number or [re, im] pair, got {v!r}")
 
 
 def _cx_to_json(c: complex) -> list[float]:
@@ -662,9 +656,11 @@ def step_from_dict(d: dict) -> Step:
                 tuple(_cx_from_json(c) for c in d["p"]),
                 tuple(_cx_from_json(c) for c in d["q"]),
             )
+    except InvalidParameter:  # a ValueError whose message already names the bad value
+        raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise MapFormatError(f"malformed step {d!r}: {exc}") from exc
-    raise MapFormatError(f"unknown step kind {kind!r}")
+        raise InvalidParameter(f"malformed step {d!r}: {exc}") from exc
+    raise InvalidParameter(f"unknown step kind {kind!r}")
 
 
 def step_to_dict(step: Step) -> dict:
@@ -695,7 +691,7 @@ def map_from_dict(d: dict) -> AutoChain | EndoChain:
     """Parse a map definition; quadratic_jet steps force an endomorphism.
     A declared "volume_preserving": true is checked against the steps."""
     if not isinstance(d, dict) or "steps" not in d:
-        raise MapFormatError("map definition must be an object with a 'steps' list")
+        raise InvalidParameter("map definition must be an object with a 'steps' list")
     steps = tuple(step_from_dict(s) for s in d["steps"])
     if any(isinstance(s, QuadraticJet) for s in steps):
         return EndoChain(steps)
@@ -718,5 +714,5 @@ def load_map(path: str) -> AutoChain | EndoChain:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise MapFormatError(f"{path}: invalid JSON: {exc}") from exc
+            raise InvalidParameter(f"{path}: invalid JSON: {exc}") from exc
     return map_from_dict(d)

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all holodyn modules."""
+"""Exception hierarchy shared by all holodyn modules.
+
+Every error is its class and one message.  InvalidParameter is the one
+error for bad input, from an option, a map file or a sequence file (CLI
+exit code 2); every other HolodynError says a hypothesis does not hold
+(exit code 1).
+"""
 from __future__ import annotations
 
 
@@ -7,33 +13,16 @@ class HolodynError(Exception):
 
 
 class Overflow(HolodynError):
-    """An intermediate coordinate exceeded the magnitude cap.
-
-    Signals orbit escape rather than numerical failure; carries the
-    offending magnitude and the step index at which it occurred.
-    """
-
-    def __init__(self, magnitude: float, step: int):
-        super().__init__(f"coordinate magnitude {magnitude:.3e} exceeded cap at step {step}")
-        self.magnitude = magnitude
-        self.step = step
+    """An intermediate coordinate exceeded the magnitude cap: orbit escape
+    rather than numerical failure."""
 
 
 class NoConvergence(HolodynError):
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    pass
 
 
 class SingularDifferential(HolodynError):
-    """Newton matrix numerically singular; carries conditioning info."""
-
-    def __init__(self, det: complex, scale: float):
-        super().__init__(
-            f"Newton matrix singular: |det| = {abs(det):.3e} against scale {scale:.3e}"
-        )
-        self.det = det
-        self.scale = scale
+    """Newton matrix numerically singular."""
 
 
 class NotASaddle(HolodynError):
@@ -42,10 +31,6 @@ class NotASaddle(HolodynError):
 
 class DeltaTooLarge(HolodynError):
     """Graph-transform contraction estimate too close to 1; shrink delta."""
-
-    def __init__(self, message: str, ratio: float | None = None):
-        super().__init__(message)
-        self.ratio = ratio
 
 
 class MeshMismatch(HolodynError):
@@ -60,10 +45,6 @@ class NotTangentToIdentity(HolodynError):
     pass
 
 
-class VNotNormalized(HolodynError):
-    pass
-
-
 class DegenerateDirection(HolodynError):
     pass
 
@@ -73,10 +54,7 @@ class BlowupSingular(HolodynError):
 
 
 class NoSurvivor(HolodynError):
-    def __init__(self, message: str, level: int, horizon: int):
-        super().__init__(message)
-        self.level = level
-        self.horizon = horizon
+    pass
 
 
 class Ambiguous(HolodynError):
@@ -84,18 +62,10 @@ class Ambiguous(HolodynError):
 
 
 class PoleHit(HolodynError):
-    def __init__(self, step: int):
-        super().__init__(f"iterate hit the pole 1 + z = 0 at step {step}")
-        self.step = step
+    pass
 
 
 class NotFound(HolodynError):
-    def __init__(self, message: str, deepest: float | None = None):
-        super().__init__(message)
-        self.deepest = deepest
-
-
-class EmptySample(HolodynError):
     pass
 
 
@@ -103,13 +73,6 @@ class AmbiguousComponent(HolodynError):
     """Two target-set components claim the same point (bad parameters)."""
 
 
-class TangencyViolation(HolodynError):
-    pass
-
-
 class InvalidParameter(HolodynError, ValueError):
-    """A parameter outside its domain (CLI maps this to exit code 2)."""
-
-
-class MapFormatError(HolodynError):
-    """Malformed map/sequence definition (CLI maps this to exit code 2)."""
+    """Bad input: a parameter outside its domain, or a malformed value, map
+    or sequence definition (CLI maps this to exit code 2)."""

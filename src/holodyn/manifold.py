@@ -175,16 +175,14 @@ def local_stable_graph(
             ratio = change / changes[-1]
             if ratio > _CONTRACTION_LIMIT:
                 raise DeltaTooLarge(
-                    f"contraction estimate {ratio:.3f} exceeds {_CONTRACTION_LIMIT}; shrink delta",
-                    ratio=ratio,
+                    f"contraction estimate {ratio:.3f} exceeds {_CONTRACTION_LIMIT}; shrink delta"
                 )
         changes.append(change)
         if change < tol:
             break
     else:
         raise NoConvergence(
-            f"graph transform did not reach tol {tol:.1e} in {_MAX_ITER} iterations",
-            residual=changes[-1] if changes else None,
+            f"graph transform did not reach tol {tol:.1e} in {_MAX_ITER} iterations"
         )
 
     if float(np.max(np.abs(t_vals))) > delta * _SLOPE_CAP:

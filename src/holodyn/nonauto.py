@@ -37,7 +37,7 @@ from .core import (
     iterate_live,
     map_from_dict,
 )
-from .errors import InvalidParameter, MapFormatError, TangencyViolation
+from .errors import InvalidParameter
 from .manifold import _nearest_sq_distances
 
 MapLike = AutoChain | EndoChain
@@ -66,7 +66,7 @@ class MapSequence:
         m = self.generator(j)
         if self.tangency_required and j not in self._checked:
             if not hasattr(m, "is_tangent_to_identity") or not m.is_tangent_to_identity():
-                raise TangencyViolation(
+                raise InvalidParameter(
                     f"sequence member {j} does not fix 0 with identity differential"
                 )
             self._checked.add(j)
@@ -117,6 +117,8 @@ def nonauto_attracting_probe(
     """Cells (real 2-D slice) whose centre composition-orbit ends within
     conv_tol of 0 at step n_max and for the 20 preceding iterates, the
     starting point counted; for n_max < 20, every iterate from the start."""
+    if not conv_tol > 0:  # nan too: no cell could ever be near
+        raise InvalidParameter(f"conv_tol must be positive, got {conv_tol}")
     na, nb = grid
     xs, ys = grid_centres(box, grid)
     # resolve every member first, so a late failing index raises even if all cells died
@@ -344,6 +346,8 @@ def pointwise_vs_uniform_report(
     """
     if n_max < 0:
         raise InvalidParameter(f"n_max must be >= 0, got {n_max}")
+    if not conv_tol > 0:
+        raise InvalidParameter(f"conv_tol must be positive, got {conv_tol}")
     xs, ys = grid_centres(box, grid)
     if witnesses:
         wx = np.asarray([w[0] for w in witnesses], dtype=complex)
@@ -390,12 +394,12 @@ def demonstrator_witnesses(n_max: int) -> list[Point]:
 def sequence_from_dict(d: dict) -> MapSequence:
     """Parse {"kind": "list", "maps": [...] } or {"kind": "family", ...}."""
     if not isinstance(d, dict):
-        raise MapFormatError("sequence definition must be an object")
+        raise InvalidParameter("sequence definition must be an object")
     kind = d.get("kind")
     if kind == "list":
         maps = [map_from_dict(m) for m in d.get("maps", [])]
         if not maps:
-            raise MapFormatError("list sequence needs at least one map")
+            raise InvalidParameter("list sequence needs at least one map")
         return list_sequence(maps, tangency_required=bool(d.get("tangency_required", False)))
     if kind == "family":
         name = d.get("name")
@@ -422,5 +426,5 @@ def sequence_from_dict(d: dict) -> MapSequence:
             fwd = AutoChain((ShearX(coeffs),))
             back = fwd.inverted()
             return MapSequence(lambda j: fwd if j % 2 == 1 else back)
-        raise MapFormatError(f"unknown family {name!r}")
-    raise MapFormatError(f"unknown sequence kind {kind!r}")
+        raise InvalidParameter(f"unknown family {name!r}")
+    raise InvalidParameter(f"unknown sequence kind {kind!r}")

@@ -43,7 +43,6 @@ from .errors import (
     NoConvergence,
     NoSurvivor,
     NotTangentToIdentity,
-    VNotNormalized,
 )
 from .manifold import _distance_blocks
 from .poly import Poly2
@@ -233,7 +232,7 @@ def make_nondegenerate(
     """
     v = np.asarray(v, dtype=complex)
     if abs(v[0] - 1.0) > 1e-12 or abs(v[1]) > 1e-12:
-        raise VNotNormalized(f"expected v = (1, 0), got {v!r}")
+        raise InvalidParameter(f"expected v = (1, 0), got {v!r}")
     px, qx = p2.eval(1.0, 0.0)
     scale = max(p2.norm(), 1.0)
     if max(abs(px), abs(qx)) > _ZERO_TOL * scale:
@@ -584,7 +583,7 @@ def graph_point(
         survivors = uu[_survivors(map_like, x, uu, epsilon, horizon)]
         if survivors.size == 0:
             raise NoSurvivor(f"no surviving cells at level {level} (horizon {horizon}); eps may "
-                             "be too large or x outside the regime", level, horizon)
+                             "be too large or x outside the regime")
         groups, gap = _clusters(survivors, 3.0 * cell)
         split_seen = 0 if groups == 1 else split_seen + (gap > 6.0 * cell)
         if split_seen >= 2:
@@ -610,7 +609,7 @@ def graph_point(
             raise NoConvergence(f"Newton did not converge at N = {n}")
         if rho < resolution and not stayed:
             raise NoSurvivor(f"the root of u_N leaves W_eps within N = {n} steps; eps may "
-                             "be too large or x outside the regime", level, n)
+                             "be too large or x outside the regime")
         if rho < resolution and _ring_winds_once(map_like, x, u, rho, n, epsilon):
             return GraphPointResult(x, u, rho, levels, n)
         u -= step

@@ -139,6 +139,100 @@ def literal_formulas(step):
     return _REFS[type(step)](step)
 
 
+# -- rounding-error bounds along the orbit the chain reaches -------------------
+#
+# A step evaluates its formula in complex doubles.  With u = 2^-53 a complex
+# product rounds within 2 sqrt(2) u and a sum within sqrt(2) u of its exact
+# value, relative to the operands' moduli, so the computed image of a step
+# differs from the exact image of the same computed input by at most K u S:
+# S sums |term| over the terms the formula adds (for ShearX, x + c_0 + c_1 y
+# + ... + c_d y^d gives S = |x| + sum |c_i| |y|^i, Horner's rule included)
+# and K = 8 (d + 2) counts d + 1 multiply-adds at under 4.3 u each, with
+# twice that to spare.  Linear rows a x + b y take K = 8; the inverted
+# step's rows (d / det) x + (-b / det) y take K = 16 times
+# 1 + (|ad| + |bc|) / |det|, which covers the rounded determinant and the
+# rounding of each quotient once.
+# Each operation may also lose up to 2^-1075 on the subnormal grid, so every
+# bound adds K ETA with ETA = 2^-1074.
+#
+# An error e in a step's input leaves it as J e, so with the max-row-sum
+# norm |J| the errors of one pass add up as F_k = |J_k| F_(k-1) + e_k.  In a
+# round trip the inverse pass returns each forward error e_k to level k - 1
+# through the inverse Jacobian there:  E_(k-1) = |J_k^-1| (E_k + e_k) + e'_k
+# from E_n = 0 down to E_0, with e'_k the inverse step's own rounding.  A
+# Jacobian product adds, per step, its own rounding (8 u |M| |J| entrywise),
+# the rounding of the entries p'(w), and |p''(w)| F_(k-1) for evaluating them
+# on the computed orbit rather than the exact one.  The tangent push gets
+# p'(w) of a degree-d shear from the recurrence dp <- dp w + p run alongside
+# Horner's rule, so p'(w) = sum_k p_k w^(k-1) over the Horner partial values
+# p_k: the term i c_i w^(i-1) reaches it along i paths, each through at most
+# i + 1 sums and i - 1 products, which round it within 4.3 i u <= 4.3 d u,
+# inside the 8 d u sum i |c_i| |w|^(i-1) charged.  These are first-order
+# bounds, so the tests allow a factor 2; every intermediate the chain
+# reaches enters S, so a cubic shear that takes |x| = 2 to |y| ~ 10 before
+# the inverse subtracts it again is charged for that size, which a bound
+# relative to |z| is not.
+
+U = 2.0**-53
+ETA = 2.0**-1074
+
+
+def coeff_terms(coeffs, w):
+    return sum(abs(c) * abs(w) ** i for i, c in enumerate(coeffs))
+
+
+def step_rounding(step, x, y, inverse=False):
+    """K u S for one step (inverse: its inverse formula) at the input (x, y)."""
+    if isinstance(step, (ShearX, ShearY)):
+        keep, w = (x, y) if isinstance(step, ShearX) else (y, x)
+        k = 8 * (len(step.coeffs) + 1)
+        return k * (U * (abs(keep) + coeff_terms(step.coeffs, w)) + ETA)
+    if isinstance(step, Translation):
+        return 4 * (U * max(abs(x) + abs(step.bx), abs(y) + abs(step.by)) + ETA)
+    a, b, c, d = (abs(v) for v in (step.a, step.b, step.c, step.d))
+    if not inverse:
+        return 8 * (U * max(a * abs(x) + b * abs(y), c * abs(x) + d * abs(y)) + ETA)
+    det = abs(step.det())
+    rows = max(d * abs(x) + b * abs(y), c * abs(x) + a * abs(y))
+    return 16 * (U * rows / det * (1 + (a * d + b * c) / det) + ETA)
+
+
+def jac_norm(step, x, y, inverse=False):
+    """|J| of the step at its input (x, y), or with inverse |J^-1|: the norm of
+    the inverse step's Jacobian at the image of (x, y)."""
+    a, b, c, d = literal_formulas(step)[1](x, y)
+    if inverse:
+        a, b, c, d = (v / (a * d - b * c) for v in (d, b, c, a))
+    return max(abs(a) + abs(b), abs(c) + abs(d))
+
+
+def step_orbit(steps, z):
+    points = [z]
+    for s in steps:
+        points.append(s.apply(*points[-1]))
+    return points
+
+
+def forward_bound(steps, z):
+    """F_n for the steps at z: the error the computed image may carry."""
+    bound = 0.0
+    for s, p in zip(steps, step_orbit(steps, z)):
+        bound = jac_norm(s, *p) * bound + step_rounding(s, *p)
+    return bound
+
+
+def round_trip_bound(steps, z, inverse_steps):
+    """E_0 for the forward steps, then inverse_steps: the functions that undo
+    them, last step first."""
+    points = step_orbit(steps, z)
+    bound, w = 0.0, points[-1]
+    for s, p, back in zip(reversed(steps), reversed(points[:-1]), inverse_steps):
+        e = step_rounding(s, *p)
+        bound = jac_norm(s, *p, inverse=True) * (bound + e) + step_rounding(s, *w, inverse=True)
+        w = back(*w)
+    return bound
+
+
 # -- constructions only the tests use ------------------------------------------
 
 

@@ -178,3 +178,31 @@ def test_benchmark_tracer_installs_and_uninstalls():
         rec.uninstall()
     assert holodyn.core.AutoChain.__dict__["evaluate_batch"] is evaluate_batch
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_every_error_is_its_class_and_one_message():
+    """The classes of errors.py define no method and store no attribute, and
+    every raise of one of them in src/ passes exactly one positional argument,
+    its message, and no keyword."""
+    tree = ast.parse((LIBRARY / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    stateful = [
+        f"errors.{cls.name}"
+        for cls in classes
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Assign, ast.AnnAssign))
+    ]
+    assert stateful == []
+    names = {cls.name for cls in classes}
+    bad = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            f = node.exc.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            args, keywords = node.exc.args, node.exc.keywords
+            one_message = len(args) == 1 and not isinstance(args[0], ast.Starred) and not keywords
+            if name in names and not one_message:
+                bad.append(f"{path.stem}:{node.lineno} {name}")
+    assert bad == []

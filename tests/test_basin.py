@@ -23,7 +23,7 @@ from holodyn.basin import (
     sphere_residuals_batch,
 )
 from holodyn.core import diag_linear_chain, find_fixed_point
-from holodyn.errors import EmptySample, InvalidParameter, NotFound, PoleHit
+from holodyn.errors import InvalidParameter, NotFound, PoleHit
 
 from conftest import identity_chain
 
@@ -101,7 +101,7 @@ def test_interior_probe_attracting_control_full():
 
 
 def test_interior_probe_empty_sample(henon075, henon_saddle):
-    with pytest.raises(EmptySample):
+    with pytest.raises(InvalidParameter, match="at least one sample"):
         interior_probe(henon075, henon_saddle, 2.0, 0)
 
 

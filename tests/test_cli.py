@@ -230,6 +230,13 @@ def test_sector_sets_membership_flag(tmp_path, capsys):
     assert data["disjoint"] is True
 
 
+def test_sector_sets_defaults_give_disjoint_components(tmp_path, capsys):
+    out = tmp_path / "ss"
+    assert main(["sector-sets", "--z", "0.1,0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "disjoint, min gap 0.00498\n"
+    assert json.loads((out / "sector_sets.json").read_text())["membership"] == "Lx{0}"
+
+
 @dataclass
 class _Inner:
     z: complex
@@ -310,7 +317,7 @@ OPTIONS = {
         "--with-witnesses": False, **_OUT,
     },
     "sector-sets": {
-        "--R": 2.0, "--epsilon": 0.02, "--delta": 0.1, "--z": None, "--check-samples": 2000,
+        "--R": 2.0, "--epsilon": 0.1, "--delta": 0.005, "--z": None, "--check-samples": 2000,
         "--seed": 0, **_OUT,
     },
     "report": {"--list": False, **_OUT},
@@ -615,7 +622,53 @@ _CONFIG_ERRORS = {
         ["bounded-set", "--map", HENON, "--box-min", "nan", "--grid", "4,4"],
         "box bounds must be finite",
     ),
+    "fixed-point-tol-nan": (
+        ["fixed-point", "--map", HENON, "--seed-point", "1.4,1.4", "--tol", "nan"],
+        "tol must be positive",
+    ),
+    "nonauto-probe-conv-tol-negative": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--conv-tol=-1"],
+        "conv_tol must be positive",
+    ),
+    "nonauto-report-conv-tol-nan": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "report", "--conv-tol", "nan"],
+        "conv_tol must be positive",
+    ),
+    # the iteration would take no step and the residual would compare two maps
+    "gallery-sphere-m-negative": (
+        ["gallery", "--example", "sphere", "--m=-1"], "step count must be >= 0",
+    ),
+    # bad input exits 2 whichever file or option it comes from
+    "interior-samples-zero": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--samples", "0"],
+        "interior_probe needs at least one sample",
+    ),
+    "density-plane-one": ([*_DENSITY, "--plane", "re_x"], BAD_VALUE),
+    "density-plane-three": ([*_DENSITY, "--plane", "re_x,re_y,im_x"], BAD_VALUE),
+    "density-plane-unknown": ([*_DENSITY, "--plane", "re_x,z"], "bad --plane 're_x,z'"),
 }
+
+
+def test_tangency_violation_in_a_sequence_file_is_a_config_error(tmp_path, capsys):
+    henon = json.loads(Path(HENON).read_text())
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"kind": "list", "maps": [henon], "tangency_required": True}))
+    rc = main(["nonauto-run", "--sequence", str(seq), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "holodyn: config error: sequence member 1 does not fix 0 with identity differential\n"
+    )
+
+
+@pytest.mark.parametrize("plane", ["re_x", "re_x,re_y,im_x", "re_x,z"])
+def test_density_checks_its_plane_before_any_work(plane, tmp_path, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("density ran before its --plane was checked")
+
+    monkeypatch.setattr(Run, "chain_and_fixed_point", no_work)
+    out = tmp_path / "o"
+    assert main([*_DENSITY, "--plane", plane, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -37,12 +37,20 @@ from holodyn.poly import polyder, polyval
 
 import mp_oracle
 from conftest import (
+    ETA,
+    U,
     bidisc_points,
+    coeff_terms,
     finite_difference_jacobian,
+    forward_bound,
     identity_chain,
+    jac_norm,
     literal_formulas,
     polyval_ref,
     quadratic_roots,
+    round_trip_bound,
+    step_orbit,
+    step_rounding,
     total_degree,
 )
 
@@ -109,85 +117,7 @@ def _steps_strategy():
     return st.lists(st.one_of(shear_x, shear_y, linear, translation), max_size=4)
 
 
-# -- rounding-error bounds along the orbit the chain reaches -------------------
-#
-# A step evaluates its formula in complex doubles.  With u = 2^-53 a complex
-# product rounds within 2 sqrt(2) u and a sum within sqrt(2) u of its exact
-# value, relative to the operands' moduli, so the computed image of a step
-# differs from the exact image of the same computed input by at most K u S:
-# S sums |term| over the terms the formula adds (for ShearX, x + c_0 + c_1 y
-# + ... + c_d y^d gives S = |x| + sum |c_i| |y|^i, Horner's rule included)
-# and K = 8 (d + 2) counts d + 1 multiply-adds at under 4.3 u each, with
-# twice that to spare.  Linear rows a x + b y take K = 8; the inverted
-# step's rows (d / det) x + (-b / det) y take K = 16 times
-# 1 + (|ad| + |bc|) / |det|, which covers the rounded determinant and the
-# rounding of each quotient once.
-# Each operation may also lose up to 2^-1075 on the subnormal grid, so every
-# bound adds K ETA with ETA = 2^-1074.
-#
-# An error e in a step's input leaves it as J e, so with the max-row-sum
-# norm |J| the errors of one pass add up as F_k = |J_k| F_(k-1) + e_k.  In a
-# round trip the inverse pass returns each forward error e_k to level k - 1
-# through the inverse Jacobian there:  E_(k-1) = |J_k^-1| (E_k + e_k) + e'_k
-# from E_n = 0 down to E_0, with e'_k the inverse step's own rounding.  A
-# Jacobian product adds, per step, its own rounding (8 u |M| |J| entrywise),
-# the rounding of the entries p'(w), and |p''(w)| F_(k-1) for evaluating them
-# on the computed orbit rather than the exact one.  The tangent push gets
-# p'(w) of a degree-d shear from the recurrence dp <- dp w + p run alongside
-# Horner's rule, so p'(w) = sum_k p_k w^(k-1) over the Horner partial values
-# p_k: the term i c_i w^(i-1) reaches it along i paths, each through at most
-# i + 1 sums and i - 1 products, which round it within 4.3 i u <= 4.3 d u,
-# inside the 8 d u sum i |c_i| |w|^(i-1) charged.  These are first-order
-# bounds, so the tests allow a factor 2; every intermediate the chain
-# reaches enters S, so a cubic shear that takes |x| = 2 to |y| ~ 10 before
-# the inverse subtracts it again is charged for that size, which a bound
-# relative to |z| is not.
-
-U = 2.0**-53
-ETA = 2.0**-1074
-
-
-def _terms(coeffs, w):
-    return sum(abs(c) * abs(w) ** i for i, c in enumerate(coeffs))
-
-
-def _rounding(step, x, y, inverse=False):
-    """K u S for one step (inverse: its inverse formula) at the input (x, y)."""
-    if isinstance(step, (ShearX, ShearY)):
-        keep, w = (x, y) if isinstance(step, ShearX) else (y, x)
-        k = 8 * (len(step.coeffs) + 1)
-        return k * (U * (abs(keep) + _terms(step.coeffs, w)) + ETA)
-    if isinstance(step, Translation):
-        return 4 * (U * max(abs(x) + abs(step.bx), abs(y) + abs(step.by)) + ETA)
-    a, b, c, d = (abs(v) for v in (step.a, step.b, step.c, step.d))
-    if not inverse:
-        return 8 * (U * max(a * abs(x) + b * abs(y), c * abs(x) + d * abs(y)) + ETA)
-    det = abs(step.det())
-    rows = max(d * abs(x) + b * abs(y), c * abs(x) + a * abs(y))
-    return 16 * (U * rows / det * (1 + (a * d + b * c) / det) + ETA)
-
-
-def _jac_norm(step, x, y, inverse=False):
-    """|J| of the step at its input (x, y), or with inverse |J^-1|: the norm of
-    the inverse step's Jacobian at the image of (x, y)."""
-    a, b, c, d = literal_formulas(step)[1](x, y)
-    if inverse:
-        a, b, c, d = (v / (a * d - b * c) for v in (d, b, c, a))
-    return max(abs(a) + abs(b), abs(c) + abs(d))
-
-
-def _orbit(steps, z):
-    points = [z]
-    for s in steps:
-        points.append(s.apply(*points[-1]))
-    return points
-
-
-def _forward_bound(steps, z):
-    bound = 0.0
-    for s, p in zip(steps, _orbit(steps, z)):
-        bound = _jac_norm(s, *p) * bound + _rounding(s, *p)
-    return bound
+# -- rounding-error bounds (derived in conftest.py) ----------------------------
 
 
 def _inverse_bound(steps, w):
@@ -195,38 +125,26 @@ def _inverse_bound(steps, w):
     bound = 0.0
     for s in reversed(steps):
         prev = s.inverted().apply(*w)
-        bound = _jac_norm(s, *prev, inverse=True) * bound + _rounding(s, *w, inverse=True)
+        bound = jac_norm(s, *prev, inverse=True) * bound + step_rounding(s, *w, inverse=True)
         w = prev
-    return bound
-
-
-def _round_trip_bound(steps, z, inverse_steps):
-    """E_0 for the forward steps, then inverse_steps: the functions that undo
-    them, last step first."""
-    points = _orbit(steps, z)
-    bound, w = 0.0, points[-1]
-    for s, p, back in zip(reversed(steps), reversed(points[:-1]), inverse_steps):
-        e = _rounding(s, *p)
-        bound = _jac_norm(s, *p, inverse=True) * (bound + e) + _rounding(s, *w, inverse=True)
-        w = back(*w)
     return bound
 
 
 def _differential_bound(steps, z):
     """Entrywise bound on |differential(z) - exact Jacobian| (2x2 array)."""
     err, j, forward = np.zeros((2, 2)), np.eye(2, dtype=complex), 0.0
-    for s, p in zip(steps, _orbit(steps, z)):
+    for s, p in zip(steps, step_orbit(steps, z)):
         m = np.array(literal_formulas(s)[1](*p), dtype=complex).reshape(2, 2)
         entry = np.zeros((2, 2))
         if isinstance(s, (ShearX, ShearY)):
             w = p[1] if isinstance(s, ShearX) else p[0]
             der = polyder(s.coeffs)
             off = (0, 1) if isinstance(s, ShearX) else (1, 0)
-            rounding = 8 * len(der) * (U * _terms(der, w) + ETA)
-            entry[off] = rounding + _terms(polyder(der), w) * forward
+            rounding = 8 * len(der) * (U * coeff_terms(der, w) + ETA)
+            entry[off] = rounding + coeff_terms(polyder(der), w) * forward
         err = np.abs(m) @ err + (entry + 8 * U * np.abs(m)) @ np.abs(j) + 8 * ETA
         j = m @ j
-        forward = _jac_norm(s, *p) * forward + _rounding(s, *p)
+        forward = jac_norm(s, *p) * forward + step_rounding(s, *p)
     return err
 
 
@@ -260,13 +178,13 @@ def _dist(got, want):
 def test_inverse_round_trip_property(steps, x, y):
     ch = AutoChain(steps)
     w = ch.evaluate((x, y), cap=1e15)
-    assert _dist(w, mp_oracle.forward(ch, (x, y))) <= 2 * _forward_bound(ch.steps, (x, y))
+    assert _dist(w, mp_oracle.forward(ch, (x, y))) <= 2 * forward_bound(ch.steps, (x, y))
     # the inverted chain runs each step's inverse formula with rounded coefficients
     inv = ch.inverted()
     back = inv.evaluate(w, cap=1e15)
     assert _dist(back, mp_oracle.inverse(ch, w)) <= 2 * _inverse_bound(ch.steps, w)
     inverted = [s.apply for s in inv.steps]
-    assert _dist(back, (x, y)) <= 2 * _round_trip_bound(ch.steps, (x, y), inverted)
+    assert _dist(back, (x, y)) <= 2 * round_trip_bound(ch.steps, (x, y), inverted)
 
 
 def test_round_trip_thousand_points(henon075):

@@ -73,7 +73,7 @@ def graph_point_grid(
             if survivors.size:
                 break
         if survivors.size == 0:
-            raise NoSurvivor(f"no surviving cells at level {level}", level, horizon)
+            raise NoSurvivor(f"no surviving cells at level {level}")
         diam = max(float(d.max()) for _, d in _distance_blocks(survivors, survivors))
         cell_diag = cell * math.sqrt(2.0)
         center = complex(survivors.mean())

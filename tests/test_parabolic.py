@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from holodyn.errors import (
     DegenerateDirection,
     NoSurvivor,
+    InvalidParameter,
     NotTangentToIdentity,
-    VNotNormalized,
 )
 from holodyn.parabolic import (
     AllDirections,
@@ -169,7 +169,7 @@ def test_make_nondegenerate_identity_at_zero_eps():
 
 def test_make_nondegenerate_requires_normalized_v():
     p2 = HomogeneousQuadratic((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
-    with pytest.raises(VNotNormalized):
+    with pytest.raises(InvalidParameter, match="expected v"):
         make_nondegenerate(p2, np.array([0.0, 1.0]), 0.1)
 
 

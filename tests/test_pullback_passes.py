@@ -10,6 +10,7 @@ recomputing each depth from the graph fails them.
 """
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holodyn.cli import main
-from holodyn.core import DEFAULT_CAP, AutoChain
+from holodyn.core import DEFAULT_CAP, AutoChain, find_fixed_point
 from holodyn.errors import InvalidParameter
-from holodyn.manifold import density_sweep, occupied_cells, pullback_clouds
+from holodyn.manifold import density_sweep, local_stable_graph, occupied_cells, pullback_clouds
+from holodyn.rng import make_generator
+
+import mp_oracle
+from conftest import forward_bound, round_trip_bound
 
 HENON = str(Path(__file__).resolve().parents[1] / "maps" / "henon075.json")
 
@@ -86,6 +91,42 @@ def test_pullback_clouds_match_per_depth_loop(henon075, henon_graph, bound):
     else:
         assert first.dropped > 0 and np.abs(first.points).max() <= bound
     assert clouds[0].dropped == 0 and clouds[-1].dropped > 0
+
+
+def test_pullback_error_is_within_its_rounding_bound(henon075):
+    """40 seeded samples of the saddle script's graph, pulled back to depth 8.
+    Each depth-n point differs from the 50-digit inverse taken n times by at
+    most twice forward_bound of the inverted steps repeated n times, and f^n
+    brings it back to its graph point within twice round_trip_bound.  Both
+    bounds grow with the intermediates the orbit reaches: over these samples
+    the peak is 14, 4e4 and 1.2e11 at depths 4, 6 and 8, and the round trip
+    errs by up to 4.2e-14, 1.8e-8 and 1.7e2."""
+    fp = find_fixed_point(henon075, (1.4, 1.4))
+    graph = local_stable_graph(henon075, fp, 0.1, mesh=(12, 24), tol=1e-9)
+    pick = make_generator(8).choice(len(graph.s_grid), 40, replace=False)
+    graph = dataclasses.replace(graph, s_grid=graph.s_grid[pick], t_values=graph.t_values[pick])
+    starts = list(zip(*graph.to_ambient(graph.s_grid, graph.t_values)))
+    want = list(starts)
+    x, y = (np.array(v, dtype=complex) for v in zip(*starts))
+    ok = np.ones(len(starts), dtype=bool)
+    inv = henon075.inverted()
+    clouds = pullback_clouds(henon075, graph, 8)
+    next(clouds)
+    for n, cloud in enumerate(clouds, start=1):
+        x, y, step_ok = inv.evaluate_batch(x, y)  # the pass pullback_clouds makes
+        ok &= step_ok
+        assert cloud.points.tobytes() == np.stack([x[ok], y[ok]], axis=1).tobytes()
+        bx, by = x, y
+        for _ in range(n):
+            bx, by = henon075.apply(bx, by)
+        undo = [s.apply for s in henon075.steps * n]
+        for k in np.flatnonzero(ok):
+            want[k] = mp_oracle.inverse(henon075, want[k])
+            err = max(abs(x[k] - want[k][0]), abs(y[k] - want[k][1]))
+            assert err <= 2 * forward_bound(inv.steps * n, starts[k])
+            back = max(abs(bx[k] - starts[k][0]), abs(by[k] - starts[k][1]))
+            assert back <= 2 * round_trip_bound(inv.steps * n, starts[k], undo)
+    assert 0 < np.count_nonzero(~ok) < len(ok)  # depth 8 drops some samples, not all
 
 
 def test_pullback_clouds_reject_negative_depth(henon075, henon_graph):
