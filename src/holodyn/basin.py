@@ -6,9 +6,11 @@ steps, which keeps transits through a neighbourhood from flagging early.
 The distance is hypot(|dx|, |dy|), decided exactly by core.hypot_below,
 which calls libm hypot only where max(|dx|, |dy|) cannot decide it.
 Escape means a coordinate passed core.DEFAULT_CAP.  All grid/sample probes
-run vectorised, iterate only the points whose orbit is still undecided (see
-core.iterate_live) and draw their randomness as deterministic
-counter-based batches, so results are independent of chunking.
+run vectorised, iterate only the points whose orbit is still undecided, in
+fixed blocks of core._BLOCK points (see core.iterate_live), and draw their
+randomness as deterministic counter-based batches, so results are
+independent of blocks.  threads > 1 hands the same blocks to a thread pool,
+so a population of one block is never split.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    _BLOCK,
     AutoChain,
     DEFAULT_CAP,
     FixedPointInfo,
@@ -105,7 +108,8 @@ def orbit_verdicts(
             keep &= ~conv
         return keep, (nx, ny, run)
 
-    iterate_live(advance, (x, y, np.zeros(x.shape[0], dtype=np.int64)), max_iter)
+    # the zero run counts are one stored zero, so memory stays per block
+    iterate_live(advance, (x, y, np.broadcast_to(np.int64(0), x.shape)), max_iter)
     return codes, steps
 
 
@@ -214,8 +218,9 @@ def interior_probe(
 ) -> InteriorReport:
     """Fraction of uniform ball samples whose orbit converges to fp.
 
-    threads only chunks the sweep; the verdict of each sample is a pure
-    function of (seed, index) so the fraction is chunking-independent.
+    threads only says how many workers take the sweep's blocks of _BLOCK
+    samples; the verdict of each sample is a pure function of (seed, index),
+    so the fraction is independent of blocks and threads.
     """
     if samples <= 0:
         raise InvalidParameter("interior_probe needs at least one sample")
@@ -241,16 +246,16 @@ def interior_probe(
     )
 
 
-def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    """At most parts contiguous chunks of range(n); one empty chunk for n = 0."""
-    size = max(1, -(-n // max(1, parts)))
-    return [(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
+def _chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """The blocks of core.iterate_live: contiguous chunks of _BLOCK points
+    covering range(n); one empty chunk for n = 0."""
+    return [(lo, min(lo + _BLOCK, n)) for lo in range(0, max(n, 1), _BLOCK)]
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], n: int, threads: int) -> list:
-    """run_chunk(lo, hi) over contiguous chunks of range(n), in chunk order;
-    threads > 1 runs the chunks on a pool of that many threads."""
-    bounds = _chunk_bounds(n, threads)
+    """run_chunk(lo, hi) over the blocks of range(n), in block order;
+    threads > 1 runs them on a pool of that many threads."""
+    bounds = _chunk_bounds(n)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

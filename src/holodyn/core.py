@@ -436,28 +436,42 @@ def hypot_max(p, q):
     return np.hypot(p, q).max()
 
 
+_BLOCK = 2**15  # points per block of iterate_live, whose working memory is that of one block
+
+
 def iterate_live(advance, arrays, steps: int):
     """Iterate advance(k, idx, *arrays) -> (keep, arrays) for k = 1..steps on
-    the live points only, stopping once none is left.
+    the live points only, in consecutive blocks of _BLOCK points.
 
+    Each block runs from k = 1 until none of its points is left or k = steps,
+    so the working memory is that of one block, whatever the point count.
     idx holds the original indices of the points whose state is in arrays
-    (np.arange(n) at first); points where keep is false leave both, and
-    advance records their verdicts by scattering through idx.  Returns the
-    final (idx, arrays).  A negative step count raises InvalidParameter.
+    (a block's range of np.arange(n) at first); points where keep is false
+    leave both, and advance records their verdicts by scattering through
+    idx.  Returns the final (idx, arrays) of all blocks, concatenated in
+    index order.  A negative step count raises InvalidParameter.
     """
     if steps < 0:
         raise InvalidParameter(f"step count must be >= 0, got {steps}")
-    idx = np.arange(len(arrays[0]))
+    n = len(arrays[0])
+    parts = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing on the way out is an escape
-        for k in range(1, steps + 1):
-            if idx.size == 0:
-                break
-            keep, arrays = advance(k, idx, *arrays)
-            if not keep.all():
-                live = np.flatnonzero(keep)
-                idx = idx[live]
-                arrays = tuple(a[live] for a in arrays)
-    return idx, arrays
+        for lo in range(0, max(n, 1), _BLOCK):  # n = 0 is one empty block
+            idx = np.arange(lo, min(lo + _BLOCK, n))
+            live_arrays = tuple(a[lo : lo + _BLOCK] for a in arrays)
+            for k in range(1, steps + 1):
+                if idx.size == 0:
+                    break
+                keep, live_arrays = advance(k, idx, *live_arrays)
+                if not keep.all():
+                    live = np.flatnonzero(keep)
+                    idx = idx[live]
+                    live_arrays = tuple(a[live] for a in live_arrays)
+            parts.append((idx, live_arrays))
+    if len(parts) == 1:
+        return parts[0]
+    idxs, blocks = zip(*parts)
+    return np.concatenate(idxs), tuple(np.concatenate(a) for a in zip(*blocks))
 
 
 # -- fixed points ----------------------------------------------------------

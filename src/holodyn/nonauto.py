@@ -82,7 +82,7 @@ def list_sequence(maps: Sequence[MapLike], tangency_required: bool = False) -> M
 
     def gen(j: int) -> MapLike:
         if not 1 <= j <= len(maps):
-            raise IndexError(f"sequence has {len(maps)} maps, asked for {j}")
+            raise InvalidParameter(f"sequence has {len(maps)} map(s), asked for map {j}")
         return maps[j - 1]
 
     return MapSequence(gen, tangency_required=tangency_required)
@@ -404,25 +404,35 @@ def sequence_from_dict(d: dict) -> MapSequence:
     if kind == "family":
         name = d.get("name")
         params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidParameter(f"family params must be an object, got {params!r}")
+
+        def param(key, parse, default):
+            v = params.get(key, default)
+            try:
+                return parse(v)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameter(f"bad family parameter {key}={v!r}: {exc}") from exc
+
         if name == "contraction":
             from .core import diag_linear_chain
 
-            rate = float(params.get("rate", 0.5))
+            rate = param("rate", float, 0.5)
             return constant_sequence(diag_linear_chain(rate, rate))
         if name == "planar_demo":
             return demonstrator_sequence()
         if name == "shifted_henon":
             from .core import conjugate_by_translation, find_fixed_point, henon_chain
 
-            c = float(params.get("c", 0.75))
+            c = param("c", float, 0.75)
             chain = henon_chain(c)
-            seed = complex(params.get("seed_x", 1.4)), complex(params.get("seed_y", 1.4))
+            seed = param("seed_x", complex, 1.4), param("seed_y", complex, 1.4)
             fp = find_fixed_point(chain, seed)
             return constant_sequence(conjugate_by_translation(chain, fp.location))
         if name == "alternating_shear":
             from .core import ShearX
 
-            coeffs = tuple(complex(v) for v in params.get("coeffs", [0.0, 1.0]))
+            coeffs = param("coeffs", lambda vs: tuple(complex(v) for v in vs), [0.0, 1.0])
             fwd = AutoChain((ShearX(coeffs),))
             back = fwd.inverted()
             return MapSequence(lambda j: fwd if j % 2 == 1 else back)

@@ -500,6 +500,16 @@ def test_every_accepted_option_is_read(tmp_path):
 
 BAD_VALUE = "bad value"
 _DENSITY = ["density", "--map", HENON, "--seed-point", "1.4,1.4"]
+
+
+def _one_map_list(tmp_path) -> str:
+    """A list sequence file holding the Henon map once."""
+    path = tmp_path / "one_map.json"
+    path.write_text(json.dumps({"kind": "list", "maps": [json.loads(Path(HENON).read_text())]}))
+    return str(path)
+
+
+# an argv entry that is a function of tmp_path writes the file it names
 _CONFIG_ERRORS = {
     "bounded-set-grid-one": (["bounded-set", "--map", HENON, "--grid", "64"], BAD_VALUE),
     "bounded-set-grid-words": (["bounded-set", "--map", HENON, "--grid", "a,b"], BAD_VALUE),
@@ -646,6 +656,14 @@ _CONFIG_ERRORS = {
     "density-plane-one": ([*_DENSITY, "--plane", "re_x"], BAD_VALUE),
     "density-plane-three": ([*_DENSITY, "--plane", "re_x,re_y,im_x"], BAD_VALUE),
     "density-plane-unknown": ([*_DENSITY, "--plane", "re_x,z"], "bad --plane 're_x,z'"),
+    "nonauto-orbit-list-shorter-than-n": (
+        ["nonauto-run", "--sequence", _one_map_list, "--mode", "orbit", "--n", "3"],
+        "sequence has 1 map(s), asked for map 2",
+    ),
+    "nonauto-probe-list-shorter-than-n": (
+        ["nonauto-run", "--sequence", _one_map_list, "--mode", "probe", "--n", "3"],
+        "sequence has 1 map(s), asked for map 2",
+    ),
 }
 
 
@@ -691,6 +709,7 @@ def test_zero_cell_grids_give_empty_images(argv, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
 def test_malformed_values_are_config_errors(case, tmp_path, capsys):
     argv, message = _CONFIG_ERRORS[case]
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
     rc = main([*argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2

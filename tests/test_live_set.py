@@ -9,6 +9,7 @@ share code with what it checks.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -16,13 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holodyn import manifold, parabolic
+from holodyn import basin, core, manifold, parabolic
 from holodyn.basin import (
     HYSTERESIS,
     _angle_2pi,
     VERDICT_CONVERGED,
     VERDICT_ESCAPED,
+    bounded_set_probe,
     dichotomy_probe,
+    interior_probe,
     orbit,
     orbit_verdicts,
     planar_homeo,
@@ -340,6 +343,131 @@ def test_iterate_live_zero_steps_and_empty_input():
     assert idx.size == 0
 
 
+# -- blocks -----------------------------------------------------------------------
+
+# With blocks of 7 points every input below spans several blocks.  A point's
+# orbit does not depend on the other points, so each result must equal the
+# one-block run of the same input.
+
+
+def _in_blocks(fn, *args, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK", 7)
+        return fn(*args, **kw)
+
+
+def test_iterate_live_concatenates_the_live_sets_of_its_blocks():
+    seen = []
+
+    def advance(k, idx, v):
+        seen.append(idx.copy())
+        return v > k, (v,)
+
+    v0 = np.array([3, 1, 5, 0, 4, 9, 2, 0, 0, 1, 0, 0, 0, 1, 6, 8, 0])
+    want = iterate_live(advance, (v0,), 4)
+    seen.clear()
+    idx, (v,) = _in_blocks(iterate_live, advance, (v0,), 4)
+    assert idx.tolist() == want[0].tolist() == [2, 5, 14, 15]
+    assert v.tolist() == want[1][0].tolist() == [5, 9, 6, 8]
+    # each call sees one block; the second block (7..13) empties at step 1
+    assert all(s.min() // 7 == s.max() // 7 for s in seen)
+    assert [s.tolist() for s in seen if s.min() // 7 == 1] == [list(range(7, 14))]
+
+
+@pytest.mark.parametrize("k, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_chunk_bounds_are_the_blocks_of_iterate_live(k, extra):
+    n = k * core._BLOCK + extra
+    bounds = basin._chunk_bounds(n)
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    sizes = [hi - lo for lo, hi in bounds]
+    assert all(size == core._BLOCK for size in sizes[:-1]) and sizes[-1] <= core._BLOCK
+    assert (len(bounds) == 1) == (n <= core._BLOCK)
+
+
+@pytest.mark.parametrize("n", [0, 6, 7, 8, 45])
+@pytest.mark.parametrize("target", [None, (0j, 0j)])
+def test_orbit_verdicts_unchanged_by_blocks(n, target):
+    xs, ys = _orbit_inputs(3, n, 0.5, False)
+    xs[7:14] = 1e200  # the second block escapes at step 1
+    for chain in _ORBIT_CHAINS:
+        codes, steps = _in_blocks(orbit_verdicts, chain, xs, ys, 80, target=target)
+        want = orbit_verdicts(chain, xs, ys, 80, target=target)
+        assert np.array_equal(codes, want[0]) and np.array_equal(steps, want[1])
+        assert (steps[7:14] == 1).all()
+
+
+@pytest.mark.parametrize("loc, unstable", [((0j, 0j), False), ((0.5 + 0.1j, 0.5 - 0.2j), True)])
+@pytest.mark.parametrize("samples", [0, 40])
+def test_dichotomy_unchanged_by_blocks(loc, unstable, samples):
+    # at loc 0, diag_linear_chain(0.5, 0.9j) brings every point into the ball at step 1
+    vu = np.array([0.6, 0.8j]) if unstable else None
+    fp = SimpleNamespace(location=loc, unstable_direction=vu)
+    for chain in _ORBIT_CHAINS:
+        got = _in_blocks(dichotomy_probe, chain, fp, 0.5, 30, samples=samples)
+        want = dichotomy_probe(chain, fp, 0.5, 30, samples=samples)
+        assert (got.largest_witnessed_m, got.cutoff_m0, got.witnesses) == (
+            want.largest_witnessed_m, want.cutoff_m0, want.witnesses,
+        )
+
+
+@pytest.mark.parametrize("grid", [(7, 6), (5, 9), (0, 3)])
+def test_nonauto_probe_unchanged_by_blocks(grid):
+    cases = [(seq, ((-1.0, 1.0), (-0.5, 0.5)), 40) for seq in _SEQUENCES]
+    # on the 7 x 6 grid each row is a block, and rows 1-5 pass DEFAULT_CAP at step 1
+    cases.append((constant_sequence(diag_linear_chain(1e7, 1e7)), ((-1.0, 1.0), (0.0, 1e6)), 5))
+    for seq, box, n_max in cases:
+        got = _in_blocks(nonauto_attracting_probe, seq, box, grid, n_max, conv_tol=0.05)
+        assert np.array_equal(got, nonauto_attracting_probe(seq, box, grid, n_max, conv_tol=0.05))
+
+
+@pytest.mark.parametrize("n", [0, 50])
+@pytest.mark.parametrize(
+    "map_like, x", [(m, -0.01) for m in _PARABOLIC_MAPS[:4]] + [(_JET_ZERO, _X_ZERO)]
+)
+def test_survivors_unchanged_by_blocks(map_like, x, n):
+    # every image x of _JET_ZERO vanishes, so each block empties at step 1
+    us = _sector_inputs(4, n, x, 1.5)
+    got = _in_blocks(_survivors, map_like, x, us, 0.02, 60)
+    assert np.array_equal(got, _survivors(map_like, x, us, 0.02, 60))
+
+
+def test_pooled_probes_unchanged_by_blocks_and_threads():
+    # the pool takes blocks of 7 too, so both threads have work
+    chain, fp = diag_linear_chain(0.5, 0.9j), SimpleNamespace(location=(0j, 0j))
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    rep = interior_probe(chain, fp, 0.5, 100, max_iter=60)
+    occupied = bounded_set_probe(henon_chain(0.75), box, (9, 8), 60)
+    assert 0 < rep.converged < 100 and 0 < occupied.sum() < occupied.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basin, "_BLOCK", 7)
+        for threads in (1, 2):
+            got = _in_blocks(interior_probe, chain, fp, 0.5, 100, max_iter=60, threads=threads)
+            assert vars(got) == vars(rep)
+            got = _in_blocks(bounded_set_probe, henon_chain(0.75), box, (9, 8), 60, threads=threads)
+            assert np.array_equal(got, occupied)
+
+
+def test_orbit_verdicts_working_memory_does_not_grow_with_the_sample_count():
+    chain = diag_linear_chain(0.5, 0.5)
+
+    def working_bytes(blocks):
+        g = np.random.default_rng(5)
+        n = blocks * core._BLOCK
+        xs = g.random(n) - 0.5 + 0j
+        ys = g.random(n) - 0.5 + 0j
+        tracemalloc.start()
+        try:
+            codes, steps = orbit_verdicts(chain, xs, ys, 100, target=(0j, 0j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (codes == VERDICT_CONVERGED).all()  # no live set is left to concatenate
+        return peak - codes.nbytes - steps.nbytes
+
+    assert working_bytes(8) <= 1.2 * working_bytes(2)
+
+
 # -- parabolic._survivors ---------------------------------------------------------
 
 
@@ -551,9 +679,9 @@ def test_nonauto_probe_requests_every_member_after_all_cells_died():
     seq = list_sequence([diag_linear_chain(1e7, 1e7)] * 3)
     # every centre has |x| >= 0.25, so all cells pass DEFAULT_CAP at step 2,
     # yet the list has no 5th map
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidParameter, match="sequence has 3 map"):
         nonauto_probe_ref(seq, ((-1, 1), (-1, 1)), (4, 4), 5)
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidParameter, match="sequence has 3 map"):
         nonauto_attracting_probe(seq, ((-1, 1), (-1, 1)), (4, 4), 5)
 
 

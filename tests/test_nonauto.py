@@ -227,6 +227,29 @@ def test_sequence_from_list_dict(henon075):
     assert abs(states[1][0] - want[0]) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("contraction", {"rate": "abc"}),
+        ("contraction", {"rate": [0.5]}),
+        ("shifted_henon", {"c": "abc"}),
+        ("shifted_henon", {"seed_x": "1,4"}),
+        ("shifted_henon", {"seed_y": None}),
+        ("alternating_shear", {"coeffs": ["0", "abc"]}),
+        ("alternating_shear", {"coeffs": 1.0}),
+    ],
+)
+def test_sequence_bad_family_parameter(name, params):
+    key = next(iter(params))
+    with pytest.raises(InvalidParameter, match=f"bad family parameter {key}="):
+        sequence_from_dict({"kind": "family", "name": name, "params": params})
+
+
+def test_sequence_family_params_must_be_an_object():
+    with pytest.raises(InvalidParameter, match="family params must be an object"):
+        sequence_from_dict({"kind": "family", "name": "contraction", "params": 0.5})
+
+
 def test_sequence_bad_kind():
     with pytest.raises(InvalidParameter, match="unknown sequence kind"):
         sequence_from_dict({"kind": "nope"})
