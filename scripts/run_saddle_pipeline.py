@@ -33,7 +33,7 @@ def main() -> int:
 
     graph = local_stable_graph(chain, fp, 0.1, mesh=(12, 24), tol=1e-9)
     res = graph_residual(chain, graph)
-    print(f"local graph: {graph.iterations} iterations, residual {res:.3e}")
+    print(f"local graph: series order {graph.iterations}, residual {res:.3e}")
     s, t = graph.s_grid, graph.t_values
     write_csv(out / "graph.csv", ["s_re", "s_im", "t_re", "t_im"], [s.real, s.imag, t.real, t.imag])
 

@@ -184,7 +184,7 @@ def cmd_stable_graph(run: Run) -> int:
         },
     )
     return run.finish(
-        f"graph over delta={graph.delta} converged in {graph.iterations} iterations,"
+        f"graph over delta={graph.delta} cut at order {graph.iterations},"
         f" residual {res:.3e}"
     )
 

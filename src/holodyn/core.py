@@ -25,6 +25,8 @@ chain's Jacobian; the shooting in parabolic.graph_point calls it once per
 step, and differential and differential_batch push the unit tangents (1, 0)
 and (0, 1) through it.  Linear steps skip the same arithmetic in the tangent
 as in the value, so padding a chain with identity steps changes neither.
+differential_batch, like AutoChain.inverse_batch, has no library caller;
+both stay because perfbench/tracer.py wraps each from its class __dict__.
 
 Distances in C^2 are hypot(|dx|, |dy|).  hypot_below and hypot_max decide a
 distance test and a sup exactly, bit for bit as np.hypot would, from

@@ -30,7 +30,7 @@ class NotASaddle(HolodynError):
 
 
 class DeltaTooLarge(HolodynError):
-    """Graph-transform contraction estimate too close to 1; shrink delta."""
+    """The local graph's series or its slope does not settle on the delta-disc; shrink delta."""
 
 
 class MeshMismatch(HolodynError):

@@ -1,26 +1,23 @@
 """Local stable manifolds of saddles and their globalisation by pullback.
 
-The local stable manifold is computed as the fixed point of a graph
-transform in adapted eigencoordinates.  Write points as
+The local stable manifold comes from the parametrisation method
+(Cabre-Fontich-de la Llave 2003; Haro, Canadell, Figueras, Luque and
+Mondelo 2016): a power series K with f(K(sigma)) = K(lambda_s sigma).  K_0 is
+the saddle p, K_1 = v_s, and for k >= 2 (lambda_s^k I - Df(p)) K_k =
+[f(K_<k)]_k, the order-k coefficient of the chain's compiled step lines run
+unchanged on the series cut below order k (_Series).  In the eigencoordinates
+z = p + s v_s + t v_u, with v_s / v_u the stable / unstable unit
+eigenvectors, Df(p) is diagonal, so each order is one division per
+coordinate, by lambda_s^k - lambda, never zero; s(sigma) = sigma + O(sigma^2).
 
-    z = p + s * v_s + t * v_u
-
-with v_s / v_u the stable / unstable unit eigenvectors at the saddle p.
-The manifold is a graph t = gamma(s) over the disc |s| <= delta.  One
-transform step replaces gamma by the map s -> t solving
-
-    t'(s, t) = gamma(s'(s, t)),
-
-i.e. the point on the vertical fibre over s whose image lies on the current
-graph; the solve runs as a vectorised 1-D complex Newton iteration across
-the whole mesh.  Starting from gamma = 0 (the linear stable subspace) the
-iteration contracts at rate ~ max(|lambda_s|, 1/|lambda_u|) for small delta,
-which is monitored: a sup-norm change ratio above the contraction limit
-raises DeltaTooLarge.
-
-Off-mesh values of gamma use a complex least-squares polynomial fit of
-degree min(6, n_r - 1); graphs here are holomorphic so low-degree jets on a
-small disc converge fast.
+The manifold is the graph t = gamma(s) over |s| <= delta, gamma = t o sigma,
+where sigma reverts s by steps sigma <- sigma - (s(sigma) - s), each making
+one more order exact; both compositions are polyval run over the series.  K
+grows to each order of _ORDERS in turn; past it, f of K as known estimates
+K's coefficients, gamma is taken from them to twice the order, and K's t
+stands for gamma beyond.  The cut is the first n >= 2, no more than the
+order, from which on every |gamma_k| delta^k is below tol: a run of zero
+terms, as (x^d + 3x - y, x) has up to order d, does not end the series.
 """
 from __future__ import annotations
 
@@ -42,11 +39,10 @@ from .errors import (
     Inconclusive,
     InvalidParameter,
     MeshMismatch,
-    NoConvergence,
     NotASaddle,
     Overflow,
 )
-from .poly import polyder, polyval
+from .poly import polyval
 
 
 def polar_mesh(delta: float, n_r: int, n_theta: int) -> np.ndarray:
@@ -59,19 +55,23 @@ def polar_mesh(delta: float, n_r: int, n_theta: int) -> np.ndarray:
     return np.asarray(pts, dtype=complex)
 
 
-def _fit_degree(n_r: int) -> int:
-    return min(6, max(1, n_r - 1))
+def _eigencoords(vs, vu, dx, dy):
+    """(s, t) with s vs + t vu = (dx, dy)."""
+    det = vs[0] * vu[1] - vu[0] * vs[1]
+    return (vu[1] * dx - vu[0] * dy) / det, (vs[0] * dy - vs[1] * dx) / det
 
 
-def _lsq_fit(s: np.ndarray, t: np.ndarray, degree: int) -> np.ndarray:
-    vand = np.vander(s, degree + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(vand, t, rcond=None)
-    return coeffs
+def _graph_values(coeffs, s):
+    t = polyval(coeffs, s)
+    # a zero series (the flat graph of a linear saddle) gives a scalar
+    return np.full(np.shape(s), t, dtype=complex) if np.ndim(t) < np.ndim(s) else t
 
 
 @dataclass(eq=False)
 class LocalGraph:
-    """Discretised graph of the local stable manifold over the disc |s|<=delta."""
+    """The local stable manifold as a graph t = gamma(s) over |s| <= delta:
+    fit_coeffs are gamma's Taylor coefficients to the truncation order,
+    which iterations holds, and t_values are gamma on s_grid."""
 
     base_point: Point
     stable_direction: np.ndarray
@@ -81,7 +81,6 @@ class LocalGraph:
     t_values: np.ndarray
     mesh: tuple[int, int]
     iterations: int
-    sup_changes: tuple[float, ...]
     fit_coeffs: np.ndarray = field(repr=False)
 
     @property
@@ -89,9 +88,7 @@ class LocalGraph:
         return 2.0 * self.delta
 
     def gamma(self, s):
-        t = polyval(self.fit_coeffs, s)
-        # a constant fit (the flat graph of a linear saddle) gives a scalar
-        return np.full(np.shape(s), t, dtype=complex) if np.ndim(t) < np.ndim(s) else t
+        return _graph_values(self.fit_coeffs, s)
 
     def to_ambient(self, s, t):
         bx, by = self.base_point
@@ -100,24 +97,50 @@ class LocalGraph:
 
     def to_coords(self, x, y):
         bx, by = self.base_point
-        e = np.array(
-            [
-                [self.stable_direction[0], self.unstable_direction[0]],
-                [self.stable_direction[1], self.unstable_direction[1]],
-            ],
-            dtype=complex,
-        )
-        det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-        dx, dy = x - bx, y - by
-        s = (e[1, 1] * dx - e[0, 1] * dy) / det
-        t = (-e[1, 0] * dx + e[0, 0] * dy) / det
-        return s, t
+        return _eigencoords(self.stable_direction, self.unstable_direction, x - bx, y - by)
 
 
+class _Series:
+    """A power series cut to its length n: coefficients c[0..n-1], products
+    np.convolve(a, b)[:n]; a scalar adds to c[0] and scales every c[k]."""
 
-# graph transform: step budget, sup-change ratio limit, bound on |t| / delta;
-# local_stable_graph_auto halves delta at most _MAX_HALVINGS times
-_MAX_ITER, _CONTRACTION_LIMIT, _SLOPE_CAP, _MAX_HALVINGS = 80, 0.95, 1.0, 6
+    __slots__ = ("c",)
+    __array_ufunc__ = None  # numpy scalars defer to the methods below
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        if isinstance(other, _Series):
+            return _Series(self.c + other.c)
+        return _Series(np.concatenate(([self.c[0] + other], self.c[1:])))
+
+    def __mul__(self, other):
+        if isinstance(other, _Series):
+            return _Series(np.convolve(self.c, other.c)[: len(self.c)])
+        return _Series(self.c * other)
+
+    def __neg__(self):
+        return _Series(-self.c)
+
+    def __sub__(self, other):
+        return self + -other
+
+    __rmul__ = __mul__
+
+
+def _graph_series(s_c: np.ndarray, t_c: np.ndarray) -> np.ndarray:
+    """gamma = t o sigma to the order of s_c, where sigma reverts s (s_c[1] = 1)."""
+    s = sigma = _Series(np.eye(1, len(s_c), 1, dtype=complex)[0])
+    for _ in range(len(s_c) - 2):  # sigma = s is exact to order 1
+        sigma = sigma - (polyval(s_c, sigma) - s)
+    gamma = polyval(t_c, sigma)
+    return gamma.c if isinstance(gamma, _Series) else np.zeros_like(t_c)  # polyval's 0j: t = 0
+
+
+# the orders K grows to in turn, the bound on |t| / delta, and how often
+# local_stable_graph_auto halves delta
+_ORDERS, _SLOPE_CAP, _MAX_HALVINGS = (8, 16, 32, 60), 1.0, 6
 
 
 def local_stable_graph(
@@ -127,7 +150,8 @@ def local_stable_graph(
     mesh: tuple[int, int] = (10, 16),
     tol: float = 1e-9,
 ) -> LocalGraph:
-    """Graph-transform fixed point; see the module docstring for the scheme."""
+    """The graph series of the module docstring, cut where its terms fall
+    below tol on the delta-disc, and its values on the polar mesh."""
     if fp.classification is not Classification.SADDLE:
         raise NotASaddle(f"fixed point is {fp.classification.value}")
     if not (delta > 0 and tol > 0):  # nan too
@@ -136,56 +160,36 @@ def local_stable_graph(
     if n_r < 1 or n_theta < 1:
         raise InvalidParameter(f"mesh needs n_r, n_theta >= 1, got {n_r},{n_theta}")
     vs, vu = fp.stable_direction, fp.unstable_direction
-    bx, by = fp.location
-    e = np.array([[vs[0], vu[0]], [vs[1], vu[1]]], dtype=complex)
-    det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-    ei = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]], dtype=complex) / det
-
-    s_grid = polar_mesh(delta, n_r, n_theta)
-    t_vals = np.zeros_like(s_grid)
-    degree = _fit_degree(n_r)
-    changes: list[float] = []
-    iterations = 0
-
-    for iterations in range(1, _MAX_ITER + 1):
-        coeffs = _lsq_fit(s_grid, t_vals, degree)
-        dcoeffs = polyder(coeffs)
-        t_cur = t_vals.copy()
-        for _ in range(16):
-            x = bx + s_grid * vs[0] + t_cur * vu[0]
-            y = by + s_grid * vs[1] + t_cur * vu[1]
-            j11, j12, j21, j22, fx, fy = chain.differential_batch(x, y)
-            dx, dy = fx - bx, fy - by
-            s1 = ei[0, 0] * dx + ei[0, 1] * dy
-            t1 = ei[1, 0] * dx + ei[1, 1] * dy
-            residual = t1 - polyval(coeffs, s1)
-            dfx = j11 * vu[0] + j12 * vu[1]
-            dfy = j21 * vu[0] + j22 * vu[1]
-            ds1 = ei[0, 0] * dfx + ei[0, 1] * dfy
-            dt1 = ei[1, 0] * dfx + ei[1, 1] * dfy
-            slope = dt1 - polyval(dcoeffs, s1) * ds1
-            safe = np.abs(slope) > 1e-14
-            step = np.where(safe, residual / np.where(safe, slope, 1.0), 0.0)
-            t_cur = t_cur - step
-            if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(t_cur)))):
-                break
-        change = float(np.max(np.abs(t_cur - t_vals)))
-        t_vals = t_cur
-        if changes and changes[-1] > 10 * tol and changes[-1] > 0:
-            ratio = change / changes[-1]
-            if ratio > _CONTRACTION_LIMIT:
-                raise DeltaTooLarge(
-                    f"contraction estimate {ratio:.3f} exceeds {_CONTRACTION_LIMIT}; shrink delta"
-                )
-        changes.append(change)
-        if change < tol:
+    lam = np.array(fp.eigenvalues)
+    # K_k in ambient coordinates and its eigencoordinates s_c[k], t_c[k], which
+    # past the order hold what f of K as known puts there
+    kx, ky, s_c, t_c = np.zeros((4, _ORDERS[-1] + 1), dtype=complex)
+    (kx[0], ky[0]), (kx[1], ky[1]), s_c[1] = fp.location, vs, 1.0
+    for done, order in zip((1,) + _ORDERS, _ORDERS):  # done: the order K is known to
+        for k in range(done + 1, order + 1):
+            fx, fy = chain.apply(_Series(kx[: k + 1]), _Series(ky[: k + 1]))
+            s_c[k], t_c[k] = _eigencoords(vs, vu, fx.c[k], fy.c[k]) / (lam[0] ** k - lam)
+            kx[k], ky[k] = s_c[k] * vs + t_c[k] * vu
+        k, end = np.arange(order + 1, len(kx)), min(2 * order, _ORDERS[-1])
+        fx, fy = chain.apply(_Series(kx), _Series(ky))
+        past = np.array(_eigencoords(vs, vu, fx.c[k], fy.c[k]))
+        s_c[k], t_c[k] = past / (lam[0] ** k - lam[:, None])
+        gamma = _graph_series(s_c[: end + 1], t_c[: end + 1])  # past end, t_c stands for it
+        terms = np.abs(np.concatenate((gamma, t_c[end + 1 :]))) * delta ** np.arange(len(kx))
+        # the cut n is the first whose terms n - 1 .. on are below tol; n < end sees one past it
+        big = np.flatnonzero(~(terms < tol))
+        n = max(2, int(big[-1]) + 2) if big.size else 2
+        if n <= order and n < end:
             break
     else:
-        raise NoConvergence(
-            f"graph transform did not reach tol {tol:.1e} in {_MAX_ITER} iterations"
+        raise DeltaTooLarge(
+            f"graph series terms stay above tol {tol:.1e} to order {_ORDERS[-1]}"
+            f" over the {delta}-disc; shrink delta"
         )
-
-    if float(np.max(np.abs(t_vals))) > delta * _SLOPE_CAP:
+    coeffs = gamma[: n + 1]
+    s_grid = polar_mesh(delta, n_r, n_theta)
+    t_values = _graph_values(coeffs, s_grid)
+    if float(np.max(np.abs(t_values))) > delta * _SLOPE_CAP:
         raise DeltaTooLarge(
             f"graph exceeds slope cap {_SLOPE_CAP} over the {delta}-disc; shrink delta"
         )
@@ -196,11 +200,10 @@ def local_stable_graph(
         unstable_direction=vu,
         delta=delta,
         s_grid=s_grid,
-        t_values=t_vals,
+        t_values=t_values,
         mesh=mesh,
-        iterations=iterations,
-        sup_changes=tuple(changes),
-        fit_coeffs=_lsq_fit(s_grid, t_vals, degree),
+        iterations=n,
+        fit_coeffs=coeffs,
     )
 
 

@@ -47,12 +47,6 @@ def polyval(coeffs: Sequence[complex], z):
     return acc
 
 
-def polyder(coeffs: Sequence[complex]) -> tuple[complex, ...]:
-    if len(coeffs) <= 1:
-        return (0j,)
-    return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-
-
 class Poly2:
     """Sparse polynomial in two complex variables, keyed by (deg_x, deg_y)."""
 

@@ -16,9 +16,9 @@ from holodyn.core import (
     find_fixed_point,
     henon_chain,
 )
-from holodyn.manifold import _fit_degree, _lsq_fit, local_stable_graph
+from holodyn.manifold import local_stable_graph, polar_mesh
 from holodyn.parabolic import blowup_step, in_sector
-from holodyn.poly import polyder
+from holodyn.poly import polyval
 from holodyn.rng import make_generator
 
 
@@ -71,6 +71,12 @@ def finite_difference_jacobian(chain, z, h=1e-5):
 # no-op arithmetic; these are the formulas written out in full, sharing no code
 # with the steps, as the independent oracle for apply and the tangent push
 # (so for differential and differential_batch, which push the unit tangents).
+
+
+def polyder(coeffs):
+    if len(coeffs) <= 1:
+        return (0j,)
+    return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
 
 
 def polyval_ref(coeffs, z):
@@ -260,10 +266,47 @@ def sample_points(graph) -> np.ndarray:
 
 
 def with_t_offset(graph, offset: complex):
-    """The LocalGraph with every t moved by offset, refitted."""
-    t = graph.t_values + offset
-    fit = _lsq_fit(graph.s_grid, t, _fit_degree(graph.mesh[0]))
-    return dataclasses.replace(graph, t_values=t, fit_coeffs=fit)
+    """The LocalGraph with every t moved by offset: gamma_0 shifts by it."""
+    coeffs = graph.fit_coeffs.copy()
+    coeffs[0] += offset
+    return dataclasses.replace(graph, t_values=graph.t_values + offset, fit_coeffs=coeffs)
+
+
+def graph_transform(chain, fp, delta, mesh, tol=1e-9):
+    """t on polar_mesh(delta, *mesh) as the fixed point of the Newton graph
+    transform, an oracle for local_stable_graph sharing none of its method.
+
+    One step replaces the graph by s -> t with t'(s, t) = gamma(s'(s, t)):
+    the point over s whose image lies on the current graph, found by
+    Newton's method on the whole mesh at once, with gamma the least-squares
+    polynomial of degree min(6, n_r - 1) through the current values.
+    Starting from t = 0 it contracts at a rate near
+    max(|lambda_s|, 1/|lambda_u|) and stops when a step moves t less than tol.
+    """
+    vs, vu = fp.stable_direction, fp.unstable_direction
+    (bx, by), (n_r, n_theta) = fp.location, mesh
+    ei = np.linalg.inv(np.array([[vs[0], vu[0]], [vs[1], vu[1]]], dtype=complex))
+    s_grid = polar_mesh(delta, n_r, n_theta)
+    vand = np.vander(s_grid, min(6, max(1, n_r - 1)) + 1, increasing=True)
+    t_vals = np.zeros_like(s_grid)
+    for _ in range(80):
+        coeffs = np.linalg.lstsq(vand, t_vals, rcond=None)[0]
+        t_cur = t_vals.copy()
+        for _ in range(16):
+            x, y = bx + s_grid * vs[0] + t_cur * vu[0], by + s_grid * vs[1] + t_cur * vu[1]
+            j11, j12, j21, j22, fx, fy = chain.differential_batch(x, y)
+            s1, t1 = ei @ np.stack([fx - bx, fy - by])
+            ds1, dt1 = ei @ np.stack([j11 * vu[0] + j12 * vu[1], j21 * vu[0] + j22 * vu[1]])
+            slope = dt1 - polyval(polyder(coeffs), s1) * ds1
+            step = (t1 - polyval(coeffs, s1)) / slope
+            t_cur = t_cur - step
+            if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(t_cur))):
+                break
+        change = np.max(np.abs(t_cur - t_vals))
+        t_vals = t_cur
+        if change < tol:
+            return t_vals
+    raise AssertionError(f"graph transform did not reach tol {tol:.1e}")
 
 
 def expansion_pair_margin(map_like, p1, p2) -> float | None:

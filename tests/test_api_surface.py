@@ -114,7 +114,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 # public definitions with no caller outside the tests yet, and why they stay
 _UNCALLED = {
-    "manifold.is_in_stable": "ROADMAP item 1's density on the manifold is to call it",
+    "manifold.is_in_stable": "ROADMAP item 2's slice points are to call it",
     "parabolic.make_nondegenerate": "the paper's perturbation of a degenerate direction",
 }
 

@@ -33,7 +33,7 @@ from holodyn.core import (
     map_to_dict,
 )
 from holodyn.errors import InvalidParameter, NoConvergence, SingularDifferential
-from holodyn.poly import polyder, polyval
+from holodyn.poly import polyval
 
 import mp_oracle
 from conftest import (
@@ -46,6 +46,7 @@ from conftest import (
     identity_chain,
     jac_norm,
     literal_formulas,
+    polyder,
     polyval_ref,
     quadratic_roots,
     round_trip_bound,

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from holodyn.core import diag_linear_chain, find_fixed_point
+from holodyn.core import (
+    AutoChain,
+    Linear,
+    ShearX,
+    ShearY,
+    diag_linear_chain,
+    find_fixed_point,
+    henon_chain,
+)
 from holodyn.errors import DeltaTooLarge, Inconclusive, MeshMismatch, NotASaddle, Overflow
 from holodyn.manifold import (
     density_sweep,
@@ -19,7 +28,8 @@ from holodyn.manifold import (
     stability_experiment,
 )
 
-from conftest import sample_points, with_t_offset
+import mp_oracle
+from conftest import U, graph_transform, sample_points, with_t_offset
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +53,8 @@ def test_not_a_saddle_raises(henon075):
 
 
 def test_henon_graph_tangent_to_eigenvector(henon075, henon_graph):
-    # in eigencoordinates the stable eigenvector is the s-axis: the fitted
-    # linear coefficient of gamma must vanish to first order
+    # in eigencoordinates the stable eigenvector is the s-axis: the linear
+    # Taylor coefficient of gamma must vanish
     assert abs(henon_graph.fit_coeffs[1]) < 1e-6
     assert graph_residual(henon075, henon_graph) < 1e-8
 
@@ -65,15 +75,135 @@ def test_graph_mesh_refinement_consistency(henon075, henon_saddle, henon_graph):
     assert shared > len(coarse) // 2
 
 
-def test_graph_transform_contraction_is_geometric(henon_graph):
-    changes = [c for c in henon_graph.sup_changes if c > 1e-9]
-    started = False
-    for prev, cur in zip(changes, changes[1:]):
-        if prev < 0.5:
-            started = True
-        if started:
-            assert cur < prev
-    assert henon_graph.iterations <= 60
+def test_graph_series_terms_decrease(henon075, henon_saddle, henon_graph):
+    # the terms |gamma_n| delta^n the graph keeps fall from n = 2 on, here
+    # and over the longer series of a far smaller tol
+    deep = local_stable_graph(henon075, henon_saddle, 0.1, tol=1e-36)
+    for graph in (henon_graph, deep):
+        coeffs = graph.fit_coeffs
+        assert type(graph.iterations) is int and len(coeffs) == graph.iterations + 1
+        terms = np.abs(coeffs[2:]) * graph.delta ** np.arange(2, len(coeffs))
+        assert np.all(terms[1:] < terms[:-1])
+    assert henon_graph.iterations <= 12
+    assert deep.iterations >= 30
+
+
+def _odd_henon(d: int) -> AutoChain:
+    """(x, y) -> (x^d + 3x - y, x), with a saddle at the origin whose graph has
+    gamma_2 .. gamma_(d-1) zero: a cut at order d - 1 or below misses gamma_d."""
+    return AutoChain((Linear(0.0, -1.0, 1.0, 0.0), ShearX((0.0, 3.0) + (0.0,) * (d - 2) + (1.0,))))
+
+
+# Henon c = 0.75, complex c, the saddle script's family member at t = 0.1,
+# (x, y) -> (x^2 + 0.3 x^3 + 0.75 - y, x), and _odd_henon of degrees 3, 4, 9
+# and 17, the last two on discs where gamma_9 delta^9 = 8.8e-8 and
+# gamma_17 delta^17 = 2.0e-9: (chain, Newton seed, delta)
+_MAPS = {
+    "henon": (henon_chain(0.75), (1.4, 1.4), 0.1),
+    "complex_c": (henon_chain(0.75 + 0.2j), (1.5 - 0.2j, 1.5 - 0.2j), 0.1),
+    "family_t01": (henon_chain(0.75).then(ShearY((0.0, 0.0, 0.1))), (1.7, 2.0), 0.1),
+    "cubic_shear": (
+        AutoChain((Linear(0.0, -1.0, 1.0, 0.0), ShearX((0.75, 0.0, 1.0, 0.3)))),
+        (0.9, 0.9),
+        0.1,
+    ),
+    "odd_cubic": (_odd_henon(3), (0.01, 0.01), 0.1),
+    "odd_quartic": (_odd_henon(4), (0.01, 0.01), 0.1),
+    "odd_nonic": (_odd_henon(9), (0.01, 0.01), 0.5),
+    "odd_17": (_odd_henon(17), (0.01, 0.01), 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_graph_agrees_with_the_graph_transform(name):
+    chain, seed, delta = _MAPS[name]
+    fp = find_fixed_point(chain, seed)
+    graph = local_stable_graph(chain, fp, delta, mesh=(24, 96), tol=1e-9)
+    oracle = graph_transform(chain, fp, delta, (24, 96), tol=1e-9)
+    assert float(np.max(np.abs(graph.t_values - oracle))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_cut_drops_less_than_twice_tol(name):
+    # the terms a cut drops, summed from the graph at tol 1e-40, are each
+    # below tol and fall by more than half from one nonzero term to the next
+    chain, seed, delta = _MAPS[name]
+    fp = find_fixed_point(chain, seed)
+    deep = local_stable_graph(chain, fp, delta, tol=1e-40)
+    terms = np.abs(deep.fit_coeffs) * delta ** np.arange(deep.iterations + 1)
+    for tol in (1e-9, 1e-20, 1e-30):
+        n = local_stable_graph(chain, fp, delta, tol=tol).iterations
+        assert float(np.sum(terms[n + 1 :])) <= 2 * tol
+
+
+def test_cut_at_the_last_order_keeps_a_term_past_it():
+    # over the 0.5-disc the quartic's terms 58 and 61 are 7.3e-35 and
+    # 1.6e-36: at tol 1e-40 no cut at or below the last order, 60, is good
+    chain, seed, _ = _MAPS["odd_quartic"]
+    with pytest.raises(DeltaTooLarge):
+        local_stable_graph(chain, find_fixed_point(chain, seed), 0.5, tol=1e-40)
+
+
+def _worst_invariance_defect(chain, graph) -> float:
+    """max |t1 - gamma(s1)| over the mesh points z, with (s1, t1) the
+    eigencoordinates of f(z), all in 50 digits from the doubles."""
+    with mp.workdps(mp_oracle.DPS):
+        vs, vu = (
+            [mp_oracle.mpc(c) for c in v] for v in (graph.stable_direction, graph.unstable_direction)
+        )
+        bx, by = (mp_oracle.mpc(c) for c in graph.base_point)
+        coeffs = [mp_oracle.mpc(c) for c in graph.fit_coeffs]
+        det = vs[0] * vu[1] - vu[0] * vs[1]
+        worst = 0.0
+        for z in sample_points(graph):
+            x, y = mp_oracle.forward(chain, z)
+            s1 = (vu[1] * (x - bx) - vu[0] * (y - by)) / det
+            t1 = (vs[0] * (y - by) - vs[1] * (x - bx)) / det
+            gamma = mp.mpc(0)
+            for c in reversed(coeffs):
+                gamma = gamma * s1 + c
+            worst = max(worst, float(abs(t1 - gamma)))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_graph_is_invariant_in_50_digits(name):
+    """f takes each mesh point z = p + s v_s + gamma(s) v_u to (s1, t1) with
+    |t1 - gamma(s1)| within a derived bound, with f and the eigencoordinates
+    taken in 50 digits from the doubles z, p, v_s, v_u and gamma's coefficients.
+
+    The bound.  Write the true graph in this frame as gamma*.  The series is
+    gamma* cut after order n, so |gamma - gamma*| <= T on the delta-disc,
+    with T the omitted tail sum_(k > n) |gamma_k| delta^k.  A point off the
+    true graph by e in t leaves f off it by at most |lambda_u| e to first
+    order, and gamma(s1) differs from gamma*(s1) by at most T again, since
+    |s1| < delta: so (1 + |lambda_u|) T.  Rounding adds two errors of the
+    same kind: the double z lies within 16 u (|p| + 2 delta) of the exact
+    point per coordinate, and the double p within |E| |E^-1| r / g of the
+    true saddle, with r the Newton residual |f(p) - p|, E the frame
+    (v_s v_u) and g = min(1 - |lambda_s|, |lambda_u| - 1) the smallest
+    distance of an eigenvalue to 1; each moves t by |E^-1| times itself.
+    These are first-order bounds, so the test allows a factor 2.  The
+    coefficients' own rounding must fit in the same allowance: the graph at
+    tol 1e-40 checks that, since its tail is negligible.  T is summed over
+    its coefficients; its terms beyond are below 1e-40 and fall by more than
+    half from one nonzero term to the next, so they add less than 2e-40.
+    """
+    chain, seed, delta = _MAPS[name]
+    fp = find_fixed_point(chain, seed)
+    graph = local_stable_graph(chain, fp, delta, tol=1e-9)
+    deep = local_stable_graph(chain, fp, delta, tol=1e-40)
+    n = graph.iterations
+    kept = np.arange(n + 1, deep.iterations + 1)
+    tail = float(np.sum(np.abs(deep.fit_coeffs[n + 1 :]) * delta**kept)) + 2e-40
+    e = np.array([graph.stable_direction, graph.unstable_direction]).T
+    norm_e, norm_inv = (float(np.max(np.sum(np.abs(m), axis=1))) for m in (e, np.linalg.inv(e)))
+    lam_s, lam_u = (abs(v) for v in fp.eigenvalues)
+    p = max(abs(v) for v in fp.location)
+    saddle_off = norm_e * norm_inv * fp.residual / min(1 - lam_s, lam_u - 1)
+    rounding = norm_inv * (16 * U * (p + 2 * delta) + saddle_off)
+    for g, t in ((graph, tail), (deep, 2e-40)):
+        assert _worst_invariance_defect(chain, g) <= 2 * (1 + lam_u) * (t + rounding)
 
 
 def test_delta_too_large_raises_and_auto_shrink_recovers(henon075, henon_saddle):

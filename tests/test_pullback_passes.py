@@ -100,7 +100,7 @@ def test_pullback_error_is_within_its_rounding_bound(henon075):
     brings it back to its graph point within twice round_trip_bound.  Both
     bounds grow with the intermediates the orbit reaches: over these samples
     the peak is 14, 4e4 and 1.2e11 at depths 4, 6 and 8, and the round trip
-    errs by up to 4.2e-14, 1.8e-8 and 1.7e2."""
+    errs by up to 2.4e-14, 1.7e-8 and 1.8e2."""
     fp = find_fixed_point(henon075, (1.4, 1.4))
     graph = local_stable_graph(henon075, fp, 0.1, mesh=(12, 24), tol=1e-9)
     pick = make_generator(8).choice(len(graph.s_grid), 40, replace=False)
