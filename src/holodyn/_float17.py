@@ -1,7 +1,7 @@
 """CSV cells of float64 arrays with 17 significant digits, without a dtoa call
-where %.17g prints fixed notation; the digit rule and why it is exact are in
-the serialize docstring.  serialize.write_csv imports this module on its
-first call, so importing holodyn builds none of its tables.
+where %.17g prints fixed notation or a zero; the digit rule and why it is
+exact are in the serialize docstring.  serialize.write_csv imports this
+module on its first call, so importing holodyn builds none of its tables.
 """
 from __future__ import annotations
 
@@ -94,6 +94,8 @@ def float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e[off] += np.where(d[off] < 10**16, -1, 1)
         d[off] = _digits(a[off], e[off])
         fast[off] &= (e[off] >= -4) & (e[off] <= 16) & (d[off] >= 10**16) & (d[off] < 10**17)
+    zero = np.flatnonzero(v == 0)  # the digits of 1.0, E = 0, set to 0: "0" or "-0"
+    d[zero], fast[zero] = 0, True
     top, low = _divmod(d, 10**8)
     lead, top = _divmod(top, 10**8)
     groups = (*_divmod(top, 10**4), *_divmod(low, 10**4))
@@ -110,7 +112,7 @@ def float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last = np.maximum(0, _LAST_NONZERO[groups[0]] + 1)
     for i, g in enumerate(groups[1:], 1):
         last = np.maximum(last, _LAST_NONZERO[g] + (1 + 4 * i))
-    keep = _KEEP[((v < 0) * 21 + e + 4) * 17 + last].view(np.bool_).reshape(chars.shape)
+    keep = _KEEP[(np.signbit(v) * 21 + e + 4) * 17 + last].view(np.bool_).reshape(chars.shape)
     slow = np.flatnonzero(~fast)
     if slow.size:
         chars[slow], keep[slow] = text_cells([format_float(x) for x in v[slow].tolist()])

@@ -8,13 +8,15 @@ which calls libm hypot only where max(|dx|, |dy|) cannot decide it.
 Escape means a coordinate passed core.DEFAULT_CAP.  All grid/sample probes
 run vectorised, iterate only the points whose orbit is still undecided, in
 fixed blocks of core._BLOCK points (see core.iterate_live), and draw their
-randomness as deterministic counter-based batches, so results are
-independent of blocks.  threads > 1 hands the same blocks to a thread pool,
-so a population of one block is never split.
+randomness from counter-based streams, block by block in stream order, so
+results are independent of blocks.  threads > 1 lets the calling thread and
+threads - 1 worker threads take the same blocks from one queue, so a
+population of one block is never split and starts no worker.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -218,9 +220,11 @@ def interior_probe(
 ) -> InteriorReport:
     """Fraction of uniform ball samples whose orbit converges to fp.
 
-    threads only says how many workers take the sweep's blocks of _BLOCK
-    samples; the verdict of each sample is a pure function of (seed, index),
-    so the fraction is independent of blocks and threads.
+    threads only says how many threads, the calling one included, take the
+    sweep's blocks of _BLOCK samples; the verdict of each sample is a pure
+    function of (seed, index), so the fraction is independent of blocks and
+    threads.  The samples are drawn block by block (rng.ball4_points), so
+    no temporary of the probe is larger than a block.
     """
     if samples <= 0:
         raise InvalidParameter("interior_probe needs at least one sample")
@@ -253,15 +257,38 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], n: int, threads: int) -> list:
-    """run_chunk(lo, hi) over the blocks of range(n), in block order;
-    threads > 1 runs them on a pool of that many threads."""
-    bounds = _chunk_bounds(n)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    """run_chunk(lo, hi) over the blocks of range(n), in block order.
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda b: run_chunk(*b), bounds))
-    return [run_chunk(*b) for b in bounds]
+    threads > 1 lets the calling thread and threads - 1 worker threads take
+    blocks from one shared queue; no more workers start than there are
+    blocks to share.  Once a block raises, no thread takes another, and the
+    error of the first failing block is raised after every thread ended.
+    """
+    bounds = _chunk_bounds(n)
+    results: list = [None] * len(bounds)
+    errors: dict[int, BaseException] = {}
+    todo, lock = iter(range(len(bounds))), threading.Lock()
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = run_chunk(*bounds[i])
+            except BaseException as exc:  # re-raised by the caller
+                errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, len(bounds)) - 1)]
+    for w in workers:
+        w.start()
+    work()
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def grid_centres(

@@ -342,7 +342,10 @@ def pointwise_vs_uniform_report(
     are appended so the sup can expose non-uniform attraction that a coarse
     grid cannot resolve.  |F_n(z)| is hypot(|x|, |y|); core.hypot_max and
     core.hypot_below give its sup and the conv_tol test exactly, calling
-    libm hypot only where max(|x|, |y|) cannot decide them.
+    libm hypot only where max(|x|, |y|) cannot decide them.  The points run
+    through core.iterate_live one block at a time: a row's sup is the max of
+    its block maxima and its fraction the count of near points over all
+    points, so the rows do not depend on the blocks.
     """
     if n_max < 0:
         raise InvalidParameter(f"n_max must be >= 0, got {n_max}")
@@ -358,19 +361,24 @@ def pointwise_vs_uniform_report(
     if xs.size == 0:
         raise InvalidParameter("the report needs at least one grid cell or witness")
 
-    def row(n, xs, ys):
-        ax, ay = np.abs(xs), np.abs(ys)
-        return PointwiseUniformRow(
-            n, float(hypot_max(ax, ay)), float(np.mean(hypot_below(ax, ay, conv_tol)))
-        )
+    maps = [seq.map_at(j) for j in range(1, n_max + 1)]
+    sup = np.full(n_max + 1, -np.inf)
+    near = np.zeros(n_max + 1, dtype=np.int64)
 
-    rows = [row(0, xs, ys)]
-    for j in range(1, n_max + 1):
-        nx, ny = seq.map_at(j).apply(xs, ys)
-        bad = _escaped(nx, ny)
-        xs = np.where(bad, xs, nx)
-        ys = np.where(bad, ys, ny)
-        rows.append(row(j, xs, ys))
+    def advance(k, idx, xk, yk):
+        # step k adds the block to row k - 1, then moves it to F_k; escaped
+        # points stay where they were, and every point stays to the last row
+        ax, ay = np.abs(xk), np.abs(yk)
+        sup[k - 1] = np.maximum(sup[k - 1], hypot_max(ax, ay))
+        near[k - 1] += np.count_nonzero(hypot_below(ax, ay, conv_tol))
+        if k <= n_max:
+            nx, ny = maps[k - 1].apply(xk, yk)
+            bad = _escaped(nx, ny)
+            xk, yk = np.where(bad, xk, nx), np.where(bad, yk, ny)
+        return np.full(idx.shape, k <= n_max), (xk, yk)
+
+    iterate_live(advance, (xs, ys), n_max + 1)
+    rows = [PointwiseUniformRow(n, float(sup[n]), int(near[n]) / xs.size) for n in range(n_max + 1)]
     return PointwiseUniformReport(rows=rows)
 
 

@@ -9,7 +9,8 @@ as their values.
 CSV is written from columns, integer ones as %d and the rest as format_float
 (%.17g, NaN as NaN), a block of rows at a time with one write per block.
 _float17 formats float cells without a dtoa call where %.17g prints fixed
-notation, that is for finite |v| in [1e-4, 1e17) whose decimal exponent E
+notation or a zero, that is for 0, -0 (as E = 0 with digits 0) and for
+finite |v| in [1e-4, 1e17) whose decimal exponent E
 (10**E <= |v| < 10**(E+1) after rounding to 17 digits) is in [-4, 16].  The
 17 digits are then D = round_half_even(|v| * 10**k) with k = 16 - E, and
 they are exact: 10**k is a double for k <= 22; Dekker's TwoProduct writes
@@ -18,7 +19,7 @@ integer, so rounding p + e half to even is p + rint(e).  An E taken from
 log10 that is off by one, or a rounding that carries to 10**17, leaves D
 outside [1e16, 1e17); E is corrected by one and D computed again.  A cell
 still outside, or whose E leaves [-4, 16], goes through format_float like
-every other cell: 0, -0, NaN, inf, and |v| < 1e-4 or >= 1e17.
+every other cell: NaN, inf, and nonzero |v| < 1e-4 or >= 1e17.
 """
 from __future__ import annotations
 

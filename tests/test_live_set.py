@@ -9,6 +9,9 @@ share code with what it checks.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holodyn import basin, core, manifold, parabolic
+from holodyn import basin, core, manifold, parabolic, rng
 from holodyn.basin import (
     HYSTERESIS,
     _angle_2pi,
@@ -40,6 +43,8 @@ from holodyn.core import (
     ShearX,
     diag_linear_chain,
     henon_chain,
+    hypot_below,
+    hypot_max,
     iterate_live,
 )
 from holodyn.errors import InvalidParameter
@@ -62,7 +67,7 @@ from holodyn.parabolic import (
     normal_form_family,
     tangent_shear_chain,
 )
-from holodyn.rng import ball4_points
+from holodyn.rng import ball4_points, make_generator
 
 # -- reference loops ------------------------------------------------------------
 
@@ -236,6 +241,41 @@ def pointwise_ref(seq, box, n_max, grid, conv_tol=1e-3, witnesses=()):
         dist = np.hypot(np.abs(xs), np.abs(ys))
         rows.append((j, float(dist.max()), float(np.mean(dist < conv_tol))))
     return rows
+
+
+def pointwise_full_array_ref(seq, box, n_max, grid, conv_tol=1e-3, witnesses=()):
+    """The report's rows from the loop over the whole grid that preceded the
+    blocks: hypot_max and hypot_below on every point at every step."""
+    xs, ys = grid_centres(box, grid)
+    if witnesses:
+        xs = np.concatenate([xs, np.asarray([w[0] for w in witnesses], dtype=complex)])
+        ys = np.concatenate([ys, np.asarray([w[1] for w in witnesses], dtype=complex)])
+
+    def row(n, xs, ys):
+        ax, ay = np.abs(xs), np.abs(ys)
+        return (n, float(hypot_max(ax, ay)), float(np.mean(hypot_below(ax, ay, conv_tol))))
+
+    rows = [row(0, xs, ys)]
+    for j in range(1, n_max + 1):
+        nx, ny = seq.map_at(j).apply(xs, ys)
+        bad = _escaped_ref(nx, ny)
+        xs = np.where(bad, xs, nx)
+        ys = np.where(bad, ys, ny)
+        rows.append(row(j, xs, ys))
+    return rows
+
+
+def ball4_points_ref(seed, n, radius, center=(0j, 0j)):
+    """rng.ball4_points as one draw of all normals, then all radii."""
+    g = make_generator(seed)
+    v = g.standard_normal((n, 4))
+    norms = np.linalg.norm(v, axis=1)
+    norms[norms == 0] = 1.0
+    r = radius * g.random(n) ** 0.25
+    v = v * (r / norms)[:, None]
+    xs = v[:, 0] + 1j * v[:, 1] + center[0]
+    ys = v[:, 2] + 1j * v[:, 3] + center[1]
+    return xs, ys
 
 
 def clusters_ref(points, link):
@@ -441,11 +481,136 @@ def test_pooled_probes_unchanged_by_blocks_and_threads():
     assert 0 < rep.converged < 100 and 0 < occupied.sum() < occupied.size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basin, "_BLOCK", 7)
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             got = _in_blocks(interior_probe, chain, fp, 0.5, 100, max_iter=60, threads=threads)
             assert vars(got) == vars(rep)
             got = _in_blocks(bounded_set_probe, henon_chain(0.75), box, (9, 8), 60, threads=threads)
             assert np.array_equal(got, occupied)
+
+
+# -- rng.ball4_points in blocks ------------------------------------------------
+
+_CENTRES = st.sampled_from([0j, -0.0 + 0j, complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 + 1.5j, -2.5 - 0j])
+_RADII = st.sampled_from([0.0, 5e-324, 1e-300, 1e300, math.inf]) | st.floats(1e-3, 10.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=_seeds, n=st.integers(0, 45), radius=_RADII, cx=_CENTRES, cy=_CENTRES)
+def test_ball4_points_in_blocks_match_one_draw(seed, n, radius, cx, cy):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(rng, "_BLOCK", 7)
+        got = ball4_points(seed, n, radius, center=(cx, cy))
+        want = ball4_points_ref(seed, n, radius, center=(cx, cy))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, core._BLOCK + 1])
+def test_ball4_points_across_block_edges_match_one_draw(extra):
+    n = core._BLOCK + extra
+    got = ball4_points(7, n, 0.5, center=(1.5 - 0j, complex(-0.0, 2.0)))
+    want = ball4_points_ref(7, n, 0.5, center=(1.5 - 0j, complex(-0.0, 2.0)))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_ball4_points_working_memory_does_not_grow_with_the_sample_count():
+    def working_bytes(blocks):
+        tracemalloc.start()
+        try:
+            xs, ys = ball4_points(3, blocks * core._BLOCK, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - xs.nbytes - ys.nbytes
+
+    assert working_bytes(8) <= 1.2 * working_bytes(2)
+
+
+# -- the basin pool ---------------------------------------------------------------
+
+
+def _pooled(run_chunk, n, threads):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basin, "_BLOCK", 7)
+        return basin._map_chunks(run_chunk, n, threads)
+
+
+def test_map_chunks_gives_the_blocks_in_order():
+    def run_chunk(lo, hi):
+        time.sleep(0.01 if lo == 0 else 0.0)  # later blocks end first
+        return lo, hi, threading.current_thread()
+
+    for threads in (1, 2, 3):
+        got = _pooled(run_chunk, 45, threads)
+        assert [g[:2] for g in got] == [(lo, min(lo + 7, 45)) for lo in range(0, 45, 7)]
+        assert len({g[2] for g in got}) <= threads
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_chunks_starts_threads_minus_one_workers(threads):
+    before = threading.active_count()
+    barrier = threading.Barrier(threads, timeout=10)  # the first blocks need `threads` threads at once
+    seen = []
+
+    def run_chunk(lo, hi):
+        if lo < 7 * threads:
+            barrier.wait()
+        seen.append((threading.current_thread(), threading.active_count()))
+        return lo
+
+    assert _pooled(run_chunk, 45, threads) == list(range(0, 45, 7))
+    assert len({t for t, _ in seen}) == threads and threading.current_thread() in {t for t, _ in seen}
+    assert max(count for _, count in seen) == before + threads - 1
+    assert threading.active_count() == before
+    # one block is not shared: the caller runs it and starts no worker
+    assert _pooled(lambda lo, hi: threading.active_count(), 5, 3) == [before]
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker", "both"])
+def test_map_chunks_reraises_a_block_error(failing):
+    before = threading.active_count()
+    caller = threading.current_thread()
+    barrier = threading.Barrier(2, timeout=10)  # blocks 0 and 1 run on different threads
+
+    def run_chunk(lo, hi):
+        if lo < 14:
+            barrier.wait()
+        on_caller = threading.current_thread() is caller
+        if failing == "both" or on_caller == (failing == "caller"):
+            raise ValueError(f"block {lo}")
+        return lo
+
+    with pytest.raises(ValueError, match="block 0" if failing == "both" else "block (0|7)$"):
+        _pooled(run_chunk, 45, 2)
+    assert threading.active_count() == before
+
+
+def test_map_chunks_runs_each_block_once_under_thread_switches():
+    ran = []  # list.append is atomic: a block taken twice or never shows here
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (3, 5):  # more threads than the host's cores
+            ran.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(basin, "_BLOCK", 1)
+                got = basin._map_chunks(lambda lo, hi: ran.append(lo) or hi, 2000, threads)
+            assert got == list(range(1, 2001)) and sorted(ran) == list(range(2000))
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_map_chunks_takes_no_block_after_an_error():
+    ran = []
+
+    def run_chunk(lo, hi):
+        ran.append(lo)
+        if lo == 14:
+            raise ValueError(f"block {lo}")
+        return lo
+
+    with pytest.raises(ValueError, match="block 14"):
+        _pooled(run_chunk, 45, 1)
+    assert ran == [0, 7, 14]
 
 
 def test_orbit_verdicts_working_memory_does_not_grow_with_the_sample_count():
@@ -794,3 +959,19 @@ def test_pointwise_report_of_the_demonstrator_matches_hypot_rows():
     rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
     assert np.array(rows).tobytes() == np.array(pointwise_ref(*args, witnesses=witnesses)).tobytes()
     assert min(r.sup_distance for r in rep.rows[1:]) > 1.0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12])
+@pytest.mark.parametrize("grid", [(7, 6), (5, 9)])
+def test_pointwise_report_unchanged_by_blocks(n_max, grid):
+    # PlanarDemo moves points on the unit circle, which the sup follows; rows
+    # 1-5 of the 1e7 contraction's 7 x 6 grid escape at step 1 and freeze
+    cases = [(seq, ((-1.0, 1.0), (-0.5, 0.5))) for seq in _SEQUENCES]
+    cases.append((constant_sequence(diag_linear_chain(1e7, 1e7)), ((-1.0, 1.0), (0.0, 1e6))))
+    witnesses = demonstrator_witnesses(3)
+    for seq, box in cases:
+        rep = _in_blocks(pointwise_vs_uniform_report, seq, box, n_max, grid, conv_tol=0.05, witnesses=witnesses)
+        rows = [(r.n, r.sup_distance, r.converged_fraction) for r in rep.rows]
+        want = pointwise_full_array_ref(seq, box, n_max, grid, conv_tol=0.05, witnesses=witnesses)
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
+        assert all(type(v) is float for r in rep.rows for v in (r.sup_distance, r.converged_fraction))

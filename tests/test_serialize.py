@@ -45,15 +45,21 @@ def _both(tmp_path, header, columns) -> tuple[bytes, bytes]:
 
 
 def _mixed(n: int, seed: int = 0) -> list[np.ndarray]:
-    """An integer row counter and floats spread over the whole exponent range."""
+    """An integer row counter, floats spread over the whole exponent range,
+    and a column of signed zeros among fixed-notation floats."""
     rng = np.random.default_rng(seed)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    return [np.arange(n), floats, rng.integers(I64.min, I64.max, n), rng.random(n)]
+    zeros = rng.choice([0.0, -0.0, 0.5, -1.25], n)
+    return [np.arange(n), floats, rng.integers(I64.min, I64.max, n), rng.random(n), zeros]
+
+
+MIXED = ["n", "a", "k", "b", "z"]
 
 
 def test_mixed_int_and_float_columns(tmp_path):
-    got, want = _both(tmp_path, ["n", "a", "k", "b"], _mixed(500))
+    got, want = _both(tmp_path, MIXED, _mixed(500))
     assert got == want
+    assert b",0\n" in got and b",-0\n" in got
 
 
 SPECIAL = [
@@ -85,7 +91,7 @@ def test_zero_rows(tmp_path):
 def test_rows_across_block_boundaries(tmp_path, n):
     columns = _mixed(n, seed=n)
     columns[1][BLOCK - 2:BLOCK + 2] = math.nan  # a NaN on each side of the boundary
-    got, want = _both(tmp_path, ["n", "a", "k", "b"], columns)
+    got, want = _both(tmp_path, MIXED, columns)
     assert got == want
     assert got.count(b"\n") == n + 1
 
@@ -94,6 +100,8 @@ def test_complex_points_viewed_as_four_columns(tmp_path):
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))
     pts[7, 1] = complex(math.nan, -0.0)
+    pts[::3, 0] = pts[::3, 0].real + 0j  # points on the real rays, as a pullback cloud has
+    pts[1::3, 1] = complex(-0.0, -0.0)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     header = ["re_x", "im_x", "re_y", "im_y"]
     write_csv(got, header, pts.view(np.float64).T)
@@ -117,12 +125,18 @@ def _percent_g(values) -> list[bytes]:
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.floats(width=64) | st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4),
+        st.floats(width=64) | st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4)
+        | st.sampled_from([0.0, -0.0]),
         min_size=1, max_size=40,
     )
 )
 def test_formatter_matches_percent_g(values):
     assert _formatted(values) == _percent_g(values)
+
+
+def test_formatter_prints_signed_zeros_without_dtoa(monkeypatch):
+    monkeypatch.setattr(_float17, "format_float", lambda x: pytest.fail(f"dtoa call for {x!r}"))
+    assert _formatted([0.0, -0.0, 1.5, -0.0, -2.0]) == [b"0,", b"-0,", b"1.5,", b"-0,", b"-2,"]
 
 
 def test_formatter_near_powers_of_ten():
