@@ -7,23 +7,19 @@ The distance is hypot(|dx|, |dy|), decided exactly by core.hypot_below,
 which calls libm hypot only where max(|dx|, |dy|) cannot decide it.
 Escape means a coordinate passed core.DEFAULT_CAP.  All grid/sample probes
 run vectorised, iterate only the points whose orbit is still undecided, in
-fixed blocks of core._BLOCK points (see core.iterate_live), and draw their
-randomness from counter-based streams, block by block in stream order, so
-results are independent of blocks.  threads > 1 lets the calling thread and
-threads - 1 worker threads take the same blocks from one queue, so a
-population of one block is never split and starts no worker.
+fixed blocks of core._BLOCK points, and draw their randomness from
+counter-based streams, block by block in stream order, so results are
+independent of blocks.  The threads of interior_probe and bounded_set_probe
+go to core.iterate_live, whose threads take those blocks from one queue.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import (
-    _BLOCK,
     AutoChain,
     DEFAULT_CAP,
     FixedPointInfo,
@@ -88,8 +84,10 @@ def orbit_verdicts(
     max_iter: int,
     target: Point | None = None,
     conv_tol: float = 1e-3,
+    threads: int = 1,
 ):
-    """Vectorised orbit verdicts; returns (codes, steps) arrays."""
+    """Vectorised orbit verdicts; returns (codes, steps) arrays.  threads is
+    core.iterate_live's; advance writes only through idx, as it requires."""
     x = np.asarray(xs, dtype=complex)
     y = np.asarray(ys, dtype=complex)
     codes = np.zeros(x.shape[0], dtype=np.int8)
@@ -111,7 +109,7 @@ def orbit_verdicts(
         return keep, (nx, ny, run)
 
     # the zero run counts are one stored zero, so memory stays per block
-    iterate_live(advance, (x, y, np.broadcast_to(np.int64(0), x.shape)), max_iter)
+    iterate_live(advance, (x, y, np.broadcast_to(np.int64(0), x.shape)), max_iter, threads)
     return codes, steps
 
 
@@ -221,25 +219,21 @@ def interior_probe(
     """Fraction of uniform ball samples whose orbit converges to fp.
 
     threads only says how many threads, the calling one included, take the
-    sweep's blocks of _BLOCK samples; the verdict of each sample is a pure
+    sweep's blocks (core.iterate_live); the verdict of each sample is a pure
     function of (seed, index), so the fraction is independent of blocks and
-    threads.  The samples are drawn block by block (rng.ball4_points), so
-    no temporary of the probe is larger than a block.
+    threads.  The samples are drawn block by block (rng.ball4_points); the
+    samples and their verdict codes and steps are full-size, and every other
+    array is at most a block.
     """
     if samples <= 0:
         raise InvalidParameter("interior_probe needs at least one sample")
     if not (radius > 0 and conv_tol > 0):  # nan too: no sample could ever converge
         raise InvalidParameter(f"radius and conv_tol must be positive, got {radius}, {conv_tol}")
     xs, ys = ball4_points(seed, samples, radius, center=fp.location)
-    target = fp.location
-
-    def run_chunk(lo: int, hi: int) -> int:
-        codes, _ = orbit_verdicts(
-            chain, xs[lo:hi], ys[lo:hi], max_iter, target=target, conv_tol=conv_tol
-        )
-        return int(np.count_nonzero(codes == VERDICT_CONVERGED))
-
-    converged = sum(_map_chunks(run_chunk, samples, threads))
+    codes, _ = orbit_verdicts(
+        chain, xs, ys, max_iter, target=fp.location, conv_tol=conv_tol, threads=threads
+    )
+    converged = int(np.count_nonzero(codes == VERDICT_CONVERGED))
     return InteriorReport(
         samples=samples,
         converged=converged,
@@ -248,47 +242,6 @@ def interior_probe(
         max_iter=max_iter,
         conv_tol=conv_tol,
     )
-
-
-def _chunk_bounds(n: int) -> list[tuple[int, int]]:
-    """The blocks of core.iterate_live: contiguous chunks of _BLOCK points
-    covering range(n); one empty chunk for n = 0."""
-    return [(lo, min(lo + _BLOCK, n)) for lo in range(0, max(n, 1), _BLOCK)]
-
-
-def _map_chunks(run_chunk: Callable[[int, int], object], n: int, threads: int) -> list:
-    """run_chunk(lo, hi) over the blocks of range(n), in block order.
-
-    threads > 1 lets the calling thread and threads - 1 worker threads take
-    blocks from one shared queue; no more workers start than there are
-    blocks to share.  Once a block raises, no thread takes another, and the
-    error of the first failing block is raised after every thread ended.
-    """
-    bounds = _chunk_bounds(n)
-    results: list = [None] * len(bounds)
-    errors: dict[int, BaseException] = {}
-    todo, lock = iter(range(len(bounds))), threading.Lock()
-
-    def work() -> None:
-        while not errors:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = run_chunk(*bounds[i])
-            except BaseException as exc:  # re-raised by the caller
-                errors[i] = exc
-
-    workers = [threading.Thread(target=work) for _ in range(min(threads, len(bounds)) - 1)]
-    for w in workers:
-        w.start()
-    work()
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def grid_centres(
@@ -327,12 +280,8 @@ def bounded_set_probe(
     """
     na, nb = grid
     xs, ys = grid_centres(box, grid)
-
-    def run_chunk(lo: int, hi: int) -> np.ndarray:
-        codes, _ = orbit_verdicts(chain, xs[lo:hi], ys[lo:hi], max_iter, target=None)
-        return codes != VERDICT_ESCAPED
-
-    return np.concatenate(_map_chunks(run_chunk, xs.shape[0], threads)).reshape(nb, na)
+    codes, _ = orbit_verdicts(chain, xs, ys, max_iter, threads=threads)
+    return (codes != VERDICT_ESCAPED).reshape(nb, na)
 
 
 # -- gallery: the sphere map -------------------------------------------------

@@ -33,6 +33,10 @@ distance test and a sup exactly, bit for bit as np.hypot would, from
 m = max(|dx|, |dy|): m <= hypot <= sqrt(2) m < 1.5 m, and rounding keeps
 that order.  libm hypot, an order of magnitude dearer per point than a
 complex modulus, runs only where m cannot decide.
+
+Masked iteration runs through iterate_live, in fixed blocks of _BLOCK live
+points.  It is the library's one thread pool: its threads take the blocks
+from one queue, each under its own np.errstate, and results keep block order.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ import cmath
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
@@ -441,7 +446,7 @@ def hypot_max(p, q):
 _BLOCK = 2**15  # points per block of iterate_live, whose working memory is that of one block
 
 
-def iterate_live(advance, arrays, steps: int):
+def iterate_live(advance, arrays, steps: int, threads: int = 1):
     """Iterate advance(k, idx, *arrays) -> (keep, arrays) for k = 1..steps on
     the live points only, in consecutive blocks of _BLOCK points.
 
@@ -451,25 +456,58 @@ def iterate_live(advance, arrays, steps: int):
     (a block's range of np.arange(n) at first); points where keep is false
     leave both, and advance records their verdicts by scattering through
     idx.  Returns the final (idx, arrays) of all blocks, concatenated in
-    index order.  A negative step count raises InvalidParameter.
+    index order.  A negative step count or threads < 1 raises
+    InvalidParameter.
+
+    threads > 1 lets the calling thread and min(threads, blocks) - 1 worker
+    threads take the blocks from one shared queue; advance may then write
+    only through idx.  Once a block raises, no thread takes another, and the
+    error of the first failing block is raised after every thread ended.
     """
     if steps < 0:
         raise InvalidParameter(f"step count must be >= 0, got {steps}")
+    if threads < 1:
+        raise InvalidParameter(f"threads must be >= 1, got {threads}")
     n = len(arrays[0])
-    parts = []
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing on the way out is an escape
-        for lo in range(0, max(n, 1), _BLOCK):  # n = 0 is one empty block
-            idx = np.arange(lo, min(lo + _BLOCK, n))
-            live_arrays = tuple(a[lo : lo + _BLOCK] for a in arrays)
-            for k in range(1, steps + 1):
-                if idx.size == 0:
-                    break
-                keep, live_arrays = advance(k, idx, *live_arrays)
-                if not keep.all():
-                    live = np.flatnonzero(keep)
-                    idx = idx[live]
-                    live_arrays = tuple(a[live] for a in live_arrays)
-            parts.append((idx, live_arrays))
+    starts = range(0, max(n, 1), _BLOCK)  # n = 0 is one empty block
+    parts: list = [None] * len(starts)
+    errors: dict[int, BaseException] = {}
+    todo, lock = iter(range(len(starts))), threading.Lock()
+
+    def run_block(lo):
+        idx = np.arange(lo, min(lo + _BLOCK, n))
+        live_arrays = tuple(a[lo : lo + _BLOCK] for a in arrays)
+        for k in range(1, steps + 1):
+            if idx.size == 0:
+                break
+            keep, live_arrays = advance(k, idx, *live_arrays)
+            if not keep.all():
+                live = np.flatnonzero(keep)
+                idx = idx[live]
+                live_arrays = tuple(a[live] for a in live_arrays)
+        return idx, live_arrays
+
+    def work() -> None:
+        # errstate is per thread; overflowing on the way out is an escape
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not errors:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    parts[i] = run_block(starts[i])
+                except BaseException as exc:  # re-raised by the caller
+                    errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, len(starts)) - 1)]
+    for w in workers:
+        w.start()
+    work()
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[min(errors)]
     if len(parts) == 1:
         return parts[0]
     idxs, blocks = zip(*parts)

@@ -324,6 +324,8 @@ def _bounds(box, cells_per_axis: int) -> tuple[float, float]:
     lo, hi = (float(v) for v in box)
     if cells_per_axis <= 0:
         raise InvalidParameter("cells_per_axis must be positive")
+    if cells_per_axis**4 > np.iinfo(np.intp).max:  # the flat cell ids would not fit
+        raise InvalidParameter(f"cells_per_axis**4 must fit in intp, got {cells_per_axis}")
     if not hi > lo:
         raise InvalidParameter(f"box needs lo < hi, got ({lo:g}, {hi:g})")
     return lo, hi

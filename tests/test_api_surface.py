@@ -206,3 +206,20 @@ def test_every_error_is_its_class_and_one_message():
             if name in names and not one_message:
                 bad.append(f"{path.stem}:{node.lineno} {name}")
     assert bad == []
+
+
+def test_only_core_imports_threads():
+    """core.iterate_live is the library's one thread pool: no other module of
+    src/holodyn imports threading or concurrent."""
+    threaded = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "concurrent") for name in names):
+                threaded.append(path.stem)
+    assert set(threaded) <= {"core"} and "core" in threaded

@@ -534,6 +534,10 @@ _CONFIG_ERRORS = {
     ),
     "density-depth": ([*_DENSITY, "--depth", "-1"], "depths must be"),
     "density-cells": ([*_DENSITY, "--cells", "0"], "cells_per_axis must be positive"),
+    # 60000**4 flat cell ids pass the intp range
+    "density-cells-past-intp": (
+        [*_DENSITY, "--depth", "0", "--cells", "60000"], "cells_per_axis**4 must fit in intp",
+    ),
     "density-box-empty": ([*_DENSITY, "--box-min", "1", "--box-max", "1"], "box needs lo < hi"),
     "density-box-reversed": ([*_DENSITY, "--box-min", "2", "--box-max", "-2"], "box needs lo < hi"),
     "bounded-set-grid-negative": (["bounded-set", "--map", HENON, "--grid=-1,4"], "grid counts"),
@@ -559,6 +563,14 @@ _CONFIG_ERRORS = {
     "dichotomy-m-max-negative": (
         ["dichotomy", "--map", HENON, "--seed-point", "1.4,1.4", "--m-max=-2"],
         "step count must be >= 0",
+    ),
+    # the pool needs at least the calling thread
+    "interior-threads-zero": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--threads", "0", "--samples", "64"],
+        "threads must be >= 1",
+    ),
+    "bounded-set-threads-negative": (
+        ["bounded-set", "--map", HENON, "--threads=-1", "--grid", "4,4"], "threads must be >= 1",
     ),
     "interior-max-iter-negative": (
         ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--max-iter=-1", "--samples", "64"],

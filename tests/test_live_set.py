@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holodyn import basin, core, manifold, parabolic, rng
+from holodyn import core, manifold, parabolic, rng
 from holodyn.basin import (
     HYSTERESIS,
     _angle_2pi,
@@ -414,17 +414,6 @@ def test_iterate_live_concatenates_the_live_sets_of_its_blocks():
     assert [s.tolist() for s in seen if s.min() // 7 == 1] == [list(range(7, 14))]
 
 
-@pytest.mark.parametrize("k, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
-def test_chunk_bounds_are_the_blocks_of_iterate_live(k, extra):
-    n = k * core._BLOCK + extra
-    bounds = basin._chunk_bounds(n)
-    assert bounds[0][0] == 0 and bounds[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-    sizes = [hi - lo for lo, hi in bounds]
-    assert all(size == core._BLOCK for size in sizes[:-1]) and sizes[-1] <= core._BLOCK
-    assert (len(bounds) == 1) == (n <= core._BLOCK)
-
-
 @pytest.mark.parametrize("n", [0, 6, 7, 8, 45])
 @pytest.mark.parametrize("target", [None, (0j, 0j)])
 def test_orbit_verdicts_unchanged_by_blocks(n, target):
@@ -473,19 +462,40 @@ def test_survivors_unchanged_by_blocks(map_like, x, n):
 
 
 def test_pooled_probes_unchanged_by_blocks_and_threads():
-    # the pool takes blocks of 7 too, so both threads have work
+    # in blocks of 7 every thread has work
     chain, fp = diag_linear_chain(0.5, 0.9j), SimpleNamespace(location=(0j, 0j))
     box = ((-2.0, 2.0), (-2.0, 2.0))
     rep = interior_probe(chain, fp, 0.5, 100, max_iter=60)
     occupied = bounded_set_probe(henon_chain(0.75), box, (9, 8), 60)
     assert 0 < rep.converged < 100 and 0 < occupied.sum() < occupied.size
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(basin, "_BLOCK", 7)
-        for threads in (1, 2, 3):
-            got = _in_blocks(interior_probe, chain, fp, 0.5, 100, max_iter=60, threads=threads)
-            assert vars(got) == vars(rep)
-            got = _in_blocks(bounded_set_probe, henon_chain(0.75), box, (9, 8), 60, threads=threads)
-            assert np.array_equal(got, occupied)
+    for threads in (1, 2, 3):
+        got = _in_blocks(interior_probe, chain, fp, 0.5, 100, max_iter=60, threads=threads)
+        assert vars(got) == vars(rep)
+        got = _in_blocks(bounded_set_probe, henon_chain(0.75), box, (9, 8), 60, threads=threads)
+        assert np.array_equal(got, occupied)
+
+
+def test_overflow_on_a_worker_block_is_an_escape_without_warnings():
+    # numpy's errstate is per thread, so each pool thread must enter its own
+    chain = henon_chain(0.75)
+    barrier, started = threading.Barrier(2, timeout=10), set()
+
+    def apply(x, y):  # each thread's first block waits for the other's: both run one
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            barrier.wait()
+        return chain.apply(x, y)
+
+    xs = np.full(30, 1e200 + 0j)  # squares to inf, and inf - inf is nan
+    xs[1::2] = 0.1
+    ys = np.zeros(30, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, steps = _in_blocks(orbit_verdicts, SimpleNamespace(apply=apply), xs, ys, 60, threads=2)
+    assert len(started) == 2
+    assert (codes[::2] == VERDICT_ESCAPED).all() and (steps[::2] == 1).all()
+    want = orbit_verdicts(chain, xs, ys, 60)
+    assert np.array_equal(codes, want[0]) and np.array_equal(steps, want[1])
 
 
 # -- rng.ball4_points in blocks ------------------------------------------------
@@ -525,24 +535,34 @@ def test_ball4_points_working_memory_does_not_grow_with_the_sample_count():
     assert working_bytes(8) <= 1.2 * working_bytes(2)
 
 
-# -- the basin pool ---------------------------------------------------------------
+# -- the pool of core.iterate_live --------------------------------------------------
 
 
-def _pooled(run_chunk, n, threads):
+def _pooled(on_block, n, threads, block=7):
+    """One step of iterate_live over range(n) in blocks of `block` that keeps
+    every point and calls on_block(lo) once per block; returns the final idx."""
+
+    def advance(k, idx, v):
+        on_block(int(idx[0]))
+        return np.ones(idx.size, dtype=bool), (v,)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(basin, "_BLOCK", 7)
-        return basin._map_chunks(run_chunk, n, threads)
+        mp.setattr(core, "_BLOCK", block)
+        idx, (v,) = iterate_live(advance, (np.arange(n),), 1, threads)
+    assert np.array_equal(idx, v)
+    return idx.tolist()
 
 
 def test_map_chunks_gives_the_blocks_in_order():
-    def run_chunk(lo, hi):
-        time.sleep(0.01 if lo == 0 else 0.0)  # later blocks end first
-        return lo, hi, threading.current_thread()
-
     for threads in (1, 2, 3):
-        got = _pooled(run_chunk, 45, threads)
-        assert [g[:2] for g in got] == [(lo, min(lo + 7, 45)) for lo in range(0, 45, 7)]
-        assert len({g[2] for g in got}) <= threads
+        seen = []
+
+        def on_block(lo):
+            time.sleep(0.01 if lo == 0 else 0.0)  # later blocks end first
+            seen.append(threading.current_thread())
+
+        assert _pooled(on_block, 45, threads) == list(range(45))
+        assert len(seen) == 7 and len(set(seen)) <= threads
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -551,18 +571,19 @@ def test_map_chunks_starts_threads_minus_one_workers(threads):
     barrier = threading.Barrier(threads, timeout=10)  # the first blocks need `threads` threads at once
     seen = []
 
-    def run_chunk(lo, hi):
+    def on_block(lo):
         if lo < 7 * threads:
             barrier.wait()
         seen.append((threading.current_thread(), threading.active_count()))
-        return lo
 
-    assert _pooled(run_chunk, 45, threads) == list(range(0, 45, 7))
+    assert _pooled(on_block, 45, threads) == list(range(45))
     assert len({t for t, _ in seen}) == threads and threading.current_thread() in {t for t, _ in seen}
     assert max(count for _, count in seen) == before + threads - 1
     assert threading.active_count() == before
     # one block is not shared: the caller runs it and starts no worker
-    assert _pooled(lambda lo, hi: threading.active_count(), 5, 3) == [before]
+    counts = []
+    assert _pooled(lambda lo: counts.append(threading.active_count()), 5, 3) == list(range(5))
+    assert counts == [before]
 
 
 @pytest.mark.parametrize("failing", ["caller", "worker", "both"])
@@ -571,16 +592,15 @@ def test_map_chunks_reraises_a_block_error(failing):
     caller = threading.current_thread()
     barrier = threading.Barrier(2, timeout=10)  # blocks 0 and 1 run on different threads
 
-    def run_chunk(lo, hi):
+    def on_block(lo):
         if lo < 14:
             barrier.wait()
         on_caller = threading.current_thread() is caller
         if failing == "both" or on_caller == (failing == "caller"):
             raise ValueError(f"block {lo}")
-        return lo
 
     with pytest.raises(ValueError, match="block 0" if failing == "both" else "block (0|7)$"):
-        _pooled(run_chunk, 45, 2)
+        _pooled(on_block, 45, 2)
     assert threading.active_count() == before
 
 
@@ -591,10 +611,8 @@ def test_map_chunks_runs_each_block_once_under_thread_switches():
     try:
         for threads in (3, 5):  # more threads than the host's cores
             ran.clear()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(basin, "_BLOCK", 1)
-                got = basin._map_chunks(lambda lo, hi: ran.append(lo) or hi, 2000, threads)
-            assert got == list(range(1, 2001)) and sorted(ran) == list(range(2000))
+            assert _pooled(ran.append, 2000, threads, block=1) == list(range(2000))
+            assert sorted(ran) == list(range(2000))
     finally:
         sys.setswitchinterval(old)
 
@@ -602,14 +620,13 @@ def test_map_chunks_runs_each_block_once_under_thread_switches():
 def test_map_chunks_takes_no_block_after_an_error():
     ran = []
 
-    def run_chunk(lo, hi):
+    def on_block(lo):
         ran.append(lo)
         if lo == 14:
             raise ValueError(f"block {lo}")
-        return lo
 
     with pytest.raises(ValueError, match="block 14"):
-        _pooled(run_chunk, 45, 1)
+        _pooled(on_block, 45, 1)
     assert ran == [0, 7, 14]
 
 
