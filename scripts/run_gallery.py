@@ -6,8 +6,7 @@ import pathlib
 import sys
 
 from holodyn.basin import (
-    nonuniformity_witness,
-    planar_homeo,
+    nonuniformity_witnesses,
     sample_unit_disc_away_from_poles,
     sphere_residuals_batch,
 )
@@ -29,14 +28,7 @@ def main() -> int:
     print(f"sphere residual over 1000 points at m={m}: max {res.max():.3e}")
     write_json(out / "sphere.json", {"m": m, "points": 1000, "max_residual": float(res.max())})
 
-    ks, thetas, dists = range(1, 31), [], []
-    for k in ks:
-        theta, z = nonuniformity_witness(k)
-        w = z
-        for _ in range(k):
-            w = planar_homeo(w)
-        thetas.append(theta)
-        dists.append(abs(w - 1.0))
+    ks, thetas, dists = nonuniformity_witnesses(30)
     write_csv(out / "witnesses.csv", ["m", "theta", "dist"], [ks, thetas, dists])
     print(f"witnesses for m = 1..30; smallest angle {thetas[-1]:.3e}")
 

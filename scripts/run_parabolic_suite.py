@@ -5,16 +5,16 @@ from __future__ import annotations
 import pathlib
 import sys
 
+from holodyn.cli import parabolic_payload
 from holodyn.parabolic import (
     HomogeneousQuadratic,
-    characteristic_directions,
     cubic_perturbation_family,
     expansion_check,
     graph_point,
     normal_form_family,
     parabolic_stability_experiment,
 )
-from holodyn.serialize import fields, write_json
+from holodyn.serialize import write_json
 
 
 def main() -> int:
@@ -24,29 +24,16 @@ def main() -> int:
 
     for c in (0.0, 1.0, 3.0):
         p2 = HomogeneousQuadratic.normal_form(c)
-        dirs = characteristic_directions(p2)
         rep = expansion_check(normal_form_family(c), eps, trials=10_000, seed=7)
         graph = [
             graph_point(normal_form_family(c), x, epsilon=eps, resolution=1e-6)
             for x in (-0.005, -0.01, -0.015)
         ]
-        write_json(
-            out / f"parabolic_c{c:g}.json",
-            {
-                "c": c,
-                "epsilon": eps,
-                "directions": [
-                    {"v": d.direction, "lambda": d.lam, "degenerate": d.degenerate}
-                    for d in dirs
-                ],
-                "graph": [
-                    {"x": g.x, "u": g.u, "radius": g.certified_radius} for g in graph
-                ],
-                "expansion": fields(rep, "trials", "violations", "min_margin"),
-            },
-        )
+        payload = parabolic_payload(c, eps, p2, graph, rep)
+        write_json(out / f"parabolic_c{c:g}.json", payload)
         print(
-            f"c={c:g}: {len(dirs)} directions, expansion violations {rep.violations},"
+            f"c={c:g}: {len(payload['directions'])} directions,"
+            f" expansion violations {rep.violations},"
             f" graph |u| max {max(abs(g.u) for g in graph):.2e}"
         )
 

@@ -29,6 +29,7 @@ from .core import (
     iterate_live,
 )
 from .errors import InvalidParameter, NotFound, PoleHit
+from .manifold import _distance_blocks
 from .rng import ball4_points, make_generator
 
 HYSTERESIS = 20
@@ -296,7 +297,10 @@ def sphere_map(m: int, z: complex) -> complex:
 
 
 def sphere_map_iterate(m: int, z: complex) -> complex:
-    """m-fold iteration of z -> z / (1 + z), raising PoleHit at 1 + z_k = 0."""
+    """m-fold iteration of z -> z / (1 + z), raising PoleHit at 1 + z_k = 0;
+    m < 0 raises InvalidParameter, since the loop would take no step."""
+    if m < 0:
+        raise InvalidParameter(f"step count must be >= 0, got {m}")
     w = complex(z)
     for k in range(m):
         denom = 1.0 + w
@@ -304,14 +308,6 @@ def sphere_map_iterate(m: int, z: complex) -> complex:
             raise PoleHit(f"iterate hit the pole 1 + z = 0 at step {k}")
         w = w / denom
     return w
-
-
-def sphere_map_iterate_check(z: complex, m: int) -> float:
-    """|closed form - m-fold iteration|; for m < 0 the iteration would take
-    no step, so that raises InvalidParameter."""
-    if m < 0:
-        raise InvalidParameter(f"step count must be >= 0, got {m}")
-    return abs(sphere_map(m, z) - sphere_map_iterate(m, z))
 
 
 def sphere_residuals_batch(zs: np.ndarray, m: int) -> np.ndarray:
@@ -338,10 +334,9 @@ def sample_unit_disc_away_from_poles(seed: int, n: int, m: int) -> np.ndarray:
         rho = np.sqrt(g.random(batch))
         phi = 2 * np.pi * g.random(batch)
         z = rho * np.exp(1j * phi)
-        ok = np.ones(batch, dtype=bool)
-        for lo in range(0, len(poles), 2048):
-            blk = poles[lo : lo + 2048]
-            ok &= np.min(np.abs(z[:, None] - blk[None, :]), axis=1) >= _MIN_POLE_DISTANCE
+        ok = np.empty(batch, dtype=bool)
+        for rows, d in _distance_blocks(z, poles):
+            ok[rows] = (d >= _MIN_POLE_DISTANCE).all(axis=1)
         z = z[ok]
         take = min(len(z), n - got)
         out[got : got + take] = z[:take]
@@ -428,3 +423,16 @@ def nonuniformity_witness(m: int) -> tuple[float, complex]:
     if not (math.pi / 2 <= val <= 3 * math.pi / 2):
         raise NotFound(f"bisection exhausted precision at theta = {theta:.3e} (psi^m = {val:.3e})")
     return theta, complex(math.cos(theta), math.sin(theta))
+
+
+def nonuniformity_witnesses(count: int) -> tuple[range, list[float], list[float]]:
+    """(m, theta, |f^m(z) - 1|) for the witnesses z of m = 1..count, each
+    re-verified by m planar_homeo steps."""
+    ms, thetas, dists = range(1, count + 1), [], []
+    for m in ms:
+        theta, w = nonuniformity_witness(m)
+        for _ in range(m):
+            w = planar_homeo(w)
+        thetas.append(theta)
+        dists.append(abs(w - 1.0))
+    return ms, thetas, dists

@@ -271,6 +271,19 @@ def _directions(p2):
             for d in dirs]
 
 
+def parabolic_payload(c, epsilon: float, p2, points, expansion) -> dict:
+    """The parabolic.json object of parabolic-graph and the parabolic suite:
+    directions of p2, graph points and the fields of an ExpansionReport or None."""
+    margins = None if expansion is None else fields(expansion, "trials", "violations", "min_margin")
+    return {
+        "c": c,
+        "epsilon": epsilon,
+        "directions": _directions(p2),
+        "graph": [{"x": g.x, "u": g.u, "radius": g.certified_radius} for g in points],
+        "expansion": margins,
+    }
+
+
 @subcommand(
     "char-dirs", "characteristic directions solve P2(v) = lambda v in both blow-up charts",
     OPT_MAP, arg("--c", 3.0, help="normal-form parameter"),
@@ -319,18 +332,9 @@ def cmd_parabolic_graph(run: Run) -> int:
     points = [parabolic.graph_point(m, x, epsilon=a.epsilon, resolution=a.resolution) for x in xs]
     expansion = None
     if a.expansion_trials:
-        rep = parabolic.expansion_check(m, a.epsilon, trials=a.expansion_trials, seed=a.seed)
-        expansion = fields(rep, "trials", "violations", "min_margin")
-    write_json(
-        run.path("parabolic.json"),
-        {
-            "c": None if a.map else complex(a.c),
-            "epsilon": a.epsilon,
-            "directions": _directions(p2),
-            "graph": [{"x": g.x, "u": g.u, "radius": g.certified_radius} for g in points],
-            "expansion": expansion,
-        },
-    )
+        expansion = parabolic.expansion_check(m, a.epsilon, trials=a.expansion_trials, seed=a.seed)
+    c = None if a.map else complex(a.c)
+    write_json(run.path("parabolic.json"), parabolic_payload(c, a.epsilon, p2, points, expansion))
     us = ", ".join(f"u({g.x.real:g})={g.u.real:.2e}" for g in points)
     return run.finish(f"{len(points)} graph point(s): {us}")
 
@@ -341,7 +345,7 @@ def cmd_parabolic_graph(run: Run) -> int:
 )
 def cmd_expansion_check(run: Run) -> int:
     a = run.args
-    m = run.load_map() if a.map else parabolic.HomogeneousQuadratic.normal_form(a.c).to_map()
+    m = run.load_map() if a.map else parabolic.normal_form_family(a.c)
     rep = parabolic.expansion_check(m, a.epsilon, trials=a.trials, seed=a.seed)
     write_json(run.path("expansion.json"), rep)
     summary = f"{rep.violations} violations over {rep.trials} pairs"
@@ -409,9 +413,9 @@ def cmd_gallery(run: Run) -> int:
     ex = run.args.example
     if ex == "sphere":
         z, m = _parse(run.args.z, count=1)[0], run.args.m
-        residual = basin.sphere_map_iterate_check(z, m)  # first: it rejects m < 0
+        iterate = basin.sphere_map_iterate(m, z)  # first: it rejects m < 0
         val = basin.sphere_map(m, z)
-        out = {"value": val, "residual": residual}
+        out = {"value": val, "residual": abs(val - iterate)}
         text = f"{val.real:g}" if val.imag == 0 else f"{val.real:g}{val.imag:+g}j"
     elif ex == "psi":
         val = float(basin.psi(run.args.theta))
@@ -420,13 +424,7 @@ def cmd_gallery(run: Run) -> int:
         val = basin.planar_homeo(_parse(run.args.z, count=1)[0])
         out, text = {"value": val}, f"{val.real:.6g}{val.imag:+.6g}j"
     else:
-        ms, thetas, dists = range(1, run.args.m + 1), [], []
-        for m in ms:
-            theta, w = basin.nonuniformity_witness(m)
-            for _ in range(m):
-                w = basin.planar_homeo(w)
-            thetas.append(theta)
-            dists.append(abs(w - 1.0))
+        ms, thetas, dists = basin.nonuniformity_witnesses(run.args.m)
         write_csv(run.path("witnesses.csv"), ["m", "theta", "dist"], [ms, thetas, dists])
         out, text = {"witnesses": len(ms)}, f"{len(ms)} witnesses, all re-verified"
     write_json(run.path("gallery.json"), {"example": ex, **out})

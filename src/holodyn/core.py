@@ -680,10 +680,14 @@ def conjugate_by_translation(chain: AutoChain, p: Point) -> AutoChain:
 
 def _cx_from_json(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise InvalidParameter(f"expected number or [re, im] pair, got {v!r}")
+        z = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        raise InvalidParameter(f"expected number or [re, im] pair, got {v!r}")
+    if not cmath.isfinite(z):
+        raise InvalidParameter(f"expected a finite number, got {v!r}")
+    return z
 
 
 def _cx_to_json(c: complex) -> list[float]:
@@ -712,7 +716,7 @@ def step_from_dict(d: dict) -> Step:
             )
     except InvalidParameter:  # a ValueError whose message already names the bad value
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed step {d!r}: {exc}") from exc
     raise InvalidParameter(f"unknown step kind {kind!r}")
 

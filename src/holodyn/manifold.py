@@ -478,8 +478,10 @@ def stability_experiment(
     The perturbed fixed point is tracked by Newton seeded at the
     unperturbed one; distances are graph_distance for the local graphs, both
     on local_stable_graph's default mesh, and the symmetric Hausdorff
-    distance for depth-n pullback clouds.
+    distance for depth-n pullback clouds.  t_values must be nonempty and finite.
     """
+    if len(t_values) == 0 or not np.isfinite(t_values).all():
+        raise InvalidParameter(f"t_values must be nonempty and finite, got {t_values}")
     base_graph = local_stable_graph(chain, fp, delta, tol=tol)
     base_cloud = pullback_cloud(chain, base_graph, pullback_depth)
     rows = []

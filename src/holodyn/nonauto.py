@@ -153,8 +153,6 @@ class SectorSetParams:
             raise InvalidParameter("R must exceed epsilon")
 
 
-COMPONENTS = ("Ball_delta", "KxDisc", "Lx{0}", "{0}xK", "{0}xL", "Outside")
-
 _MEAS_TOL = 1e-12
 
 
@@ -418,9 +416,12 @@ def sequence_from_dict(d: dict) -> MapSequence:
         def param(key, parse, default):
             v = params.get(key, default)
             try:
-                return parse(v)
-            except (TypeError, ValueError) as exc:
+                out = parse(v)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidParameter(f"bad family parameter {key}={v!r}: {exc}") from exc
+            if not np.isfinite(out).all():
+                raise InvalidParameter(f"family parameter {key} must be finite, got {v!r}")
+            return out
 
         if name == "contraction":
             from .core import diag_linear_chain

@@ -44,7 +44,7 @@ from .errors import (
     NoSurvivor,
     NotTangentToIdentity,
 )
-from .manifold import _distance_blocks
+from .manifold import _distance_blocks, sheary_perturbation_family
 from .poly import Poly2
 from .rng import make_generator
 
@@ -65,6 +65,8 @@ class HomogeneousQuadratic:
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
+        if not all(cmath.isfinite(v) for v in self.p + self.q):
+            raise InvalidParameter(f"P2 coefficients must be finite, got {self.p}, {self.q}")
 
     @classmethod
     def normal_form(cls, c: complex) -> "HomogeneousQuadratic":
@@ -291,12 +293,8 @@ class SectorPoint:
     epsilon: float
 
 
-def arg_deviation_from_pi(x) -> float:
-    """|arg(x) - pi| with arg taken in [0, 2pi); equals |arg(-x)| principal."""
-    return abs(cmath.phase(-complex(x)))
-
-
 def _in_sector(x: complex, u, eps: float) -> bool:
+    """(x, u) in W_eps; |arg(-x)| (principal) is |arg(x) - pi| with arg in [0, 2pi)."""
     ax = abs(x)
     return ax != 0 and max(ax, abs(cmath.phase(-x))) < eps and 2 * abs(u) < ax
 
@@ -544,7 +542,8 @@ def graph_point(
     epsilon: float = 0.02,
     resolution: float = 1e-6,
 ) -> GraphPointResult:
-    """The unique u whose blow-up orbit from (x, u) stays in W_eps.
+    """The unique u whose blow-up orbit from (x, u) stays in W_eps, for
+    0 < |x| < eps and |arg(x) - pi| < eps (else InvalidParameter).
 
     Level k < _MAX_LEVELS = 40 has horizon N = _HORIZON0 * 2^k = 10 * 2^k.
     While a cell is wider than |x| / _COARSE = |x| / 100, a _GRID_N^2 = 32^2
@@ -564,8 +563,8 @@ def graph_point(
     if not resolution > 0:  # nan included: rho < resolution would never hold
         raise InvalidParameter(f"resolution must be positive, got {resolution}")
     x = complex(x)
-    if not (abs(x) < epsilon and arg_deviation_from_pi(x) < epsilon):
-        raise InvalidParameter("x must satisfy |x| < eps and |arg(x) - pi| < eps")
+    if not _in_sector(x, 0j, epsilon):
+        raise InvalidParameter("x must satisfy 0 < |x| < eps and |arg(x) - pi| < eps")
     r0 = abs(x) / 2.0
     lo, hi = complex(-r0, -r0), complex(r0, r0)
     split_seen, level, cell = 0, 0, math.inf
@@ -708,11 +707,4 @@ def cubic_perturbation_family(c: complex) -> Callable[[float], AutoChain]:
     with the same non-degenerate characteristic direction (1, 0); only the
     3-jet moves, so sector graphs shift by O(t).
     """
-    base = tangent_shear_chain(c)
-
-    def make(t: float) -> AutoChain:
-        if t == 0:
-            return base
-        return base.then(ShearY((0.0, 0.0, 0.0, complex(t))))
-
-    return make
+    return sheary_perturbation_family(tangent_shear_chain(c), lambda t: (0.0, 0.0, 0.0, t))

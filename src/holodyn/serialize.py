@@ -120,11 +120,18 @@ def write_csv(path, header: list[str], columns) -> None:
             fh.write(chars[keep])
 
 
+_PPM_BLOCK_PIXELS = 1 << 16  # 192 KiB of RGB bytes per write
+
+
 def write_ppm(path, marked: np.ndarray) -> None:
-    """Binary P6 image; marked cells black on white, row 0 at the top."""
+    """Binary P6 image; marked cells black on white, row 0 at the top, written
+    a block of rows at a time so memory beyond marked stays at one block."""
     h, w = marked.shape
-    body = np.where(marked[:, :, None], 0, 255).astype(np.uint8)
-    body = np.repeat(body, 3, axis=2)
+    rows = max(1, _PPM_BLOCK_PIXELS // max(w, 1))
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(body.tobytes())
+        for lo in range(0, h, rows):
+            block = marked[lo:lo + rows]
+            rgb = np.full((*block.shape, 3), 255, dtype=np.uint8)
+            rgb[block != 0] = 0
+            fh.write(rgb)

@@ -15,9 +15,10 @@ the first ``*args``.  Calls are matched to definitions by name alone, so a
 parameter may be passed to a namesake; that can hide a knob but never report
 a false one.
 
-A public top-level function or class of ``src/holodyn``, and a public
-method or property of any class there, is used when its name is read (as
-a name, an attribute or a whole string, as ``getattr`` takes it) somewhere
+A public top-level function, class or assigned name (a constant) of
+``src/holodyn``, and a public method or property of any class there, is
+used when its name is read (as a loaded name, an attribute or a whole
+string, as ``getattr`` takes it; an assignment is no read) somewhere
 in ``src/``, ``scripts/`` or ``perfbench/``; a top-level function under a
 decorator counts as used, since the decorator registers it (the
 ``cli.cmd_*`` handlers).  Names are matched alone here too, so a namesake
@@ -125,7 +126,8 @@ def test_every_public_definition_is_used_outside_the_tests():
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name):
-                    read.add(node.id)
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -139,6 +141,14 @@ def test_every_public_definition_is_used_outside_the_tests():
                     for m in node.body
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                     and m.name not in read
+                ]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                uncalled += [
+                    f"{path.stem}.{t.id}"
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in read
                 ]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue

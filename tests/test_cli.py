@@ -509,6 +509,37 @@ def _one_map_list(tmp_path) -> str:
     return str(path)
 
 
+def _json_file(name: str, payload: dict):
+    """A function of tmp_path that writes payload there as JSON (NaN as NaN)."""
+
+    def write(tmp_path) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    return write
+
+
+_NAN = float("nan")
+_NAN_SHEAR = {"steps": [{"kind": "shear_y", "coeffs": [[0.0, 0.0], [0.0, 0.0], [_NAN, 0.0]]}]}
+_NAN_MAP = _json_file("nan_shear.json", _NAN_SHEAR)
+_NAN_JET = _json_file(
+    "nan_jet.json", {"steps": [{"kind": "quadratic_jet", "p": [1.0, 2.0, _NAN], "q": [0, -2, -1]}]}
+)
+_NAN_LIST = _json_file("nan_list.json", {"kind": "list", "maps": [_NAN_SHEAR]})
+_BIG_INT_MAP = _json_file(
+    "big_int.json", {"steps": [{"kind": "shear_y", "coeffs": [0, 0, 10**400]}]}
+)
+_BIG_INT_RATE = _json_file(
+    "big_int_rate.json", {"kind": "family", "name": "contraction", "params": {"rate": 10**400}}
+)
+_NAN_RATE = _json_file(
+    "nan_rate.json", {"kind": "family", "name": "contraction", "params": {"rate": _NAN}}
+)
+FINITE = "expected a finite number"
+P2_FINITE = "P2 coefficients must be finite"
+T_VALUES = "t_values must be nonempty and finite"
+
 # an argv entry that is a function of tmp_path writes the file it names
 _CONFIG_ERRORS = {
     "bounded-set-grid-one": (["bounded-set", "--map", HENON, "--grid", "64"], BAD_VALUE),
@@ -676,6 +707,32 @@ _CONFIG_ERRORS = {
         ["nonauto-run", "--sequence", _one_map_list, "--mode", "probe", "--n", "3"],
         "sequence has 1 map(s), asked for map 2",
     ),
+    # x = -0 has no blow-up chart, though the phase of -x is -0 and not pi
+    "parabolic-graph-x-mesh-negative-zero": (["parabolic-graph", "--x-mesh=-0"], "x must satisfy"),
+    # non-finite numbers are bad input wherever they enter
+    "char-dirs-c-nan": (["char-dirs", "--c", "nan"], P2_FINITE),
+    "char-dirs-c-inf": (["char-dirs", "--c", "inf"], P2_FINITE),
+    "normalize-c-inf": (["normalize", "--c", "inf"], P2_FINITE),
+    "parabolic-graph-c-nan": (["parabolic-graph", "--c", "nan"], P2_FINITE),
+    "expansion-check-c-nan": (["expansion-check", "--c", "nan"], P2_FINITE),
+    "bounded-set-map-nan": (["bounded-set", "--map", _NAN_MAP, "--grid", "4,4"], FINITE),
+    "char-dirs-map-jet-nan": (["char-dirs", "--map", _NAN_JET], FINITE),
+    "nonauto-orbit-list-nan": (["nonauto-run", "--sequence", _NAN_LIST], FINITE),
+    "nonauto-probe-rate-nan": (
+        ["nonauto-run", "--sequence", _NAN_RATE, "--mode", "probe", "--grid", "5,5"],
+        "family parameter rate must be finite",
+    ),
+    # an integer past the double range is as infinite as Infinity
+    "bounded-set-map-int-past-double": (
+        ["bounded-set", "--map", _BIG_INT_MAP, "--grid", "4,4"], "malformed step",
+    ),
+    "nonauto-probe-rate-int-past-double": (
+        ["nonauto-run", "--sequence", _BIG_INT_RATE, "--mode", "probe"],
+        "bad family parameter rate",
+    ),
+    # no t is no experiment, and a nan t would reach Newton
+    "stability-t-values-empty": (["stability", "--map", HENON, "--t-values", ","], T_VALUES),
+    "stability-t-values-nan": (["stability", "--map", HENON, "--t-values", "nan"], T_VALUES),
 }
 
 

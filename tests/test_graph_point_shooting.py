@@ -30,7 +30,6 @@ from holodyn.parabolic import (
     _clusters,
     _distance_blocks,
     _survivors,
-    arg_deviation_from_pi,
     blowup_step,
     cubic_perturbation_family,
     graph_point,
@@ -47,7 +46,7 @@ def graph_point_grid(
     """The survival-grid graph_point, frozen (radius: half the survivor
     diameter plus a cell diagonal)."""
     x = complex(x)
-    if not (abs(x) < epsilon and arg_deviation_from_pi(x) < epsilon):
+    if not (abs(x) < epsilon and abs(cmath.phase(-x)) < epsilon):
         raise InvalidParameter("x must satisfy |x| < eps and |arg(x) - pi| < eps")
     r0 = abs(x) / 2.0
     lo_re, hi_re = -r0, r0

@@ -402,6 +402,10 @@ def test_graph_point_rejects_x_outside_regime():
     m = normal_form_family(0.0)
     with pytest.raises(ValueError):
         graph_point(m, 0.01, epsilon=0.02)
+    # x = 0 has no blow-up chart; the phase of -(-0 + 0j) is -0, not pi
+    for x in (0j, complex(-0.0, 0.0), complex(-0.0, -0.0), complex(math.nan, 0.0)):
+        with pytest.raises(InvalidParameter, match="must satisfy 0 < "):
+            graph_point(m, x, epsilon=0.02)
 
 
 def test_parabolic_stability_decreasing():

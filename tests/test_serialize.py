@@ -1,13 +1,15 @@
-"""Byte oracle for serialize.write_csv.
+"""Byte oracles for serialize.write_csv and serialize.write_ppm.
 
 The writer renders columns a block of rows at a time.  Its files must equal,
 byte for byte, those of the per-cell formatter it replaced, which is kept
 here as the reference.  Its float formatter is checked cell by cell against
-'%.17g' on its own.
+'%.17g' on its own.  write_ppm's body must equal that of the whole-image
+writer it replaced, kept here too.
 """
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -170,3 +172,33 @@ def test_formatter_rounds_ties_to_even():
     assert _formatted([4000000000000001 / 4]) == [b"1000000000000000.2,"]
     ties = _ties()
     assert _formatted(ties) == _percent_g(ties)
+
+
+def _ppm_whole_image(marked: np.ndarray) -> bytes:
+    """The P6 file write_ppm wrote with whole-image int64 and uint8 temporaries."""
+    h, w = marked.shape
+    body = np.repeat(np.where(marked[:, :, None], 0, 255).astype(np.uint8), 3, axis=2)
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + body.tobytes()
+
+
+def test_ppm_body_equals_the_whole_image_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize, "_PPM_BLOCK_PIXELS", 12)  # 4 rows of width 3
+    g = np.random.default_rng(5)
+    for h, w in [(0, 5), (1, 1), (7, 3), (8, 3), (9, 3), (3, 0)]:
+        marked = g.random((h, w)) < 0.5
+        serialize.write_ppm(tmp_path / "m.ppm", marked)
+        assert (tmp_path / "m.ppm").read_bytes() == _ppm_whole_image(marked), (h, w)
+
+
+def test_ppm_memory_stays_below_a_byte_per_pixel(tmp_path):
+    # the whole-image writer peaked at 9 bytes per pixel (36 MB here)
+    marked = np.zeros((2000, 2000), dtype=bool)
+    marked[::7, ::3] = True
+    tracemalloc.start()
+    try:
+        serialize.write_ppm(tmp_path / "big.ppm", marked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < marked.size, f"peak {peak / 2**20:.2f} MB"
+    assert (tmp_path / "big.ppm").read_bytes() == _ppm_whole_image(marked)
