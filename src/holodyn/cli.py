@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 domain error, 2 I/O, configuration or parameter error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -410,18 +412,20 @@ def cmd_bounded_set(run: Run) -> int:
     arg("--z", "0.5"), arg("--m", 3), arg("--theta", 3.141592653589793),
 )
 def cmd_gallery(run: Run) -> int:
-    ex = run.args.example
+    ex, z, theta = run.args.example, _parse(run.args.z, count=1)[0], run.args.theta
+    if not (cmath.isfinite(z) and math.isfinite(theta)):
+        raise InvalidParameter(f"--z and --theta must be finite, got {run.args.z!r}, {theta!r}")
     if ex == "sphere":
-        z, m = _parse(run.args.z, count=1)[0], run.args.m
+        m = run.args.m
         iterate = basin.sphere_map_iterate(m, z)  # first: it rejects m < 0
         val = basin.sphere_map(m, z)
         out = {"value": val, "residual": abs(val - iterate)}
         text = f"{val.real:g}" if val.imag == 0 else f"{val.real:g}{val.imag:+g}j"
     elif ex == "psi":
-        val = float(basin.psi(run.args.theta))
+        val = float(basin.psi(theta))
         out, text = {"value": val}, f"{val:.17g}"
     elif ex == "planar":
-        val = basin.planar_homeo(_parse(run.args.z, count=1)[0])
+        val = basin.planar_homeo(z)
         out, text = {"value": val}, f"{val.real:.6g}{val.imag:+.6g}j"
     else:
         ms, thetas, dists = basin.nonuniformity_witnesses(run.args.m)

@@ -17,14 +17,20 @@ for the sign of an exactly-zero component, a non-finite image still counts
 as an escape, and a step may return an input array as one of its outputs.
 
 A step's apply (scalar or array) is its value lines, compiled at first use.
-A chain's tangent push (x, y, dx, dy) -> (x', y', dx', dy'), scalar or array,
-is the full lines of all its steps, compiled into one function at the chain's
-first use with the coefficients bound by name, never printed.  So (x', y')
-is apply(x, y) bit for bit, and (dx', dy') is (dx, dy) pushed forward by the
-chain's Jacobian; the shooting in parabolic.graph_point calls it once per
-step, and differential and differential_batch push the unit tangents (1, 0)
-and (0, 1) through it.  Linear steps skip the same arithmetic in the tangent
-as in the value, so padding a chain with identity steps changes neither.
+A chain's apply is the value lines of all its steps, and its tangent push
+(x, y, dx, dy) -> (x', y', dx', dy'), scalar or array, is their full lines;
+each is compiled into one function at the chain's first use, with the
+coefficients bound by name, never printed.  So the chain's apply is its
+steps' apply composed, bit for bit, in one Python call; (x', y') is
+apply(x, y) bit for bit, and (dx', dy') is (dx, dy) pushed forward by the
+chain's Jacobian.  The shooting in parabolic.graph_point calls the push once
+per step, and differential and differential_batch push the unit tangents
+(1, 0) and (0, 1) through it.  Linear steps skip the same arithmetic in the
+tangent as in the value, so padding a chain with identity steps changes
+neither.  A shear's lines delete p (and dp) once used, so that in a chain's
+function no step's temporary array outlives its step, as it would not in the
+step's own function.  AutoChain.evaluate and evaluate_batch still run step
+by step, since they test the cap between steps.
 differential_batch, like AutoChain.inverse_batch, has no library caller;
 both stay because perfbench/tracer.py wraps each from its class __dict__.
 
@@ -146,7 +152,7 @@ class ShearX(_Step):
 
     def _lines(self, bind, tangent):
         lines = [*_horner_lines(self.coeffs, "y", bind, tangent), "x = x + p"]
-        return lines + ["dx = dx + dp * dy"] if tangent else lines
+        return lines + ["dx = dx + dp * dy", "del p, dp"] if tangent else lines + ["del p"]
 
     def inverted(self) -> "ShearX":
         return ShearX(tuple(-c for c in self.coeffs))
@@ -163,7 +169,7 @@ class ShearY(_Step):
 
     def _lines(self, bind, tangent):
         lines = [*_horner_lines(self.coeffs, "x", bind, tangent), "y = y + p"]
-        return lines + ["dy = dy + dp * dx"] if tangent else lines
+        return lines + ["dy = dy + dp * dx", "del p, dp"] if tangent else lines + ["del p"]
 
     def inverted(self) -> "ShearY":
         return ShearY(tuple(-c for c in self.coeffs))
@@ -257,10 +263,13 @@ class _ChainOps:
     steps: tuple[Step, ...]
 
     def apply(self, x, y):
-        """Raw sequential application, no magnitude cap; scalar or array."""
-        for step in self.steps:
-            x, y = step.apply(x, y)
-        return x, y
+        """The chain's image of (x, y), no magnitude cap; scalar or array.
+
+        One call of _apply, the value lines of every step compiled into one
+        function: step.apply composed step by step, bit for bit, without a
+        Python call per step.  A plain method, so that perfbench/tracer.py
+        can wrap it from the class __dict__."""
+        return self._apply(x, y)
 
     def differential(self, z: Point) -> np.ndarray:
         """The Jacobian at z: its columns are the unit tangents pushed
@@ -315,13 +324,20 @@ class _ChainOps:
                 raise TypeError(f"unknown step {step!r}")
         return fx, fy
 
+    def _chain_lines(self, tangent):
+        """lines(bind) of every step in order, for _compile."""
+        return lambda bind: [ln for s in self.steps for ln in s._lines(bind, tangent)]
+
+    @functools.cached_property
+    def _apply(self):
+        """The compiled value lines of all steps, at the chain's first apply."""
+        return _compile("x, y", self._chain_lines(False))
+
     @functools.cached_property
     def _tangent_push(self):
         """The compiled (x, y, dx, dy) -> (apply(x, y), df (dx, dy)) of the
         module docstring, scalar or array."""
-        return _compile(
-            "x, y, dx, dy", lambda bind: [ln for s in self.steps for ln in s._lines(bind, True)]
-        )
+        return _compile("x, y, dx, dy", self._chain_lines(True))
 
     def is_tangent_to_identity(self) -> bool:
         """f(0) = 0 and df(0) = I, each entry within IDENTITY_TOL."""

@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_CAP,
     EndoChain,
     Point,
+    _check_finite,
     _escaped,
     hypot_below,
     hypot_max,
@@ -92,10 +93,11 @@ def nonauto_orbit(seq: MapSequence, z: Point, n: int) -> tuple[list[Point], int 
     """The composition orbit (z, f1 z, f2 f1 z, ...); truncates on overflow.
 
     Returns (states, overflow_step); overflow_step is None when all n steps
-    stayed under DEFAULT_CAP.
+    stayed under DEFAULT_CAP.  A non-finite z raises InvalidParameter.
     """
     if n < 0:
         raise InvalidParameter("n must be >= 0")
+    _check_finite(z)
     x, y = complex(z[0]), complex(z[1])
     states: list[Point] = [(x, y)]
     for j in range(1, n + 1):
@@ -147,10 +149,12 @@ class SectorSetParams:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.epsilon <= 0:
+        if not (self.delta > 0 and self.epsilon > 0):  # nan included
             raise InvalidParameter("delta, epsilon must be positive")
         if not self.R > self.epsilon:
             raise InvalidParameter("R must exceed epsilon")
+        if not (math.isfinite(self.R) and math.isfinite(self.delta)):  # inf - inf in distances
+            raise InvalidParameter(f"R, delta must be finite, got {self.R}, {self.delta}")
 
 
 _MEAS_TOL = 1e-12

@@ -319,7 +319,7 @@ def blowup_batch(map_like: TangentMapLike, xs: np.ndarray, us: np.ndarray):
     """Vectorised blow-up step; returns (x1, u1, ok) with ok false at x1 ~ 0.
 
     nan or inf input warns unless the caller holds np.errstate(over, invalid),
-    as _survivors (through iterate_live) and _ring_winds_once do.
+    as _survivors does through iterate_live.
     """
     ys = us * xs
     fx, fy = map_like.apply(xs, ys)
@@ -524,12 +524,19 @@ def _shoot(map_like, x: complex, u: complex, n: int, eps: float):
 
 def _ring_winds_once(map_like, x: complex, u: complex, rho: float, n: int, eps: float) -> bool:
     """After n steps the circle |u0 - u| = rho is outside W_eps and u_n winds once
-    around 0, sampled at _RING points with each phase step below pi / 2."""
+    around 0, sampled at _RING points with each phase step below pi / 2.
+
+    The samples run the map itself on (x, y = u x), one chain apply per step,
+    and u_n = y_n / x_n is formed once, after step n; no u_k before it enters
+    the verdict.  u_n is set to 0 (a failure) where x_n ~ 0, as blowup_batch
+    would."""
     us = u + rho * np.exp(2j * np.pi * np.arange(_RING) / _RING)
     xs = np.full(_RING, x, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ys = us * xs
         for _ in range(n):
-            xs, us, _ok = blowup_batch(map_like, xs, us)
+            xs, ys = map_like.apply(xs, ys)
+        us = np.where(np.abs(xs) > 1e-300, ys / xs, 0j)
         if not (np.isfinite(us).all() and us.all()) or _sector_mask(xs, us, eps).any():
             return False
     turns = np.angle(np.roll(us, -1) / us)

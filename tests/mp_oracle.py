@@ -2,7 +2,8 @@
 
 Doubles convert to mpmath exactly, so each function gives the exact
 formulas of the steps at the given double inputs, to 50 significant digits,
-with arithmetic independent of holodyn's step code.
+with arithmetic independent of holodyn's step code.  forward and push also
+take EndoChain's QuadraticJet steps, which have no inverse.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import functools
 
 import mpmath as mp
 
-from holodyn.core import Linear, ShearX, ShearY, Translation
+from holodyn.core import Linear, QuadraticJet, ShearX, ShearY, Translation
 
 DPS = 50
 
@@ -34,6 +35,8 @@ def _coeffs(s):
         return mpc(s.bx), mpc(s.by)
     if isinstance(s, Linear):
         return tuple(mpc(v) for v in (s.a, s.b, s.c, s.d))
+    if isinstance(s, QuadraticJet):
+        return tuple(mpc(v) for v in s.p), tuple(mpc(v) for v in s.q)
     raise TypeError(f"no oracle for {s!r}")
 
 
@@ -58,6 +61,18 @@ def _step(s, x, y, inverse=False):
     if isinstance(s, Translation):
         bx, by = (-k[0], -k[1]) if inverse else k
         return (x + bx, y + by), (ONE, ZERO, ZERO, ONE)
+    if isinstance(s, QuadraticJet):
+        if inverse:
+            raise TypeError(f"{s!r} has no inverse")
+        (pa, pxy, pc), (qa, qxy, qc) = k
+        jac = (
+            1 + 2 * pa * x + pxy * y, pxy * x + 2 * pc * y,
+            2 * qa * x + qxy * y, 1 + qxy * x + 2 * qc * y,
+        )
+        return (
+            (x + pa * x * x + pxy * x * y + pc * y * y, y + qa * x * x + qxy * x * y + qc * y * y),
+            jac,
+        )
     a, b, c, d = k
     if inverse:
         det = a * d - b * c

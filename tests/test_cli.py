@@ -538,6 +538,7 @@ _NAN_RATE = _json_file(
 )
 FINITE = "expected a finite number"
 P2_FINITE = "P2 coefficients must be finite"
+GALLERY_FINITE = "--z and --theta must be finite"
 T_VALUES = "t_values must be nonempty and finite"
 
 # an argv entry that is a function of tmp_path writes the file it names
@@ -733,6 +734,16 @@ _CONFIG_ERRORS = {
     # no t is no experiment, and a nan t would reach Newton
     "stability-t-values-empty": (["stability", "--map", HENON, "--t-values", ","], T_VALUES),
     "stability-t-values-nan": (["stability", "--map", HENON, "--t-values", "nan"], T_VALUES),
+    # inf - inf in the sampled distances gave a verdict after a RuntimeWarning
+    "sector-sets-R-inf": (["sector-sets", "--R", "inf"], "R, delta must be finite"),
+    "sector-sets-delta-nan": (["sector-sets", "--delta", "nan"], "delta, epsilon must be positive"),
+    # a nan start is not an overflow at step 1
+    "nonauto-orbit-z-nan": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--z", "nan,0"], "point has non-finite coordinate",
+    ),
+    "gallery-sphere-z-nan": (["gallery", "--example", "sphere", "--z", "nan"], GALLERY_FINITE),
+    "gallery-planar-z-nan": (["gallery", "--example", "planar", "--z", "nan"], GALLERY_FINITE),
+    "gallery-psi-theta-nan": (["gallery", "--example", "psi", "--theta", "nan"], GALLERY_FINITE),
 }
 
 

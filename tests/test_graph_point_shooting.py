@@ -7,7 +7,14 @@ sum of their radii.  The 50-digit replay checks one certificate with
 arithmetic that shares nothing with holodyn's step code.  A chain's
 compiled tangent push must give apply's values bit for bit, and the
 literal formulas' values, so a shooting orbit is the orbit blowup_step
-replays.
+replays.  A chain's compiled apply must be its steps' apply composed, bit
+for bit.
+
+ring_winds_once_blowup below is the ring certificate as it ran in blow-up
+coordinates, one blow-up step per step, frozen as the reference for the
+ring that now runs the map on (x, y) and divides once, at step N: the two
+must give the same verdict.  A 50-digit replay checks one ring's winding
+and its samples' exit from W_eps.
 """
 from __future__ import annotations
 
@@ -29,6 +36,8 @@ from holodyn.parabolic import (
     SectorPoint,
     _clusters,
     _distance_blocks,
+    _ring_winds_once,
+    _sector_mask,
     _survivors,
     blowup_step,
     cubic_perturbation_family,
@@ -262,3 +271,88 @@ def test_shoot_replays_blowup_step_bit_for_bit(map_like, x, u):
     un_mp, dun_mp, inside = _orbit_mp(map_like, x, u, 300)
     assert stayed == (inside == 300)
     assert abs(dun - dun_mp) <= 1e-10 * abs(dun_mp)
+
+
+_special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_part = st.one_of(_special, st.floats(-2.0, 2.0))
+_z_special = st.builds(complex, _part, _part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(_steps, max_size=4),
+    zs=st.lists(st.tuples(_z_special, _z_special), min_size=1, max_size=6),
+)
+def test_chain_apply_is_the_step_composition_bit_for_bit(steps, zs):
+    chain = EndoChain(tuple(steps))
+    xs, ys = (np.array(v, dtype=complex) for v in zip(*zs))
+    with np.errstate(all="ignore"):
+        for x, y in [(xs, ys), *zs]:  # the arrays, then each point as scalars
+            rx, ry = x, y
+            for step in steps:
+                rx, ry = step.apply(rx, ry)
+            got = np.array(chain.apply(x, y), dtype=complex)
+            assert got.tobytes() == np.array((rx, ry), dtype=complex).tobytes()
+
+
+# -- the ring certificate ---------------------------------------------------------
+
+
+def ring_winds_once_blowup(map_like, x, u, rho, n, eps):
+    """The 32-sample ring check in blow-up coordinates, frozen: u_k = y_k / x_k
+    is formed after every step (0 where x_k ~ 0) and y_{k+1} from it."""
+    us = u + rho * np.exp(2j * np.pi * np.arange(32) / 32)
+    xs = np.full(32, x, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            xs, ys = map_like.apply(xs, us * xs)
+            us = np.divide(ys, xs, out=np.zeros(32, dtype=complex), where=np.abs(xs) > 1e-300)
+        if not (np.isfinite(us).all() and us.all()) or _sector_mask(xs, us, eps).any():
+            return False
+    turns = np.angle(np.roll(us, -1) / us)
+    return bool(np.abs(turns).max() < np.pi / 2) and round(turns.sum() / (2 * np.pi)) == 1
+
+
+@pytest.mark.parametrize(
+    "map_like, x, resolution",
+    [
+        (normal_form_family(0.0), -0.0105, 1e-6),
+        (normal_form_family(1.0), -0.013 * cmath.exp(2e-3j), 1e-6),
+        (normal_form_family(3.0), -0.0155 * cmath.exp(-1e-3j), 1e-6),
+        (cubic_perturbation_family(3.0)(0.0), -0.01, 1e-8),
+        (cubic_perturbation_family(0.0)(1e-2), -0.014, 1e-8),
+    ],
+)
+def test_ring_in_ambient_coordinates_gives_the_blowup_verdict(map_like, x, resolution):
+    gp = graph_point(map_like, x, epsilon=EPS, resolution=resolution)
+    u, rho = gp.u, gp.certified_radius
+    rings = {  # (centre, radius) -> the verdict both must give at N = final_horizon
+        (u, rho): True,  # the certificate graph_point returned
+        (u, 1e-4 * rho): False,  # u_N stays near 0, so the samples stay in W_eps
+        (u + 3 * rho, rho): False,  # the root is outside: u_N winds 0 times
+    }
+    for (centre, radius), verdict in rings.items():
+        args = (map_like, gp.x, centre, radius, gp.final_horizon, EPS)
+        assert _ring_winds_once(*args) is verdict
+        assert ring_winds_once_blowup(*args) is verdict
+
+
+def test_a_normal_form_ring_winds_once_outside_the_sector_in_50_digits():
+    m = normal_form_family(1.0)
+    gp = graph_point(m, -0.018, epsilon=EPS, resolution=1e-3)
+    assert gp.final_horizon == 80  # a short ring: 32 orbits of 80 steps in 50 digits
+    k = parabolic._RING
+    ring = gp.u + gp.certified_radius * np.exp(2j * np.pi * np.arange(k) / k)  # the samples
+    with mp.workdps(mp_oracle.DPS):
+        un = []
+        for u0 in ring:
+            x = mp_oracle.mpc(gp.x)
+            z = (x, mp_oracle.mpc(u0) * x)
+            for _ in range(gp.final_horizon):
+                z = mp_oracle.forward(m, z)
+            x, u = z[0], z[1] / z[0]
+            assert not (abs(x) < EPS and abs(mp.arg(-x)) < EPS and 2 * abs(u) < abs(x))
+            un.append(u)
+        turns = [mp.arg(un[(j + 1) % k] / un[j]) for j in range(k)]
+        assert max(abs(t) for t in turns) < mp.pi / 2
+        assert abs(mp.fsum(turns) - 2 * mp.pi) < mp.mpf(10) ** -40  # winding number 1
