@@ -24,12 +24,12 @@ from .core import (
     DEFAULT_CAP,
     FixedPointInfo,
     Point,
+    _distance_blocks,
     _escaped,
     hypot_below,
     iterate_live,
 )
 from .errors import InvalidParameter, NotFound, PoleHit
-from .manifold import _distance_blocks
 from .rng import ball4_points, make_generator
 
 HYSTERESIS = 20
@@ -44,10 +44,6 @@ class OrbitRecord:
     states: list[Point]
     verdict: str  # 'converged' | 'escaped' | 'undecided'
     step: int | None
-
-    @property
-    def converged(self) -> bool:
-        return self.verdict == "converged"
 
 
 def orbit(

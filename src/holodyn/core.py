@@ -38,7 +38,9 @@ Distances in C^2 are hypot(|dx|, |dy|).  hypot_below and hypot_max decide a
 distance test and a sup exactly, bit for bit as np.hypot would, from
 m = max(|dx|, |dy|): m <= hypot <= sqrt(2) m < 1.5 m, and rounding keeps
 that order.  libm hypot, an order of magnitude dearer per point than a
-complex modulus, runs only where m cannot decide.
+complex modulus, runs only where m cannot decide.  Distances between every
+point of one set and every point of another run through _distance_blocks, in
+row blocks of at most _PAIR_BLOCK pairs, so their memory is bounded.
 
 Masked iteration runs through iterate_live, in fixed blocks of _BLOCK live
 points.  It is the library's one thread pool: its threads take the blocks
@@ -457,6 +459,18 @@ def hypot_max(p, q):
             near = np.flatnonzero(1.5 * m >= top)
         p, q = p[near], q[near]
     return np.hypot(p, q).max()
+
+
+# pairwise distances a row block holds at once (one row of a at least)
+_PAIR_BLOCK = 1 << 18
+
+
+def _distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, |a[rows] - b|) over row blocks of at most _PAIR_BLOCK entries."""
+    step = max(1, _PAIR_BLOCK // max(len(b), 1))
+    for lo in range(0, len(a), step):
+        rows = slice(lo, lo + step)
+        yield rows, np.abs(a[rows, None] - b[None, :])
 
 
 _BLOCK = 2**15  # points per block of iterate_live, whose working memory is that of one block

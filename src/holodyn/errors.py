@@ -33,10 +33,6 @@ class DeltaTooLarge(HolodynError):
     """The local graph's series or its slope does not settle on the delta-disc; shrink delta."""
 
 
-class MeshMismatch(HolodynError):
-    pass
-
-
 class Inconclusive(HolodynError):
     """Orbit neither escaped nor landed near the graph within the budget."""
 

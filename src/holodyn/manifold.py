@@ -38,7 +38,6 @@ from .errors import (
     DeltaTooLarge,
     Inconclusive,
     InvalidParameter,
-    MeshMismatch,
     NotASaddle,
     Overflow,
 )
@@ -234,13 +233,15 @@ def graph_residual(chain: AutoChain, graph: LocalGraph) -> float:
 
 @dataclass(eq=False)
 class PointCloud:
-    """Points in C^2 and the number of samples dropped on the way."""
+    """The graph samples a pullback kept: kept holds one bool per sample, and
+    points the kept samples' images in sample order."""
 
     points: np.ndarray  # shape (n, 2) complex
-    dropped: int = 0
+    kept: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.points)
+    @property
+    def dropped(self) -> int:
+        return int(np.count_nonzero(~self.kept))
 
 
 def pullback_clouds(
@@ -252,7 +253,7 @@ def pullback_clouds(
 
     Depth n applies the exact inverse once to the state depth n-1 reached,
     so the whole sweep costs depth inverse passes.  Points that pass
-    DEFAULT_CAP are dropped and counted, not fatal.
+    DEFAULT_CAP are dropped, not fatal.
     """
     if depth < 0:
         raise InvalidParameter("depth must be >= 0")
@@ -264,8 +265,8 @@ def pullback_clouds(
     for n in range(depth + 1):
         if n:
             xs, ys, step_ok = inv.evaluate_batch(xs, ys)
-            ok &= step_ok
-        yield PointCloud(np.stack([xs[ok], ys[ok]], axis=1), int(np.count_nonzero(~ok)))
+            ok = ok & step_ok  # a new array: each cloud keeps its own mask
+        yield PointCloud(np.stack([xs[ok], ys[ok]], axis=1), ok)
 
 
 def pullback_cloud(
@@ -411,57 +412,13 @@ def occupancy_image(points: np.ndarray, box, cells_per_axis: int, plane: tuple[i
     return img
 
 
-def graph_distance(g1: LocalGraph, g2: LocalGraph) -> float:
-    """Sup over shared samples of |t1 - t2| plus the base-point offset.
-
-    For graphs over a common disc this dominates the Hausdorff distance of
-    the graph sets.  Requires identical s-meshes.
-    """
-    if g1.s_grid.shape != g2.s_grid.shape or not np.allclose(
-        g1.s_grid, g2.s_grid, rtol=0, atol=1e-12
-    ):
-        raise MeshMismatch("graphs use different meshes")
-    base_off = math.hypot(
-        abs(g1.base_point[0] - g2.base_point[0]), abs(g1.base_point[1] - g2.base_point[1])
-    )
-    return float(np.max(np.abs(g1.t_values - g2.t_values))) + base_off
-
-
-# pairwise distances a row block holds at once (one row of a at least)
-_PAIR_BLOCK = 1 << 18
-
-
-def _distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (rows, |a[rows] - b|) over row blocks of at most _PAIR_BLOCK entries."""
-    step = max(1, _PAIR_BLOCK // max(len(b), 1))
-    for lo in range(0, len(a), step):
-        rows = slice(lo, lo + step)
-        yield rows, np.abs(a[rows, None] - b[None, :])
-
-
-def _nearest_sq_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distance from each point of the C^2 cloud p to its nearest in q."""
-    out = np.empty(len(p))
-    blocks = zip(_distance_blocks(p[:, 0], q[:, 0]), _distance_blocks(p[:, 1], q[:, 1]))
-    for (rows, d0), (_, d1) in blocks:
-        out[rows] = (d0**2 + d1**2).min(axis=1)
-    return out
-
-
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric max-min distance between point clouds in C^2 (brute force)."""
-    if len(a) == 0 or len(b) == 0:
-        raise InvalidParameter("hausdorff_distance needs nonempty clouds")
-    worst = max(_nearest_sq_distances(a, b).max(), _nearest_sq_distances(b, a).max())
-    return float(np.sqrt(worst))
-
-
 @dataclass(eq=False)
 class StabilityRow:
     t: float
     fp_offset: float
     graph_dist: float
     cloud_dist: float
+    one_sided: int
 
 
 def stability_experiment(
@@ -475,10 +432,14 @@ def stability_experiment(
 ) -> list[StabilityRow]:
     """Graph and cloud distances for a perturbation family.
 
-    The perturbed fixed point is tracked by Newton seeded at the
-    unperturbed one; distances are graph_distance for the local graphs, both
-    on local_stable_graph's default mesh, and the symmetric Hausdorff
-    distance for depth-n pullback clouds.  t_values must be nonempty and finite.
+    The perturbed fixed point is tracked by Newton seeded at the unperturbed
+    one.  Both local graphs are built on local_stable_graph's default mesh
+    and both depth-n clouds pull back its samples, so sample i of one is the
+    partner of sample i of the other, and each distance is a sup over the
+    partners: graph_dist = max |t_base - t_t| + fp_offset, cloud_dist the
+    largest hypot(|dx|, |dy|), as the square root of the largest squared
+    sum, over the samples both clouds keep, and one_sided counts the
+    samples only one cloud keeps.  t_values must be nonempty and finite.
     """
     if len(t_values) == 0 or not np.isfinite(t_values).all():
         raise InvalidParameter(f"t_values must be nonempty and finite, got {t_values}")
@@ -490,15 +451,22 @@ def stability_experiment(
         fp_t = find_fixed_point(pert, fp.location)
         graph_t = local_stable_graph(pert, fp_t, delta, tol=tol)
         cloud_t = pullback_cloud(pert, graph_t, pullback_depth)
+        both = base_cloud.kept & cloud_t.kept
+        if not both.any():
+            raise InvalidParameter(
+                f"clouds keep no sample in common at depth {pullback_depth} (t = {t:g})"
+            )
+        d = base_cloud.points[both[base_cloud.kept]] - cloud_t.points[both[cloud_t.kept]]
+        fp_offset = math.hypot(
+            abs(fp_t.location[0] - fp.location[0]), abs(fp_t.location[1] - fp.location[1])
+        )
         rows.append(
             StabilityRow(
                 t=float(t),
-                fp_offset=math.hypot(
-                    abs(fp_t.location[0] - fp.location[0]),
-                    abs(fp_t.location[1] - fp.location[1]),
-                ),
-                graph_dist=graph_distance(base_graph, graph_t),
-                cloud_dist=hausdorff_distance(base_cloud.points, cloud_t.points),
+                fp_offset=fp_offset,
+                graph_dist=float(np.max(np.abs(base_graph.t_values - graph_t.t_values))) + fp_offset,
+                cloud_dist=float(np.sqrt(np.max(np.abs(d[:, 0]) ** 2 + np.abs(d[:, 1]) ** 2))),
+                one_sided=int(np.count_nonzero(base_cloud.kept != cloud_t.kept)),
             )
         )
     return rows

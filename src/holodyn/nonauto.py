@@ -32,6 +32,7 @@ from .core import (
     EndoChain,
     Point,
     _check_finite,
+    _distance_blocks,
     _escaped,
     hypot_below,
     hypot_max,
@@ -39,7 +40,6 @@ from .core import (
     map_from_dict,
 )
 from .errors import InvalidParameter
-from .manifold import _nearest_sq_distances
 
 MapLike = AutoChain | EndoChain
 
@@ -237,6 +237,15 @@ class DisjointnessReport:
     min_gap: float
     worst_pair: tuple[str, str]
     sampled_min: float
+
+
+def _nearest_sq_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of the C^2 cloud p to its nearest in q."""
+    out = np.empty(len(p))
+    blocks = zip(_distance_blocks(p[:, 0], q[:, 0]), _distance_blocks(p[:, 1], q[:, 1]))
+    for (rows, d0), (_, d1) in blocks:
+        out[rows] = (d0**2 + d1**2).min(axis=1)
+    return out
 
 
 def disjointness_check(params: SectorSetParams, samples: int = 2000, seed: int = 5) -> DisjointnessReport:

@@ -34,7 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AutoChain, EndoChain, Linear, QuadraticJet, ShearY, iterate_live
+from .core import (
+    AutoChain, EndoChain, Linear, QuadraticJet, ShearY, _distance_blocks, iterate_live,
+)
 from .errors import (
     Ambiguous,
     BlowupSingular,
@@ -44,7 +46,7 @@ from .errors import (
     NoSurvivor,
     NotTangentToIdentity,
 )
-from .manifold import _distance_blocks, sheary_perturbation_family
+from .manifold import sheary_perturbation_family
 from .poly import Poly2
 from .rng import make_generator
 

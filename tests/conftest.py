@@ -272,6 +272,19 @@ def with_t_offset(graph, offset: complex):
     return dataclasses.replace(graph, t_values=graph.t_values + offset, fit_coeffs=coeffs)
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full matrix of squared distances between the C^2 clouds a and b."""
+    return np.abs(a[:, None, 0] - b[None, :, 0]) ** 2 + np.abs(a[:, None, 1] - b[None, :, 1]) ** 2
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric max-min distance between nonempty clouds in C^2, brute force."""
+    return max(
+        float(np.sqrt(sq_distances(a, b).min(axis=1).max())),
+        float(np.sqrt(sq_distances(b, a).min(axis=1).max())),
+    )
+
+
 def graph_transform(chain, fp, delta, mesh, tol=1e-9):
     """t on polar_mesh(delta, *mesh) as the fixed point of the Newton graph
     transform, an oracle for local_stable_graph sharing none of its method.

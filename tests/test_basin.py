@@ -32,7 +32,7 @@ from conftest import identity_chain
 
 def test_orbit_converges_at_fixed_point(henon075, henon_saddle):
     rec = orbit(henon075, henon_saddle.location, 100, target=henon_saddle.location)
-    assert rec.converged
+    assert rec.verdict == "converged"
     assert rec.step == 20  # hysteresis window
 
 
@@ -45,7 +45,7 @@ def test_orbit_escapes(henon075):
 def test_orbit_attracting_linear():
     ch = diag_linear_chain(0.5, 0.5)
     rec = orbit(ch, (1.7, -0.9j), 200, target=(0.0, 0.0))
-    assert rec.converged
+    assert rec.verdict == "converged"
 
 
 # -- dichotomy ------------------------------------------------------------------

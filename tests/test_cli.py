@@ -734,6 +734,10 @@ _CONFIG_ERRORS = {
     # no t is no experiment, and a nan t would reach Newton
     "stability-t-values-empty": (["stability", "--map", HENON, "--t-values", ","], T_VALUES),
     "stability-t-values-nan": (["stability", "--map", HENON, "--t-values", "nan"], T_VALUES),
+    # a cloud distance over no sample pair would be a number from nothing
+    "stability-no-shared-sample": (
+        ["stability", "--map", HENON, "--pullback-depth", "200"], "clouds keep no sample in common",
+    ),
     # inf - inf in the sampled distances gave a verdict after a RuntimeWarning
     "sector-sets-R-inf": (["sector-sets", "--R", "inf"], "R, delta must be finite"),
     "sector-sets-delta-nan": (["sector-sets", "--delta", "nan"], "delta, epsilon must be positive"),

@@ -1,12 +1,11 @@
 """Brute-force cloud distances run in row blocks of bounded size.
 
-manifold._nearest_sq_distances runs on manifold._distance_blocks, one block
-of at most _PAIR_BLOCK distances per coordinate at once; hausdorff_distance
-and nonauto.disjointness_check take their max-min and min through it, and
-parabolic's survivor geometry uses the same blocks.  A min or max over
-blocks is exact, so the block size must not change a single bit, and the
-full-matrix formulas below (the bodies the blocked loop replaced) are the
-oracle.
+nonauto._nearest_sq_distances runs on core._distance_blocks, one block of at
+most _PAIR_BLOCK distances per coordinate at once; nonauto.disjointness_check
+takes its min through it, and parabolic's survivor geometry and basin's pole
+distances use the same blocks.  A min or max over blocks is exact, so the
+block size must not change a single bit, and the full-matrix formulas of
+conftest (the bodies the blocked loop replaced) are the oracle.
 """
 from __future__ import annotations
 
@@ -15,26 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holodyn import manifold
-from holodyn.manifold import hausdorff_distance
-from holodyn.nonauto import SectorSetParams, _sample_components, disjointness_check
-
-
-def _sq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a[:, None, 0] - b[None, :, 0]) ** 2 + np.abs(a[:, None, 1] - b[None, :, 1]) ** 2
-
-
-def _hausdorff_full(a: np.ndarray, b: np.ndarray) -> float:
-    return max(
-        float(np.sqrt(_sq_matrix(a, b).min(axis=1).max())),
-        float(np.sqrt(_sq_matrix(b, a).min(axis=1).max())),
-    )
+from conftest import sq_distances
+from holodyn import core
+from holodyn.nonauto import SectorSetParams, _nearest_sq_distances, _sample_components, disjointness_check
 
 
 def _sampled_min_full(params: SectorSetParams, samples: int, seed: int) -> float:
     pts = list(_sample_components(params, samples, seed).values())
     return min(
-        float(np.sqrt(_sq_matrix(pts[i], pts[j]).min()))
+        float(np.sqrt(sq_distances(pts[i], pts[j]).min()))
         for i in range(len(pts))
         for j in range(i + 1, len(pts))
     )
@@ -51,15 +39,15 @@ PARAMS = SectorSetParams(R=2.0, epsilon=0.1, delta=0.05)
 def test_block_size_keeps_every_bit(block, monkeypatch):
     rng = np.random.default_rng(11)
     a, b = _cloud(rng, 37), _cloud(rng, 23)
-    want_h = hausdorff_distance(a, b)
+    want_ab, want_ba = (sq_distances(p, q).min(axis=1) for p, q in ((a, b), (b, a)))
     want_d = disjointness_check(PARAMS, samples=300, seed=4)
-    assert want_h == _hausdorff_full(a, b)
+    assert np.array_equal(_nearest_sq_distances(a, b), want_ab)
     assert want_d.sampled_min == _sampled_min_full(PARAMS, 300, 4)
 
-    monkeypatch.setattr(manifold, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(core, "_PAIR_BLOCK", block)
     got_d = disjointness_check(PARAMS, samples=300, seed=4)
-    assert hausdorff_distance(a, b) == want_h
-    assert hausdorff_distance(b, a) == want_h
+    assert np.array_equal(_nearest_sq_distances(a, b), want_ab)
+    assert np.array_equal(_nearest_sq_distances(b, a), want_ba)
     assert got_d.sampled_min == want_d.sampled_min
     assert (got_d.min_gap, got_d.worst_pair, got_d.disjoint) == (
         want_d.min_gap, want_d.worst_pair, want_d.disjoint

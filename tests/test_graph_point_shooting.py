@@ -29,13 +29,12 @@ from hypothesis import given, settings, strategies as st
 import mp_oracle
 from conftest import literal_formulas
 from holodyn import parabolic
-from holodyn.core import EndoChain, Linear, QuadraticJet, ShearX, ShearY, Translation
+from holodyn.core import EndoChain, Linear, QuadraticJet, ShearX, ShearY, Translation, _distance_blocks
 from holodyn.errors import Ambiguous, InvalidParameter, NoConvergence, NoSurvivor
 from holodyn.parabolic import (
     HomogeneousQuadratic,
     SectorPoint,
     _clusters,
-    _distance_blocks,
     _ring_winds_once,
     _sector_mask,
     _survivors,

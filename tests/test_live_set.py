@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holodyn import core, manifold, parabolic, rng
+from holodyn import core, parabolic, rng
 from holodyn.basin import (
     HYSTERESIS,
     _angle_2pi,
@@ -893,10 +893,10 @@ def test_clusters_match_point_by_point_search(seed, n, blobs, link, lattice, blo
     if lattice:
         link = 1.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(manifold, "_PAIR_BLOCK", block)
+        mp.setattr(core, "_PAIR_BLOCK", block)
         assert _clusters(pts, link) == clusters_ref(pts, link)
         dense = float(np.max(np.abs(pts[:, None] - pts[None, :])))
-        blocked = max(float(d.max()) for _, d in manifold._distance_blocks(pts, pts))
+        blocked = max(float(d.max()) for _, d in core._distance_blocks(pts, pts))
         assert blocked == dense
 
 
@@ -904,7 +904,7 @@ def test_graph_point_unchanged_by_block_size():
     m = normal_form_family(1.0)
     ref = graph_point(m, -0.01, resolution=1e-5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(manifold, "_PAIR_BLOCK", 3)
+        mp.setattr(core, "_PAIR_BLOCK", 3)
         got = graph_point(m, -0.01, resolution=1e-5)
     assert (got.u, got.certified_radius, got.levels, got.final_horizon) == (
         ref.u, ref.certified_radius, ref.levels, ref.final_horizon,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -13,23 +15,22 @@ from holodyn.core import (
     find_fixed_point,
     henon_chain,
 )
-from holodyn.errors import DeltaTooLarge, Inconclusive, MeshMismatch, NotASaddle, Overflow
+from holodyn.errors import DeltaTooLarge, Inconclusive, NotASaddle, Overflow
 from holodyn.manifold import (
     density_sweep,
-    graph_distance,
     graph_residual,
-    hausdorff_distance,
     is_in_stable,
     local_stable_graph,
     local_stable_graph_auto,
     occupied_cells,
     pullback_cloud,
+    pullback_clouds,
     sheary_perturbation_family,
     stability_experiment,
 )
 
 import mp_oracle
-from conftest import U, graph_transform, sample_points, with_t_offset
+from conftest import U, graph_transform, hausdorff_distance, sample_points, with_t_offset
 
 
 @pytest.fixture(scope="module")
@@ -313,27 +314,75 @@ def test_density_monotone_in_depth(henon075, henon_saddle, henon_graph):
     assert any(b > a for a, b in zip(fracs, fracs[1:]))
 
 
-def test_graph_distance_identity_and_shift(henon_graph):
-    assert graph_distance(henon_graph, henon_graph) == 0.0
-    shifted = with_t_offset(henon_graph, 0.25j)
-    assert abs(graph_distance(henon_graph, shifted) - 0.25) < 1e-12
-    assert graph_distance(shifted, henon_graph) == graph_distance(henon_graph, shifted)
+def test_each_pullback_cloud_keeps_its_own_mask(henon075, henon_graph):
+    # pullback_clouds must not hand every cloud the one mask it goes on updating
+    clouds = list(pullback_clouds(henon075, henon_graph, 8))
+    alone = [pullback_cloud(henon075, henon_graph, n) for n in range(9)]
+    assert [c.dropped for c in clouds] == [c.dropped for c in alone]
+    assert all(np.array_equal(c.kept, a.kept) for c, a in zip(clouds, alone))
+    assert clouds[0].dropped == 0 < clouds[-1].dropped
 
 
-def test_graph_distance_mesh_mismatch(henon075, henon_saddle, henon_graph):
-    other = local_stable_graph(henon075, henon_saddle, 0.05)
-    with pytest.raises(MeshMismatch):
-        graph_distance(henon_graph, other)
+def _t_family(chain):
+    return sheary_perturbation_family(chain, lambda t: (0.0, 0.0, t))
 
 
-def test_centered_sheary_example(henon075, henon_saddle, henon_graph):
+def test_graph_dist_is_the_t_gap_plus_fp_offset(henon075, henon_saddle):
+    ts = [1e-2, 1e-3, 0.0]
+    fam = _t_family(henon075)
+    rows = stability_experiment(henon075, henon_saddle, fam, ts, delta=0.1, pullback_depth=0)
+    base = local_stable_graph(henon075, henon_saddle, 0.1)
+    bx, by = henon_saddle.location
+    for t, row in zip(ts, rows):
+        fp_t = find_fixed_point(fam(t), henon_saddle.location)
+        g_t = local_stable_graph(fam(t), fp_t, 0.1)
+        x, y = fp_t.location
+        assert row.fp_offset == math.hypot(abs(x - bx), abs(y - by))
+        assert row.graph_dist == float(np.max(np.abs(base.t_values - g_t.t_values))) + row.fp_offset
+
+
+def test_centered_sheary_example(henon075, henon_saddle):
     # q(x) = t (x - 1.5)^2 fixes the saddle exactly but bends the graph
     fam = sheary_perturbation_family(henon075, lambda t: (2.25 * t, -3.0 * t, t))
-    pert = fam(1e-3)
-    fp_t = find_fixed_point(pert, henon_saddle.location)
-    g_t = local_stable_graph(pert, fp_t, 0.1)
-    d = graph_distance(henon_graph, g_t)
-    assert 0.0 < d < 0.05
+    (row,) = stability_experiment(henon075, henon_saddle, fam, [1e-3], delta=0.1, pullback_depth=0)
+    assert row.fp_offset == 0.0
+    assert 0.0 < row.graph_dist < 0.05
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matched_sup_is_at_least_the_hausdorff_distance(seed):
+    # the pair (i, i) is one of the pairs each min of the Hausdorff distance
+    # runs over, and its squared sum is the same number there
+    rng = np.random.default_rng(seed)
+    kept = rng.random(50) < 0.6
+    a, b = (rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2)) for _ in range(2))
+    d = a[kept] - b[kept]
+    matched = float(np.sqrt(np.max(np.abs(d[:, 0]) ** 2 + np.abs(d[:, 1]) ** 2)))
+    assert matched >= hausdorff_distance(a[kept], b[kept])
+
+
+def test_cloud_dist_bounds_the_hausdorff_distance_of_the_shared_samples(henon075, henon_saddle):
+    ts = [1e-2, 1e-3, 1e-4]
+    fam = _t_family(henon075)
+    rows = stability_experiment(henon075, henon_saddle, fam, ts, delta=0.1, pullback_depth=6)
+    base = pullback_cloud(henon075, local_stable_graph(henon075, henon_saddle, 0.1), 6)
+    for t, row in zip(ts, rows):
+        fp_t = find_fixed_point(fam(t), henon_saddle.location)
+        cloud = pullback_cloud(fam(t), local_stable_graph(fam(t), fp_t, 0.1), 6)
+        both = base.kept & cloud.kept
+        assert row.one_sided == np.count_nonzero(base.kept ^ cloud.kept)
+        shared = hausdorff_distance(base.points[both[base.kept]], cloud.points[both[cloud.kept]])
+        assert row.cloud_dist >= shared
+        if row.one_sided == 0:  # on these rows the partners are the nearest points
+            assert row.cloud_dist == hausdorff_distance(base.points, cloud.points)
+
+
+def test_one_sided_counts_samples_only_one_cloud_keeps():
+    # at c = 0.8 the depth-8 clouds reach the cap: two samples survive on one side only
+    chain = henon_chain(0.8)
+    fp = find_fixed_point(chain, (1.4, 1.4))
+    (row,) = stability_experiment(chain, fp, _t_family(chain), [1e-2], delta=0.1, pullback_depth=8)
+    assert row.one_sided == 2
 
 
 def test_stability_experiment_decreasing(henon075, henon_saddle):
