@@ -23,9 +23,11 @@ each is compiled into one function at the chain's first use, with the
 coefficients bound by name, never printed.  So the chain's apply is its
 steps' apply composed, bit for bit, in one Python call; (x', y') is
 apply(x, y) bit for bit, and (dx', dy') is (dx, dy) pushed forward by the
-chain's Jacobian.  The shooting in parabolic.graph_point calls the push once
-per step, and differential and differential_batch push the unit tangents
-(1, 0) and (0, 1) through it.  Linear steps skip the same arithmetic in the
+chain's Jacobian.  differential and differential_batch push the unit tangents
+(1, 0) and (0, 1) through it.  parabolic compiles its blow-up orbit loops
+(graph_point's shots, ring and survival steps, and sector_orbit) from the
+same lines, placed by _compile inside a loop body, so that a whole orbit
+is one Python call.  Linear steps skip the same arithmetic in the
 tangent as in the value, so padding a chain with identity steps changes
 neither.  A shear's lines delete p (and dp) once used, so that in a chain's
 function no step's temporary array outlives its step, as it would not in the
@@ -112,17 +114,23 @@ def _horner_lines(coeffs, z, bind, tangent):
     return lines
 
 
-def _compile(args, lines):
-    """Compile lines(bind) into def f(args): ...; return args, where
-    bind(c) binds the coefficient c to a fresh name (never printed)."""
-    names: dict[str, complex] = {}
+def _compile(args, lines, body="STEPS", result=None, **env):
+    """Compile def f(args): body; return result (args by default), where
+    body's line STEPS stands for lines(bind) at that line's indent, bind(c)
+    binds the coefficient c to a fresh name (never printed), and env holds
+    the other names body reads."""
+    names = dict(env)
 
     def bind(c):
         name = f"k{len(names)}"
         names[name] = c
         return name
 
-    src = "\n    ".join([f"def f({args}):", *lines(bind), f"return {args}"])
+    src = [f"def f({args}):"]
+    for line in body.split("\n"):
+        pad = line[: len(line) - len(line.lstrip())]
+        src += [pad + ln for ln in lines(bind)] if line.strip() == "STEPS" else [line]
+    src = "\n    ".join([*src, f"return {result or args}"])
     exec(compile(src, "<holodyn step lines>", "exec"), names)
     return names["f"]
 

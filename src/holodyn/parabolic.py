@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    AutoChain, EndoChain, Linear, QuadraticJet, ShearY, _distance_blocks, iterate_live,
+    AutoChain, EndoChain, Linear, QuadraticJet, ShearY, _compile, _distance_blocks, iterate_live,
 )
 from .errors import (
     Ambiguous,
@@ -305,28 +305,14 @@ def in_sector(pt: SectorPoint) -> bool:
     return _in_sector(complex(pt.x), pt.u, pt.epsilon)
 
 
-def blowup_step(map_like: TangentMapLike, pt: SectorPoint) -> SectorPoint:
-    """One step of the full map in blow-up coordinates: exact, no truncation."""
-    x = complex(pt.x)
-    if x == 0:
-        raise BlowupSingular("blow-up chart needs x != 0")
-    y = pt.u * x
-    fx, fy = map_like.apply(x, y)
-    if abs(fx) <= 1e-300:
-        raise BlowupSingular(f"image x-coordinate vanished (x1 = {fx!r})")
-    return SectorPoint(fx, fy / fx, pt.epsilon)
-
-
 def blowup_batch(map_like: TangentMapLike, xs: np.ndarray, us: np.ndarray):
     """Vectorised blow-up step; returns (x1, u1, ok) with ok false at x1 ~ 0.
-
-    nan or inf input warns unless the caller holds np.errstate(over, invalid),
-    as _survivors does through iterate_live.
-    """
-    ys = us * xs
-    fx, fy = map_like.apply(xs, ys)
-    ok = np.abs(fx) > 1e-300
-    u1 = np.divide(fy, fx, out=np.zeros(np.shape(fx), dtype=complex), where=ok)
+    nan or inf input gives nan or inf output, under its own np.errstate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = us * xs
+        fx, fy = map_like.apply(xs, ys)
+        ok = np.abs(fx) > 1e-300
+        u1 = np.divide(fy, fx, out=np.zeros(np.shape(fx), dtype=complex), where=ok)
     return fx, u1, ok
 
 
@@ -335,6 +321,64 @@ def _sector_mask(xs: np.ndarray, us: np.ndarray, eps: float) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):  # 2|u| overflows for |u| > 8.9e307
         ax = np.abs(xs)
         return (ax < eps) & (np.abs(np.arctan2(-xs.imag, -xs.real)) < eps) & (2 * np.abs(us) < ax)
+
+
+# The blow-up orbit loops, each compiled by _loop around its chain's step lines
+# (the body's line STEPS).  A blow-up step is y = u x, the chain, the singular
+# test and u = y / x; the scalar sector test is _in_sector's, |x| > 0 known.
+# name -> (args, result, tangent lines, 0-d array coefficients, body)
+_LOOPS = {
+    "shot": ("x, u, n, eps", "x, u, du, stayed", True, False, """\
+dx, du, stayed = 0j, 1.0 + 0j, True
+for _ in range(n):
+    y, dy = u * x, du * x + u * dx
+    STEPS
+    ax = abs(x)
+    if ax <= 1e-300:
+        raise BlowupSingular(f"image x-coordinate vanished (x1 = {x!r})")
+    u = y / x
+    du = (dy - u * dx) / x
+    stayed = stayed and ax < eps and abs(phase(-x)) < eps and 2 * abs(u) < ax"""),
+    "orbit": ("x, u, n, eps, floor", '"undecided", n, x, u', False, False, """\
+for k in range(1, n + 1):
+    y = u * x
+    STEPS
+    ax = abs(x)
+    if ax <= 1e-300:
+        raise BlowupSingular(f"image x-coordinate vanished (x1 = {x!r})")
+    u = y / x
+    if not (ax < eps and abs(phase(-x)) < eps and 2 * abs(u) < ax):
+        return "left", k, x, u
+    if ax < floor:
+        return "converged", k, x, u"""),
+    # pass: a chain of no steps leaves no other line in the loop
+    "ring": ("x, y, n", "x, y", False, True, "for _ in range(n):\n    STEPS\n    pass"),
+    "survive": ("x, u, eps", "keep, (x, u)", False, True, """\
+y = u * x
+STEPS
+ax = np.abs(x)
+ok = ax > 1e-300
+u = np.divide(y, x, out=np.zeros(ax.shape, dtype=complex), where=ok)
+keep = ok & (ax < eps) & (np.abs(np.arctan2(-x.imag, -x.real)) < eps) & (2 * np.abs(u) < ax)"""),
+}
+
+
+def _loop(map_like: TangentMapLike, name: str):
+    """The loop _LOOPS[name] of map_like, compiled at its first use and kept
+    in the chain's __dict__, as the chain keeps _tangent_push.  The array
+    loops bind each coefficient as a 0-d complex array: numpy multiplies one
+    into an array faster than a Python complex, with the same bytes."""
+    fns = vars(map_like)
+    key = f"_loop_{name}"
+    if key not in fns:
+        args, result, tangent, array, body = _LOOPS[name]
+        lines = map_like._chain_lines(tangent)
+        coeff = (lambda c: np.asarray(c, dtype=complex)) if array else (lambda c: c)
+        fns[key] = _compile(
+            args, lambda bind: lines(lambda c: bind(coeff(c))), body, result,
+            np=np, phase=cmath.phase, BlowupSingular=BlowupSingular,
+        )
+    return fns[key]
 
 
 @dataclass(eq=False)
@@ -353,20 +397,16 @@ def sector_orbit(
     """Iterate the blow-up map inside the sector.
 
     'converged' when |x_n| drops below floor with every iterate so far in
-    the sector; 'left' (with the step index) as soon as an iterate exits.
-    Parabolic convergence is algebraic, so the floor is a practical stand-in
-    for the limit statement.
+    the sector; 'left' (with the step index) as soon as an iterate exits;
+    the sector test comes first.  Parabolic convergence is algebraic, so the
+    floor is a practical stand-in for the limit statement.  The steps run
+    in the chain's compiled "orbit" loop (_LOOPS), one Python call in all;
+    a vanishing image x raises BlowupSingular.
     """
-    cur = pt
-    if not in_sector(cur):
-        return SectorOrbitResult("left", 0, cur)
-    for n in range(1, max_iter + 1):
-        cur = blowup_step(map_like, cur)
-        if not in_sector(cur):
-            return SectorOrbitResult("left", n, cur)
-        if abs(cur.x) < floor:
-            return SectorOrbitResult("converged", n, cur)
-    return SectorOrbitResult("undecided", max_iter, cur)
+    if not in_sector(pt):
+        return SectorOrbitResult("left", 0, pt)
+    kind, n, x, u = _loop(map_like, "orbit")(complex(pt.x), pt.u, max_iter, pt.epsilon, floor)
+    return SectorOrbitResult(kind, n, SectorPoint(x, u, pt.epsilon))
 
 
 # -- expansion (difference growth in u) --------------------------------------
@@ -398,8 +438,8 @@ def expansion_check(
     """
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
-    if not epsilon > 0:  # nan included
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # nan included
+        raise InvalidParameter(f"epsilon must be positive and finite, got {epsilon}")
     g = make_generator(seed)
     got = 0
     violations = 0
@@ -463,13 +503,10 @@ def _survivors(
     map_like: TangentMapLike, x: complex, us: np.ndarray, eps: float, horizon: int
 ) -> np.ndarray:
     start = np.flatnonzero(_sector_mask(np.full(us.shape, x, dtype=complex), us, eps))
-
-    def advance(k, idx, xs, uu):
-        x1, u1, ok = blowup_batch(map_like, xs, uu)
-        return ok & _sector_mask(x1, u1, eps), (x1, u1)
-
+    survive = _loop(map_like, "survive")  # (xs, us, eps) -> (in W_eps after one step, (x1, u1))
     idx, _ = iterate_live(
-        advance, (np.full(start.size, x, dtype=complex), us[start].astype(complex)), horizon
+        lambda k, idx, xs, uu: survive(xs, uu, eps),
+        (np.full(start.size, x, dtype=complex), us[start].astype(complex)), horizon,
     )
     alive = np.zeros(us.shape, dtype=bool)
     alive[start[idx]] = True
@@ -510,34 +547,26 @@ _COARSE, _RING, _RING_MARGIN, _NEWTON_TOL, _NEWTON_MAX = 100.0, 32, 1.5, 1e-2, 3
 
 
 def _shoot(map_like, x: complex, u: complex, n: int, eps: float):
-    """(x_n, u_n, du_n/du, stayed in W_eps) of n blowup_step calls, bit for bit."""
-    push = map_like._tangent_push
-    dx, du, stayed = 0j, 1.0 + 0j, True
-    for _ in range(n):
-        y, dy = u * x, du * x + u * dx
-        x, y, dx, dy = push(x, y, dx, dy)
-        if abs(x) <= 1e-300:
-            raise BlowupSingular(f"image x-coordinate vanished (x1 = {x!r})")
-        u = y / x
-        du = (dy - u * dx) / x
-        stayed = stayed and _in_sector(x, u, eps)
-    return x, u, du, stayed
+    """(x_n, u_n, du_n/du, stayed in W_eps) of n blow-up steps: the chain's
+    compiled "shot" loop (_LOOPS), its tangent lines inline, one Python call
+    for all n steps.  (x_n, u_n) is n blowup steps through apply, bit for
+    bit; a vanishing image x raises BlowupSingular."""
+    return _loop(map_like, "shot")(x, u, n, eps)
 
 
 def _ring_winds_once(map_like, x: complex, u: complex, rho: float, n: int, eps: float) -> bool:
     """After n steps the circle |u0 - u| = rho is outside W_eps and u_n winds once
     around 0, sampled at _RING points with each phase step below pi / 2.
 
-    The samples run the map itself on (x, y = u x), one chain apply per step,
-    and u_n = y_n / x_n is formed once, after step n; no u_k before it enters
-    the verdict.  u_n is set to 0 (a failure) where x_n ~ 0, as blowup_batch
-    would."""
+    The samples run the map itself on (x, y = u x): n applications of the
+    chain's value lines in its compiled "ring" loop (_LOOPS), apply iterated
+    n times bit for bit.  u_n = y_n / x_n is formed once, after step n; no
+    u_k before it enters the verdict.  u_n is set to 0 (a failure) where
+    x_n ~ 0, as blowup_batch would."""
     us = u + rho * np.exp(2j * np.pi * np.arange(_RING) / _RING)
     xs = np.full(_RING, x, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ys = us * xs
-        for _ in range(n):
-            xs, ys = map_like.apply(xs, ys)
+        xs, ys = _loop(map_like, "ring")(xs, us * xs, n)
         us = np.where(np.abs(xs) > 1e-300, ys / xs, 0j)
         if not (np.isfinite(us).all() and us.all()) or _sector_mask(xs, us, eps).any():
             return False
@@ -552,7 +581,7 @@ def graph_point(
     resolution: float = 1e-6,
 ) -> GraphPointResult:
     """The unique u whose blow-up orbit from (x, u) stays in W_eps, for
-    0 < |x| < eps and |arg(x) - pi| < eps (else InvalidParameter).
+    0 < |x| < eps < inf and |arg(x) - pi| < eps (else InvalidParameter).
 
     Level k < _MAX_LEVELS = 40 has horizon N = _HORIZON0 * 2^k = 10 * 2^k.
     While a cell is wider than |x| / _COARSE = |x| / 100, a _GRID_N^2 = 32^2
@@ -571,6 +600,8 @@ def graph_point(
     """
     if not resolution > 0:  # nan included: rho < resolution would never hold
         raise InvalidParameter(f"resolution must be positive, got {resolution}")
+    if not 0 < epsilon < math.inf:  # nan included
+        raise InvalidParameter(f"epsilon must be positive and finite, got {epsilon}")
     x = complex(x)
     if not _in_sector(x, 0j, epsilon):
         raise InvalidParameter("x must satisfy 0 < |x| < eps and |arg(x) - pi| < eps")

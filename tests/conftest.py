@@ -17,7 +17,8 @@ from holodyn.core import (
     henon_chain,
 )
 from holodyn.manifold import local_stable_graph, polar_mesh
-from holodyn.parabolic import blowup_step, in_sector
+from holodyn.errors import BlowupSingular
+from holodyn.parabolic import SectorPoint, in_sector
 from holodyn.poly import polyval
 from holodyn.rng import make_generator
 
@@ -320,6 +321,20 @@ def graph_transform(chain, fp, delta, mesh, tol=1e-9):
         if change < tol:
             return t_vals
     raise AssertionError(f"graph transform did not reach tol {tol:.1e}")
+
+
+def blowup_step(map_like, pt: SectorPoint) -> SectorPoint:
+    """One step of the full map in blow-up coordinates through the chain's
+    apply, one Python call per step: the frozen reference that the compiled
+    blow-up loops of holodyn.parabolic must replay bit for bit."""
+    x = complex(pt.x)
+    if x == 0:
+        raise BlowupSingular("blow-up chart needs x != 0")
+    y = pt.u * x
+    fx, fy = map_like.apply(x, y)
+    if abs(fx) <= 1e-300:
+        raise BlowupSingular(f"image x-coordinate vanished (x1 = {fx!r})")
+    return SectorPoint(fx, fy / fx, pt.epsilon)
 
 
 def expansion_pair_margin(map_like, p1, p2) -> float | None:

@@ -43,7 +43,6 @@ from holodyn.nonauto import (
 from holodyn.parabolic import (
     HomogeneousQuadratic,
     SectorPoint,
-    blowup_step,
     characteristic_directions,
     expansion_check,
     graph_point,
@@ -53,7 +52,7 @@ from holodyn.parabolic import (
 )
 from holodyn.serialize import write_json
 
-from conftest import direction_residual, quadratic_roots
+from conftest import blowup_step, direction_residual, quadratic_roots
 
 
 @contextmanager

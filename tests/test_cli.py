@@ -540,6 +540,7 @@ FINITE = "expected a finite number"
 P2_FINITE = "P2 coefficients must be finite"
 GALLERY_FINITE = "--z and --theta must be finite"
 T_VALUES = "t_values must be nonempty and finite"
+EPS_FINITE = "epsilon must be positive and finite"
 
 # an argv entry that is a function of tmp_path writes the file it names
 _CONFIG_ERRORS = {
@@ -716,6 +717,9 @@ _CONFIG_ERRORS = {
     "normalize-c-inf": (["normalize", "--c", "inf"], P2_FINITE),
     "parabolic-graph-c-nan": (["parabolic-graph", "--c", "nan"], P2_FINITE),
     "expansion-check-c-nan": (["expansion-check", "--c", "nan"], P2_FINITE),
+    # an infinite epsilon leaves no arg condition on the sector
+    "parabolic-graph-epsilon-inf": (["parabolic-graph", "--epsilon", "inf"], EPS_FINITE),
+    "expansion-check-epsilon-inf": (["expansion-check", "--epsilon", "inf"], EPS_FINITE),
     "bounded-set-map-nan": (["bounded-set", "--map", _NAN_MAP, "--grid", "4,4"], FINITE),
     "char-dirs-map-jet-nan": (["char-dirs", "--map", _NAN_JET], FINITE),
     "nonauto-orbit-list-nan": (["nonauto-run", "--sequence", _NAN_LIST], FINITE),

@@ -15,6 +15,11 @@ coordinates, one blow-up step per step, frozen as the reference for the
 ring that now runs the map on (x, y) and divides once, at step N: the two
 must give the same verdict.  A 50-digit replay checks one ring's winding
 and its samples' exit from W_eps.
+
+Each blow-up orbit loop a chain compiles (the shot, sector_orbit's orbit,
+the ring and the survival step) must give bit for bit what the per-step
+loop it replaced gives: shoot_ref and sector_orbit_ref below, conftest's
+blowup_step, apply iterated, and blowup_batch with _sector_mask.
 """
 from __future__ import annotations
 
@@ -24,23 +29,25 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mp_oracle
-from conftest import literal_formulas
+from conftest import blowup_step, literal_formulas
 from holodyn import parabolic
 from holodyn.core import EndoChain, Linear, QuadraticJet, ShearX, ShearY, Translation, _distance_blocks
-from holodyn.errors import Ambiguous, InvalidParameter, NoConvergence, NoSurvivor
+from holodyn.errors import Ambiguous, BlowupSingular, InvalidParameter, NoConvergence, NoSurvivor
 from holodyn.parabolic import (
     HomogeneousQuadratic,
     SectorPoint,
     _clusters,
+    _in_sector,
     _ring_winds_once,
     _sector_mask,
     _survivors,
-    blowup_step,
+    blowup_batch,
     cubic_perturbation_family,
     graph_point,
+    in_sector,
     normal_form_family,
     sector_orbit,
 )
@@ -355,3 +362,174 @@ def test_a_normal_form_ring_winds_once_outside_the_sector_in_50_digits():
         turns = [mp.arg(un[(j + 1) % k] / un[j]) for j in range(k)]
         assert max(abs(t) for t in turns) < mp.pi / 2
         assert abs(mp.fsum(turns) - 2 * mp.pi) < mp.mpf(10) ** -40  # winding number 1
+
+
+# -- the compiled blow-up loops, bit for bit against the per-step references ------
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised: an overflowing
+    abs() or a vanishing image x must end both loops alike."""
+    try:
+        return f(*args)
+    except (ArithmeticError, BlowupSingular) as exc:
+        return type(exc), str(exc)
+
+
+def shoot_ref(map_like, x, u, n, eps):
+    """The shot as it ran before its loop was compiled: one call of the
+    chain's tangent push and of _in_sector per step."""
+    dx, du, stayed = 0j, 1.0 + 0j, True
+    for _ in range(n):
+        y, dy = u * x, du * x + u * dx
+        x, y, dx, dy = map_like._tangent_push(x, y, dx, dy)
+        if abs(x) <= 1e-300:
+            raise BlowupSingular(f"image x-coordinate vanished (x1 = {x!r})")
+        u = y / x
+        du = (dy - u * dx) / x
+        stayed = stayed and _in_sector(x, u, eps)
+    return x, u, du, stayed
+
+
+def sector_orbit_ref(map_like, pt, max_iter, floor):
+    """sector_orbit as it ran before its loop was compiled: a SectorPoint
+    per blowup_step, then the sector test, then the floor."""
+    if not in_sector(pt):
+        return "left", 0, pt
+    for n in range(1, max_iter + 1):
+        pt = blowup_step(map_like, pt)
+        if not in_sector(pt):
+            return "left", n, pt
+        if abs(pt.x) < floor:
+            return "converged", n, pt
+    return "undecided", max_iter, pt
+
+
+def _bits(*zs):
+    return np.array(zs, dtype=complex).tobytes()
+
+
+# Chains with exact orbits, for the examples below:
+# - _TO_ZERO (x -> x + 2^-8) takes x = -2^-6 to exactly 0 at step 4, inside
+#   W_eps on u = 0; it takes -(2^-6 + 2^-8) to |x1| = 2^-6 = _RIM, on the rim
+#   of W_eps for eps = _RIM, and -2^-6 to |x2| = 2^-7, a floor of 2^-7;
+# - _AWAY (x -> x - 2^-8) takes -(_RIM - 2^-8), inside W_eps, onto that rim;
+# - _HALVE ((x, y) -> (x / 2, y)) takes x = _TINY to |x1| = 1e-300, which has
+#   no chart, and (x, u) = (-2^-6, 2^-9) to 2|u1| = |x1| = 2^-7;
+# - _TILT (x -> x + 10^-4 i) takes -0.005 to |arg(-x1)| = _TILTED, as eps.
+_TO_ZERO = [Translation(2.0**-8, 0j)]
+_HALVE = [Linear(0.5, 0.0, 0.0, 1.0)]
+_AWAY = [Translation(-(2.0**-8), 0j)]
+_TINY = -(2 * 1e-300)
+_RIM = 2.0**-6
+_TILT = [Translation(1e-4j, 0j)]
+_TILTED = abs(cmath.phase(-complex(-0.005, 1e-4)))  # numpy's arctan2 gives the same
+_eps = st.sampled_from([EPS, _RIM])
+_chains = st.one_of(st.lists(_steps, min_size=1, max_size=4), st.just(_TO_ZERO), st.just(_AWAY))
+_x_sector = st.one_of(
+    st.just(-(2.0**-6)), st.builds(lambda r, phi: -r * cmath.exp(1j * phi),
+                                   st.floats(1e-3, 0.019), st.floats(-0.015, 0.015)),
+)
+_u_small = st.complex_numbers(max_magnitude=0.01, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_chains, x=_x_sector, u=_u_small, n=st.integers(0, 40), eps=_eps)
+@example(steps=_TO_ZERO, x=-(2.0**-6), u=0j, n=8, eps=EPS)  # BlowupSingular at step 4
+@example(steps=_HALVE, x=_TINY, u=0j, n=1, eps=EPS)  # BlowupSingular at |x1| = 1e-300
+@example(steps=_TO_ZERO, x=-(_RIM + 2.0**-8), u=0j, n=3, eps=_RIM)  # |x1| = eps
+@example(steps=_HALVE, x=-_RIM, u=2.0**-9, n=1, eps=EPS)  # 2|u1| = |x1|
+@example(steps=_TILT, x=-0.005, u=0j, n=1, eps=_TILTED)  # |arg(-x1)| = eps
+@example(steps=[QuadraticJet((1.0, 2.0, 1.0), (0.0, -2.0, -1.0))], x=-0.01, u=1e-3, n=40, eps=EPS)
+def test_compiled_shot_is_the_per_step_shot(steps, x, u, n, eps):
+    chain, x, u = EndoChain(tuple(steps)), complex(x), complex(u)  # as graph_point shoots
+    got = _outcome(parabolic._shoot, chain, x, u, n, eps)
+    want = _outcome(shoot_ref, chain, x, u, n, eps)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert _bits(*got[:3]) == _bits(*want[:3]) and got[3] is want[3]
+    pt = SectorPoint(x, u, eps)  # the point is blowup_step's, through apply
+    for _ in range(n):
+        pt = blowup_step(chain, pt)
+    assert _bits(got[0], got[1]) == _bits(pt.x, pt.u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=_chains, x=_x_sector, u=_u_small, max_iter=st.integers(0, 60),
+    floor=st.sampled_from([0.0, 1e-4, 5e-3]), eps=_eps,
+)
+@example(steps=_TO_ZERO, x=-(2.0**-6), u=0j, max_iter=8, floor=0.0, eps=EPS)  # BlowupSingular
+@example(steps=_HALVE, x=_TINY, u=0j, max_iter=3, floor=0.0, eps=EPS)  # the same, at 1e-300
+@example(steps=_AWAY, x=-(_RIM - 2.0**-8), u=0j, max_iter=3, floor=0.0, eps=_RIM)  # left at 1
+@example(steps=_HALVE, x=-_RIM, u=2.0**-9, max_iter=3, floor=0.0, eps=EPS)  # left at 1
+@example(steps=_TILT, x=-0.005, u=0j, max_iter=3, floor=0.0, eps=_TILTED)  # left at 1
+@example(steps=_TO_ZERO, x=-_RIM, u=0j, max_iter=8, floor=2.0**-7, eps=EPS)  # converged at 3
+@example(steps=[QuadraticJet((1.0, 2.0, 0.0), (0.0, -2.0, -1.0))], x=-0.01, u=0.0,
+         max_iter=20000, floor=1e-4, eps=EPS)  # converged at step 9,896
+@example(steps=[QuadraticJet((1.0, 2.0, 0.0), (0.0, -2.0, -1.0))], x=-0.01, u=-0.004,
+         max_iter=200, floor=0.0, eps=EPS)  # left at step 6
+@example(steps=[QuadraticJet((1.0, 2.0, 0.0), (0.0, -2.0, -1.0))], x=-0.01, u=0.0,
+         max_iter=50, floor=0.0, eps=EPS)  # undecided
+def test_compiled_sector_orbit_is_the_per_step_orbit(steps, x, u, max_iter, floor, eps):
+    chain = EndoChain(tuple(steps))
+    pt = SectorPoint(x, u, eps)
+    got = _outcome(lambda: sector_orbit(chain, pt, max_iter, floor))
+    want = _outcome(sector_orbit_ref, chain, pt, max_iter, floor)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    kind, n, last = want
+    assert (got.kind, got.steps) == (kind, n)
+    assert _bits(got.last.x, got.last.u) == _bits(last.x, last.u)
+    assert got.last.epsilon == eps
+
+
+def test_sector_orbit_reaches_each_verdict():
+    # the examples above, pinned: each kind with its step index
+    m = normal_form_family(0.0)
+    assert sector_orbit(m, SectorPoint(-0.01, 0.0, EPS), 20000, 1e-4).kind == "converged"
+    assert sector_orbit(m, SectorPoint(-0.01, 0.0, EPS), 50, 0.0).kind == "undecided"
+    left = sector_orbit(m, SectorPoint(-0.01, -0.004, EPS), 200, 0.0)
+    assert left.kind == "left" and 0 < left.steps < 200
+    with pytest.raises(BlowupSingular, match=r"x1 = 0j"):
+        sector_orbit(EndoChain(tuple(_TO_ZERO)), SectorPoint(-(2.0**-6), 0j, EPS), 8, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(_steps, max_size=4),
+    zs=st.lists(st.tuples(_z_special, _z_special), min_size=1, max_size=6),
+    n=st.integers(0, 3),
+)
+def test_compiled_ring_loop_is_apply_iterated(steps, zs, n):
+    # its coefficients are 0-d arrays, apply's are Python numbers: same bytes
+    chain = EndoChain(tuple(steps))
+    xs, ys = (np.array(v, dtype=complex) for v in zip(*zs))
+    with np.errstate(all="ignore"):
+        got = parabolic._loop(chain, "ring")(xs, ys, n)
+        for _ in range(n):
+            xs, ys = chain.apply(xs, ys)
+    assert _bits(*got) == _bits(xs, ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(_steps, min_size=1, max_size=4),
+    zs=st.lists(st.tuples(_z_special, _z_special), min_size=1, max_size=6),
+    near=st.lists(st.tuples(_x_sector, _u_small), max_size=6),
+    eps=st.sampled_from([EPS, 0.5]),
+)
+@example(steps=_HALVE, zs=[(complex(_TINY), 0j)], near=[], eps=EPS)  # |x1| = 1e-300: no chart
+@example(steps=_AWAY, zs=[(complex(-(_RIM - 2.0**-8)), 0j)], near=[], eps=_RIM)  # |x1| = eps
+@example(steps=_TILT, zs=[(-0.005 + 0j, 0j)], near=[], eps=_TILTED)  # |arg(-x1)| = eps
+@example(steps=_HALVE, zs=[(complex(-_RIM), complex(2.0**-9))], near=[], eps=EPS)  # 2|u1| = |x1|
+def test_compiled_survival_step_is_blowup_batch_and_sector_mask(steps, zs, near, eps):
+    chain = EndoChain(tuple(steps))
+    xs, us = (np.array(v, dtype=complex) for v in zip(*zs, *near))
+    with np.errstate(over="ignore", invalid="ignore"):  # iterate_live's, no more
+        keep, (x1, u1) = parabolic._loop(chain, "survive")(xs, us, eps)
+    rx, ru, ok = blowup_batch(chain, xs, us)
+    assert keep.tobytes() == (ok & _sector_mask(rx, ru, eps)).tobytes()
+    assert _bits(x1, u1) == _bits(rx, ru)

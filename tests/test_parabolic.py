@@ -21,7 +21,6 @@ from holodyn.parabolic import (
     _ring_winds_once,
     _sector_mask,
     blowup_batch,
-    blowup_step,
     characteristic_directions,
     cubic_perturbation_family,
     expansion_check,
@@ -36,7 +35,9 @@ from holodyn.parabolic import (
     tangent_shear_chain,
 )
 
-from conftest import direction_residual, expansion_pair_margin, identity_chain, quadratic_roots
+from conftest import (
+    blowup_step, direction_residual, expansion_pair_margin, identity_chain, quadratic_roots,
+)
 
 
 # -- quadratic parts ----------------------------------------------------------
@@ -296,9 +297,8 @@ def test_expansion_pair_skips_vacuous():
 @pytest.mark.parametrize("m", [normal_form_family(1.0), cubic_perturbation_family(3.0)(0.0)])
 def test_sector_code_on_non_finite_and_zero_coordinates(m):
     # nan, +-inf, +-0 and near-overflow values in x or u put no point in
-    # W_eps and certify no ring, and no RuntimeWarning escapes: _sector_mask
-    # and _ring_winds_once hold their own errstate, blowup_batch runs under
-    # its callers' (iterate_live's and the ring's)
+    # W_eps and certify no ring, and no RuntimeWarning escapes: _sector_mask,
+    # blowup_batch and _ring_winds_once each hold their own errstate
     nan, inf = math.nan, math.inf
     vals = np.array([
         nan, inf, -inf, 0.0, -0.0, complex(nan, 1.0), complex(-0.01, inf), complex(-inf, 0.0),
@@ -309,8 +309,7 @@ def test_sector_code_on_non_finite_and_zero_coordinates(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (_sector_mask(xs, us, 0.02) == inside).all()
-        with np.errstate(over="ignore", invalid="ignore"):
-            x1, u1, ok = blowup_batch(m, xs, us)
+        x1, u1, ok = blowup_batch(m, xs, us)
         assert not (ok & _sector_mask(x1, u1, 0.02))[~inside].any()
         for x, u, rho in [(-0.01, 0j, 1e200), (-0.01, 1e-3, 1e300), (-0.01, nan, 1e-6),
                           (-0.01, complex(0.0, inf), 1e-6), (0j, 0j, 1e-6), (-0.0, 0j, 1e-6),
@@ -400,6 +399,12 @@ def test_graph_point_no_survivor_for_tilted_direction():
 
 def test_graph_point_rejects_x_outside_regime():
     m = normal_form_family(0.0)
+    # an infinite epsilon leaves no arg condition on the sector
+    for eps in (math.inf, math.nan, 0.0):
+        with pytest.raises(InvalidParameter, match="epsilon must be positive and finite"):
+            graph_point(m, -0.01, epsilon=eps)
+        with pytest.raises(InvalidParameter, match="epsilon must be positive and finite"):
+            expansion_check(m, eps, trials=10)
     with pytest.raises(ValueError):
         graph_point(m, 0.01, epsilon=0.02)
     # x = 0 has no blow-up chart; the phase of -(-0 + 0j) is -0, not pi
