@@ -5,12 +5,14 @@ converged once it sits within conv_tol of the target for 20 consecutive
 steps, which keeps transits through a neighbourhood from flagging early.
 The distance is hypot(|dx|, |dy|), decided exactly by core.hypot_below,
 which calls libm hypot only where max(|dx|, |dy|) cannot decide it.
-Escape means a coordinate passed core.DEFAULT_CAP.  All grid/sample probes
-run vectorised, iterate only the points whose orbit is still undecided, in
-fixed blocks of core._BLOCK points, and draw their randomness from
-counter-based streams, block by block in stream order, so results are
-independent of blocks.  The threads of interior_probe and bounded_set_probe
-go to core.iterate_live, whose threads take those blocks from one queue.
+Escape means a coordinate passed core.DEFAULT_CAP; with a target, both
+tests of a step come from one pass of moduli (core._escaped_near).  All
+grid/sample probes run vectorised, iterate only the points whose orbit is
+still undecided, in fixed blocks of core._BLOCK points, and draw their
+randomness from counter-based streams, block by block in stream order, so
+results are independent of blocks.  The threads of interior_probe and
+bounded_set_probe go to core.iterate_live, whose threads take those blocks
+from one queue.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .core import (
     Point,
     _distance_blocks,
     _escaped,
-    hypot_below,
+    _escaped_near,
     iterate_live,
 )
 from .errors import InvalidParameter, NotFound, PoleHit
@@ -90,20 +92,25 @@ def orbit_verdicts(
     codes = np.zeros(x.shape[0], dtype=np.int8)
     steps = np.full(x.shape[0], -1, dtype=np.int64)
 
+    def record(k, idx, done, code):
+        if done.any():
+            done = idx[done]
+            codes[done] = code
+            steps[done] = k
+
     def advance(k, idx, xk, yk, run):
         nx, ny = chain.apply(xk, yk)
-        esc = _escaped(nx, ny)
-        codes[idx[esc]] = VERDICT_ESCAPED
-        steps[idx[esc]] = k
-        keep = ~esc
-        if target is not None:
-            near = hypot_below(np.abs(nx - target[0]), np.abs(ny - target[1]), conv_tol)
-            run = np.where(keep & near, run + 1, 0)
-            conv = keep & (run >= HYSTERESIS)
-            codes[idx[conv]] = VERDICT_CONVERGED
-            steps[idx[conv]] = k
-            keep &= ~conv
-        return keep, (nx, ny, run)
+        if target is None:
+            esc = done = _escaped(nx, ny)
+        else:
+            esc, near = _escaped_near(nx, ny, target, conv_tol)
+            run = np.where(near, run + 1, 0)
+            conv = run >= HYSTERESIS
+            record(k, idx, conv, VERDICT_CONVERGED)
+            done = esc | conv
+        # last: an escape ends a run (near points escape only near DEFAULT_CAP)
+        record(k, idx, esc, VERDICT_ESCAPED)
+        return ~done, (nx, ny, run)
 
     # the zero run counts are one stored zero, so memory stays per block
     iterate_live(advance, (x, y, np.broadcast_to(np.int64(0), x.shape)), max_iter, threads)
@@ -139,8 +146,8 @@ def dichotomy_probe(
     """
     if samples < 0:
         raise InvalidParameter(f"samples must be >= 0, got {samples}")
-    if not r > 0:  # nan too: no point is ever inside such a ball, so every m looks witnessed
-        raise InvalidParameter(f"r must be positive, got {r}")
+    if not 0 < r < math.inf:  # nan: every m looks witnessed; inf: nan witnesses
+        raise InvalidParameter(f"r must be positive and finite, got {r}")
     px, py = fp.location
     cand_x = []
     cand_y = []
@@ -161,11 +168,12 @@ def dichotomy_probe(
 
     def advance(k, idx, xk, yk):
         nx, ny = chain.apply(xk, yk)
-        esc = _escaped(nx, ny)
+        esc, inside = _escaped_near(nx, ny, (px, py), r)
         # escape: every later iterate stays outside the ball
-        exit_run[idx[esc]] = m_max
+        if esc.any():
+            exit_run[idx[esc]] = m_max
         # esc covers every non-finite image, so "not below r" is ">= r" here
-        keep = ~esc & ~hypot_below(np.abs(nx - px), np.abs(ny - py), r)
+        keep = ~(esc | inside)
         exit_run[idx[keep]] += 1
         return keep, (nx, ny)
 
@@ -224,8 +232,9 @@ def interior_probe(
     """
     if samples <= 0:
         raise InvalidParameter("interior_probe needs at least one sample")
-    if not (radius > 0 and conv_tol > 0):  # nan too: no sample could ever converge
-        raise InvalidParameter(f"radius and conv_tol must be positive, got {radius}, {conv_tol}")
+    # nan: nothing converges; inf: nan samples, or every bounded orbit converges
+    if not (0 < radius < math.inf and 0 < conv_tol < math.inf):
+        raise InvalidParameter(f"radius and conv_tol must be positive and finite, got {radius}, {conv_tol}")
     xs, ys = ball4_points(seed, samples, radius, center=fp.location)
     codes, _ = orbit_verdicts(
         chain, xs, ys, max_iter, target=fp.location, conv_tol=conv_tol, threads=threads
@@ -343,9 +352,13 @@ def sample_unit_disc_away_from_poles(seed: int, n: int, m: int) -> np.ndarray:
 # -- gallery: the planar homeomorphism ----------------------------------------
 
 
+# formed once: the witness search for m = 1..40 calls psi ~67,000 times
+_FOUR_PI, _TWO_PI = 4.0 * np.pi, 2.0 * np.pi
+
+
 def psi(theta):
     """theta (4 pi - theta) / (2 pi); fixes 0 and 2 pi, pushes (0, 2 pi) up."""
-    return theta * (4.0 * np.pi - theta) / (2.0 * np.pi)
+    return theta * (_FOUR_PI - theta) / _TWO_PI
 
 
 def psi_iterate(theta: float, n: int) -> float:
@@ -359,7 +372,19 @@ def _angle_2pi(z):
     """np.mod(np.angle(z), 2 pi) bit for bit, without the libm fmod: the angle
     lies in [-pi, pi], and + 0.0 turns the -0.0 of np.angle into +0.0."""
     a = np.angle(z)
-    return np.where(a < 0, a + 2.0 * np.pi, a) + 0.0
+    return np.where(a < 0, a + _TWO_PI, a) + 0.0
+
+
+def _outer_image(z, r):
+    """((r+1)/2) e^{i psi(theta)} of z = r e^{i theta}, r >= 1, from np.cos and
+    np.sin: bit for bit the product with np.exp(1j psi) where libm's complex
+    exp at a zero real part is its cos and sin."""
+    t = psi(_angle_2pi(z))
+    h = (r + 1.0) / 2.0
+    out = np.empty_like(z)
+    np.multiply(h, np.cos(t), out=out.real)
+    np.multiply(h, np.sin(t), out=out.imag)
+    return out
 
 
 def planar_homeo(z):
@@ -369,16 +394,19 @@ def planar_homeo(z):
     Inside, each circle through 1 tangent to the unit circle is preserved and
     its angle coordinate (about the circle centre) is pushed by psi; the
     circle through z has centre 1 - s with s = |z-1|^2 / (2 - 2 Re z).
-    Accepts scalars or complex arrays.
+    The outer image is formed from np.cos and np.sin of psi (_outer_image).
+    Accepts scalars or complex arrays; one with no point inside the disc
+    skips the branch masks.
     """
     scalar = np.isscalar(z) or isinstance(z, complex)
     zz = np.asarray(z, dtype=complex)
     r = np.abs(zz)
-    out = np.empty_like(zz)
-
     outer = r >= 1.0
-    theta = _angle_2pi(zz[outer])
-    out[outer] = (r[outer] + 1.0) / 2.0 * np.exp(1j * psi(theta))
+    if outer.all():
+        out = _outer_image(zz, r)
+        return complex(out[()]) if scalar else out
+    out = np.empty_like(zz)
+    out[outer] = _outer_image(zz[outer], r[outer])
 
     inner = ~outer
     zi = zz[inner]

@@ -40,7 +40,10 @@ Distances in C^2 are hypot(|dx|, |dy|).  hypot_below and hypot_max decide a
 distance test and a sup exactly, bit for bit as np.hypot would, from
 m = max(|dx|, |dy|): m <= hypot <= sqrt(2) m < 1.5 m, and rounding keeps
 that order.  libm hypot, an order of magnitude dearer per point than a
-complex modulus, runs only where m cannot decide.  Distances between every
+complex modulus, runs only where m cannot decide.  An image escapes when a
+coordinate is non-finite or above DEFAULT_CAP (_escaped); a probe step with
+a target takes its escape set and distance test from one pass of moduli
+about the target (_escaped_near).  Distances between every
 point of one set and every point of another run through _distance_blocks, in
 row blocks of at most _PAIR_BLOCK pairs, so their memory is bounded.
 
@@ -430,21 +433,48 @@ class AutoChain(_ChainOps):
         return self.inverted().evaluate_batch(xs, ys)
 
 
-def _escaped(nx, ny):
-    """True where an image is non-finite or has a coordinate above DEFAULT_CAP:
-    the one escape test of every batch path and probe.  A non-finite
-    coordinate has a nan or inf modulus, which fails <=."""
+def _escaped(nx, ny, m=None):
+    """True where an image is non-finite or has a coordinate above DEFAULT_CAP;
+    m, if the caller has it, is max(|nx|, |ny|).  A non-finite coordinate has
+    a nan or inf modulus, which fails <=."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return ~(np.maximum(np.abs(nx), np.abs(ny)) <= DEFAULT_CAP)
+        if m is None:
+            m = np.maximum(np.abs(nx), np.abs(ny))
+        return ~(m <= DEFAULT_CAP)
 
 
-def hypot_below(p, q, bound):
-    """np.hypot(p, q) < bound, bit for bit, for arrays p, q >= 0.
+def _escaped_near(nx, ny, c, bound):
+    """(_escaped(nx, ny), np.hypot(|nx - c0|, |ny - c1|) < bound), bit for bit,
+    from one pass of moduli p = |nx - c0|, q = |ny - c1|, m = max(p, q).
+
+    For c = 0, m is _escaped's own modulus.  For max(|c0|, |c1|) <=
+    DEFAULT_CAP / 4, m <= DEFAULT_CAP / 2 puts both coordinates below
+    3/4 DEFAULT_CAP, so _escaped runs only where m is larger or nan.
+    """
+    p = np.abs(nx - c[0]) if c[0] else np.abs(nx)
+    q = np.abs(ny - c[1]) if c[1] else np.abs(ny)
+    m = np.maximum(p, q)
+    if not (c[0] or c[1]):
+        esc = _escaped(nx, ny, m)
+    elif max(abs(c[0]), abs(c[1])) <= DEFAULT_CAP / 4:
+        esc = np.zeros(m.shape, dtype=bool)
+        if not m.max(initial=0.0) <= DEFAULT_CAP / 2:  # max is nan if any m is
+            far = np.flatnonzero(~(m <= DEFAULT_CAP / 2))
+            esc[far] = _escaped(nx[far], ny[far])
+    else:
+        esc = _escaped(nx, ny)
+    return esc, hypot_below(p, q, bound, m)
+
+
+def hypot_below(p, q, bound, m=None):
+    """np.hypot(p, q) < bound, bit for bit, for arrays p, q >= 0; m, if the
+    caller has it, is np.maximum(p, q).
 
     True where 1.5 max(p, q) < bound, false where max(p, q) >= bound or is
     nan; np.hypot runs only on the points in between.
     """
-    m = np.maximum(p, q)
+    if m is None:
+        m = np.maximum(p, q)
     with np.errstate(over="ignore"):  # 1.5 m = inf only fails to decide
         out = 1.5 * m < bound
     band = np.flatnonzero((m < bound) & ~out)
@@ -453,14 +483,16 @@ def hypot_below(p, q, bound):
     return out
 
 
-def hypot_max(p, q):
-    """np.hypot(p, q).max(), bit for bit, for non-empty arrays p, q >= 0.
+def hypot_max(p, q, m=None):
+    """np.hypot(p, q).max(), bit for bit, for non-empty arrays p, q >= 0; m,
+    if the caller has it, is np.maximum(p, q).
 
     A point with 1.5 max(p, q) below the largest max(p, q) has a smaller
     hypot than the point holding that largest max, so np.hypot runs only on
     the others; on all points when the largest max is inf or nan.
     """
-    m = np.maximum(p, q)
+    if m is None:
+        m = np.maximum(p, q)
     top = m.max()
     if np.isfinite(top):
         with np.errstate(over="ignore"):

@@ -34,6 +34,7 @@ from .core import (
     _check_finite,
     _distance_blocks,
     _escaped,
+    _escaped_near,
     hypot_below,
     hypot_max,
     iterate_live,
@@ -119,8 +120,8 @@ def nonauto_attracting_probe(
     """Cells (real 2-D slice) whose centre composition-orbit ends within
     conv_tol of 0 at step n_max and for the 20 preceding iterates, the
     starting point counted; for n_max < 20, every iterate from the start."""
-    if not conv_tol > 0:  # nan too: no cell could ever be near
-        raise InvalidParameter(f"conv_tol must be positive, got {conv_tol}")
+    if not 0 < conv_tol < math.inf:  # nan: no cell is near; inf: every bounded one
+        raise InvalidParameter(f"conv_tol must be positive and finite, got {conv_tol}")
     na, nb = grid
     xs, ys = grid_centres(box, grid)
     # resolve every member first, so a late failing index raises even if all cells died
@@ -128,9 +129,8 @@ def nonauto_attracting_probe(
 
     def advance(j, idx, xj, yj, run):
         nx, ny = maps[j - 1].apply(xj, yj)
-        keep = ~_escaped(nx, ny)
-        near = keep & hypot_below(np.abs(nx), np.abs(ny), conv_tol)
-        return keep, (nx, ny, np.where(near, run + 1, 0))
+        esc, near = _escaped_near(nx, ny, (0, 0), conv_tol)
+        return ~esc, (nx, ny, np.where(near, run + 1, 0))
 
     start_near = hypot_below(np.abs(xs), np.abs(ys), conv_tol).astype(np.int64)
     idx, (_, _, run) = iterate_live(advance, (xs, ys, start_near), n_max)
@@ -353,15 +353,17 @@ def pointwise_vs_uniform_report(
     are appended so the sup can expose non-uniform attraction that a coarse
     grid cannot resolve.  |F_n(z)| is hypot(|x|, |y|); core.hypot_max and
     core.hypot_below give its sup and the conv_tol test exactly, calling
-    libm hypot only where max(|x|, |y|) cannot decide them.  The points run
+    libm hypot only where max(|x|, |y|) cannot decide them.  The escape test
+    of the step to F_n forms the moduli that row n reads, and they are formed
+    again only where a point escaped and stays where it was.  The points run
     through core.iterate_live one block at a time: a row's sup is the max of
     its block maxima and its fraction the count of near points over all
     points, so the rows do not depend on the blocks.
     """
     if n_max < 0:
         raise InvalidParameter(f"n_max must be >= 0, got {n_max}")
-    if not conv_tol > 0:
-        raise InvalidParameter(f"conv_tol must be positive, got {conv_tol}")
+    if not 0 < conv_tol < math.inf:
+        raise InvalidParameter(f"conv_tol must be positive and finite, got {conv_tol}")
     xs, ys = grid_centres(box, grid)
     if witnesses:
         wx = np.asarray([w[0] for w in witnesses], dtype=complex)
@@ -377,15 +379,23 @@ def pointwise_vs_uniform_report(
     near = np.zeros(n_max + 1, dtype=np.int64)
 
     def advance(k, idx, xk, yk):
-        # step k adds the block to row k - 1, then moves it to F_k; escaped
-        # points stay where they were, and every point stays to the last row
-        ax, ay = np.abs(xk), np.abs(yk)
-        sup[k - 1] = np.maximum(sup[k - 1], hypot_max(ax, ay))
-        near[k - 1] += np.count_nonzero(hypot_below(ax, ay, conv_tol))
-        if k <= n_max:
-            nx, ny = maps[k - 1].apply(xk, yk)
-            bad = _escaped(nx, ny)
-            xk, yk = np.where(bad, xk, nx), np.where(bad, yk, ny)
+        # step k moves the block to F_{k-1} (step 1 leaves it at F_0) and adds
+        # it to row k - 1; escaped points stay where they were, and every
+        # point stays to the last row
+        m = None
+        if k > 1:
+            nx, ny = maps[k - 2].apply(xk, yk)
+            p, q = np.abs(nx), np.abs(ny)
+            m = np.maximum(p, q)
+            bad = _escaped(nx, ny, m)
+            if bad.any():
+                nx, ny, m = np.where(bad, xk, nx), np.where(bad, yk, ny), None
+            xk, yk = nx, ny
+        if m is None:
+            p, q = np.abs(xk), np.abs(yk)
+            m = np.maximum(p, q)
+        sup[k - 1] = np.maximum(sup[k - 1], hypot_max(p, q, m))
+        near[k - 1] += np.count_nonzero(hypot_below(p, q, conv_tol, m))
         return np.full(idx.shape, k <= n_max), (xk, yk)
 
     iterate_live(advance, (xs, ys), n_max + 1)

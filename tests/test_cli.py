@@ -689,6 +689,28 @@ _CONFIG_ERRORS = {
         ["nonauto-run", "--sequence", SEQUENCE, "--mode", "report", "--conv-tol", "nan"],
         "conv_tol must be positive",
     ),
+    # an infinite ball or tolerance gives nan samples and witnesses, or counts
+    # every bounded orbit as converged
+    "dichotomy-r-inf": (
+        ["dichotomy", "--map", HENON, "--seed-point", "1.4,1.4", "--r", "inf"],
+        "r must be positive and finite",
+    ),
+    "interior-radius-inf": (
+        ["interior", "--map", HENON, "--seed-point", "1.4,1.4", "--samples", "64", "--radius", "inf"],
+        "radius and conv_tol must be positive and finite",
+    ),
+    "interior-conv-tol-inf": (
+        ["interior", "--map", str(MAPS / "attracting_linear.json"), "--samples", "64", "--conv-tol", "inf"],
+        "radius and conv_tol must be positive and finite",
+    ),
+    "nonauto-probe-conv-tol-inf": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "probe", "--conv-tol", "inf"],
+        "conv_tol must be positive and finite",
+    ),
+    "nonauto-report-conv-tol-inf": (
+        ["nonauto-run", "--sequence", SEQUENCE, "--mode", "report", "--conv-tol", "inf"],
+        "conv_tol must be positive and finite",
+    ),
     # the iteration would take no step and the residual would compare two maps
     "gallery-sphere-m-negative": (
         ["gallery", "--example", "sphere", "--m=-1"], "step count must be >= 0",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -23,6 +24,7 @@ from holodyn.core import (
     ShearY,
     Translation,
     _escaped,
+    _escaped_near,
     diag_linear_chain,
     find_fixed_point,
     henon_chain,
@@ -461,6 +463,43 @@ def test_escape_test_matches_the_finiteness_formula(xs, ys):
         big = np.maximum(np.abs(x), np.abs(y)) > DEFAULT_CAP
         want = ~(np.isfinite(x) & np.isfinite(y)) | big
     assert np.array_equal(_escaped(x, y), want)
+
+
+# _escaped_near skips the escape test where the image lies within DEFAULT_CAP / 2
+# of a centre of modulus <= DEFAULT_CAP / 4.  The centres sit on both sides of
+# DEFAULT_CAP / 4 and far beyond it, and the images about them at fractions of
+# DEFAULT_CAP on both sides of 1/2 and of the distances where a coordinate
+# passes the cap (|c| + f DEFAULT_CAP = DEFAULT_CAP), in the directions of the
+# centres and across them; the bounds sit on both sides of DEFAULT_CAP / 4.
+_QUARTER = DEFAULT_CAP / 4
+_NEAR_CENTRES = [
+    0j, 0.3 - 0.1j, complex(math.nextafter(_QUARTER, 0.0), 0.0),
+    complex(0.0, -math.nextafter(_QUARTER, 0.0)), complex(math.nextafter(_QUARTER, _inf), 0.0),
+    complex(0.0, 9e11), complex(-2e12, 0.0),
+]
+_FRACTIONS = [0.0, 0.25, 0.49, 0.5, 0.51, 0.74, 0.751, 0.76, 0.99, 1.0, 1.01, 1.3, 2.0]
+_DIRECTIONS = [1, -1, 1j, -1j, (1 + 1j) / math.sqrt(2)]
+_NON_FINITE = [_nan, complex(_inf, 0.0), complex(0.0, -_inf), complex(_nan, 1.0), complex(1e308, -1e308)]
+
+
+def test_escape_and_distance_from_one_modulus_pass():
+    # one image set per largest fraction, so the shortcut's max sees each band
+    # alone, and one with non-finite images
+    sets = [np.multiply.outer(np.array(_FRACTIONS[: k + 1]) * DEFAULT_CAP, _DIRECTIONS).ravel()
+            for k in range(len(_FRACTIONS))]
+    sets.append(np.concatenate([sets[-1], _NON_FINITE]))
+    grids = [tuple(a.ravel() for a in np.meshgrid(d, d)) for d in sets]
+    bounds = (1e-3, 0.5, math.nextafter(_QUARTER, 0.0), _QUARTER,
+              math.nextafter(_QUARTER, _inf), DEFAULT_CAP / 2, DEFAULT_CAP, _inf)
+    for (dx, dy), c0, c1 in itertools.product(grids, _NEAR_CENTRES, _NEAR_CENTRES):
+        with np.errstate(all="ignore"):
+            x, y = c0 + dx, c1 + dy
+            want_esc = _escaped(x, y)
+            dist = np.hypot(np.abs(x - c0), np.abs(y - c1))
+            for bound in bounds:
+                esc, near = _escaped_near(x, y, (c0, c1), bound)
+                assert esc.dtype == bool and np.array_equal(esc, want_esc), (c0, c1, bound)
+                assert near.dtype == bool and np.array_equal(near, dist < bound), (c0, c1, bound)
 
 
 # -- exact distance tests -----------------------------------------------------------

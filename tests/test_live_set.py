@@ -334,6 +334,25 @@ def _sector_inputs(seed, n, x, spread):
     return us
 
 
+# _escaped_near skips the escape test where max(|nx - c0|, |ny - c1|) <= CAP/2,
+# and only when max(|c0|, |c1|) and the bound are <= CAP/4: centres just below
+# and just above CAP/4 run the shortcut and the full tests, and scales of
+# 3e11 and 6e11 put image moduli between CAP/2 and CAP
+_QUARTER_CAP = DEFAULT_CAP / 4
+_BELOW_QUARTER = math.nextafter(_QUARTER_CAP, 0.0)
+_ABOVE_QUARTER = math.nextafter(_QUARTER_CAP, math.inf)
+_TARGETS = [
+    None,
+    (0j, 0j),
+    (0.1 + 0j, -0.2j),
+    (0.3j, complex(_BELOW_QUARTER, 0.0)),
+    (complex(0.0, -_BELOW_QUARTER), 0.1 + 0j),
+    (complex(_ABOVE_QUARTER, 0.0), 0.2j),
+    (0.1 + 0j, complex(0.0, -_ABOVE_QUARTER)),
+]
+_HUGE_TOLS = [_BELOW_QUARTER, _QUARTER_CAP, _ABOVE_QUARTER, DEFAULT_CAP / 2, DEFAULT_CAP, math.inf]
+
+
 # the swap map (x, y) -> (a y, b x) with ab < 1 converges to 0 while its
 # distance to 0 alternates, so runs in a conv_tol ball start and reset
 def _swap(a, b):
@@ -732,20 +751,25 @@ def test_survivors_first_step_kills_cells_with_vanishing_image():
 # -- basin.orbit_verdicts ---------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     c=st.integers(0, len(_ORBIT_CHAINS) - 1),
     seed=_seeds,
     n=st.integers(0, 200),
-    scale=st.sampled_from([0.05, 0.5, 2.0]),
+    scale=st.sampled_from([0.05, 0.5, 2.0, 3e11, 6e11]),
     huge=st.booleans(),
     max_iter=st.integers(0, 150),
-    target=st.sampled_from([None, (0j, 0j), (0.1 + 0j, -0.2j)]),
-    conv_tol=st.floats(1e-3, 1.0),
+    target=st.sampled_from(_TARGETS),
+    centred=st.booleans(),
+    conv_tol=st.floats(1e-3, 1.0) | st.sampled_from(_HUGE_TOLS),
 )
-def test_orbit_verdicts_match_full_array_loop(c, seed, n, scale, huge, max_iter, target, conv_tol):
+def test_orbit_verdicts_match_full_array_loop(
+    c, seed, n, scale, huge, max_iter, target, centred, conv_tol
+):
     chain = _ORBIT_CHAINS[c]
     xs, ys = _orbit_inputs(seed, n, scale, huge)
+    if centred and target is not None:  # start about the target, not about 0
+        xs, ys = xs + target[0], ys + target[1]
     args = (chain, xs, ys, max_iter)
     kw = {"target": target, "conv_tol": conv_tol}
     codes, steps = orbit_verdicts(*args, **kw)
@@ -779,6 +803,19 @@ def test_orbit_verdicts_escape_without_overflow_warnings():
     assert codes[1] == codes[2] == VERDICT_ESCAPED and steps[2] == 1
 
 
+def test_orbit_verdicts_escape_on_the_step_a_run_completes_is_an_escape():
+    # 1.5e6 * 2^k passes DEFAULT_CAP first at k = HYSTERESIS, where an
+    # infinite conv_tol completes the run: the escape wins, as it did when
+    # escaped points could not be near
+    chain, xs, ys = diag_linear_chain(2.0, 0.5), np.array([1.5e6 + 0j, 1.0]), np.array([0j, 0j])
+    for tol in (math.inf, DEFAULT_CAP * 2.0):
+        codes, steps = orbit_verdicts(chain, xs, ys, 60, target=(0j, 0j), conv_tol=tol)
+        ref = orbit_verdicts_ref(chain, xs, ys, 60, target=(0j, 0j), conv_tol=tol)
+        assert np.array_equal(codes, ref[0]) and np.array_equal(steps, ref[1])
+        assert codes.tolist() == [VERDICT_ESCAPED, VERDICT_CONVERGED]
+        assert steps.tolist() == [HYSTERESIS, HYSTERESIS]
+
+
 def test_orbit_verdicts_hysteresis_resets_when_leaving_the_ball():
     chain, tol = _swap(0.5, 1.9), 0.5
     xs, ys = np.array([1.0 + 0j]), np.array([0j])
@@ -794,12 +831,12 @@ def test_orbit_verdicts_hysteresis_resets_when_leaving_the_ball():
 # -- basin.dichotomy_probe --------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     c=st.integers(0, len(_ORBIT_CHAINS) - 1),
-    loc=st.sampled_from([(0j, 0j), (0.5 + 0.1j, 0.5 - 0.2j), (1.5, 1.5)]),
+    loc=st.sampled_from([(0j, 0j), (0.5 + 0.1j, 0.5 - 0.2j), (1.5, 1.5), *_TARGETS[3:]]),
     unstable=st.booleans(),
-    r=st.floats(0.05, 2.0),
+    r=st.floats(0.05, 2.0) | st.sampled_from([1e11, *_HUGE_TOLS[:-1], 3e11, 6e11]),
     m_max=st.integers(0, 60),
     samples=st.integers(0, 128),
     seed=_seeds,
@@ -937,10 +974,34 @@ def test_planar_homeo_matches_its_np_mod_form(seed, n):
     z = _planar_inputs(seed, n)
     assert _angle_2pi(z).tobytes() == np.mod(np.angle(z), 2.0 * np.pi).tobytes()
     assert planar_homeo(z).tobytes() == planar_homeo_ref(z).tobytes()
+    # an array with every point outside the disc skips the branch masks;
+    # the scaled points are the demonstrator's, which leave the disc
+    outer = np.abs(z) >= 1.0
+    g = np.random.default_rng(seed)
+    far = (1.0 + 3.0 * g.random(n)) * np.exp(1j * g.uniform(-np.pi, np.pi, n))
+    for part in (z[outer], z[~outer], far, z[:0]):
+        assert planar_homeo(part).tobytes() == planar_homeo_ref(part).tobytes()
     for w in z[:: max(1, z.size // 16)]:
         got = planar_homeo(complex(w))
         assert isinstance(got, complex)
         assert np.array([got]).tobytes() == planar_homeo_ref(w).reshape(1).tobytes()
+
+
+def test_cos_and_sin_of_psi_are_the_parts_of_its_complex_exp():
+    # planar_homeo's outer branch writes np.cos and np.sin of psi where the
+    # map's formula has np.exp(1j psi): equal bytes on a libm whose complex
+    # exp at a zero real part is its cos and sin, and a host where they
+    # differ fails here
+    g = np.random.default_rng(7)
+    z = np.concatenate([_planar_inputs(7, 2000), 4.0 * np.exp(1j * g.uniform(-np.pi, np.pi, 20000))])
+    theta = np.concatenate([
+        _angle_2pi(z), g.uniform(0.0, 2.0 * np.pi, 200_000),
+        [0.0, 1e-300, np.pi, math.nextafter(2.0 * np.pi, 0.0), 2.0 * np.pi],
+    ])
+    t = psi(theta)
+    e = np.exp(1j * t)
+    assert np.cos(t).tobytes() == e.real.tobytes()
+    assert np.sin(t).tobytes() == e.imag.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
