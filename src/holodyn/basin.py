@@ -129,6 +129,14 @@ class DichotomyReport:
     witnesses: dict[int, Point]
 
 
+def _first_reaching(runs: np.ndarray, m_max: int) -> np.ndarray:
+    """For m = 1, 2, ... up to m_max, the first index i with runs[i] >= m,
+    while there is one.  One pass: the first index where the running maximum
+    of runs reaches m, which does not decrease with m."""
+    first = np.searchsorted(np.maximum.accumulate(runs), np.arange(1, m_max + 1))
+    return first[first < runs.size]
+
+
 def dichotomy_probe(
     chain: AutoChain,
     fp: FixedPointInfo,
@@ -179,21 +187,14 @@ def dichotomy_probe(
 
     iterate_live(advance, (xs, ys), m_max)
 
-    witnesses: dict[int, Point] = {}
-    largest = int(exit_run.max()) if exit_run.size else 0
-    cutoff = None
-    for m in range(1, m_max + 1):
-        ok = exit_run >= m
-        if not ok.any():
-            cutoff = m
-            break
-        i = int(np.argmax(ok))
-        witnesses[m] = (complex(xs[i]), complex(ys[i]))
+    first = _first_reaching(exit_run, m_max)
+    largest = len(first)
+    witnesses = {m: (complex(xs[i]), complex(ys[i])) for m, i in enumerate(first.tolist(), 1)}
     return DichotomyReport(
         r=r,
         m_max=m_max,
-        largest_witnessed_m=min(largest, m_max),
-        cutoff_m0=cutoff,
+        largest_witnessed_m=largest,
+        cutoff_m0=largest + 1 if largest < m_max else None,
         witnesses=witnesses,
     )
 

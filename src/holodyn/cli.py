@@ -148,8 +148,6 @@ AUTO_SHRINK = arg("--auto-shrink", False)
 EPSILON = arg("--epsilon", 0.02)
 THREADS = arg("--threads", 1)
 SEED = arg("--seed", 0, help="RNG seed (counter-based)")
-FP_FIELDS = ("location", "eigenvalues", "classification", "stable_dim", "residual", "iterations",
-             "stable_direction", "unstable_direction")
 
 
 @subcommand(
@@ -158,7 +156,7 @@ FP_FIELDS = ("location", "eigenvalues", "classification", "stable_dim", "residua
 )
 def cmd_fixed_point(run: Run) -> int:
     _, fp = run.chain_and_fixed_point()
-    write_json(run.path("fixed_point.json"), fields(fp, *FP_FIELDS))
+    write_json(run.path("fixed_point.json"), fp)
     loc = fp.location
     return run.finish(
         f"fixed point ({format_float(loc[0].real)},{format_float(loc[1].real)})"
@@ -179,7 +177,7 @@ def cmd_stable_graph(run: Run) -> int:
     write_json(
         run.path("graph.json"),
         {
-            "fixed_point": fields(fp, *FP_FIELDS),
+            "fixed_point": fp,
             **fields(graph, "delta", "epsilon", "mesh", "iterations"),
             "residual": res,
             "samples": len(graph.s_grid),

@@ -642,14 +642,13 @@ def classify_differential(j: np.ndarray) -> tuple[Classification, int, tuple[com
 @dataclass(frozen=True, eq=False)
 class FixedPointInfo:
     location: Point
-    differential: np.ndarray
     eigenvalues: tuple[complex, complex]
     classification: Classification
     stable_dim: int
-    stable_direction: np.ndarray | None
-    unstable_direction: np.ndarray | None
     residual: float
     iterations: int
+    stable_direction: np.ndarray | None
+    unstable_direction: np.ndarray | None
 
 
 def _residual(chain: AutoChain, z: Point) -> tuple[Point, float]:
@@ -715,7 +714,6 @@ def find_fixed_point(
         vu = eigenvector(j, eigs[1])
     return FixedPointInfo(
         location=z,
-        differential=j,
         eigenvalues=eigs,
         classification=cls,
         stable_dim=stable_dim,

@@ -1,8 +1,10 @@
 """Non-autonomous compositions and the five-component target-set geometry.
 
-A map sequence produces the j-th map of a composition f_n o ... o f_1.
-Sequences can be gated to accept only maps tangent to the identity at the
-origin (checked exactly on first use of each index).  The target sets
+A map sequence is a function j -> f_j giving the j-th map of a composition
+f_n o ... o f_1.  A list sequence can be gated to accept only maps tangent
+to the identity at the origin, checked exactly for every listed map when
+the list is built; every computation asks for maps 1..n before it runs, so
+a short list fails before any work.  The target sets
 
     N = closed ball  u  K x Disc  u  L x {0}  u  {0} x K  u  {0} x L
 
@@ -19,7 +21,7 @@ the converged fraction climbs to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -56,53 +58,48 @@ class PlanarDemo:
         return planar_homeo(x + 1.0) - 1.0, y / 2.0
 
 
-@dataclass(eq=False)
-class MapSequence:
-    """Rule producing the j-th map (j >= 1) of a composition."""
-
-    generator: Callable[[int], MapLike]
-    tangency_required: bool = False
-    _checked: set = field(default_factory=set, init=False, repr=False)
-
-    def map_at(self, j: int) -> MapLike:
-        m = self.generator(j)
-        if self.tangency_required and j not in self._checked:
-            if not hasattr(m, "is_tangent_to_identity") or not m.is_tangent_to_identity():
-                raise InvalidParameter(
-                    f"sequence member {j} does not fix 0 with identity differential"
-                )
-            self._checked.add(j)
-        return m
+MapSequence = Callable[[int], MapLike]  # j >= 1 -> the j-th map
 
 
 def constant_sequence(m: MapLike) -> MapSequence:
-    return MapSequence(lambda j: m)
+    return lambda j: m
 
 
 def list_sequence(maps: Sequence[MapLike], tangency_required: bool = False) -> MapSequence:
     maps = list(maps)
+    for j, m in enumerate(maps, 1):
+        if tangency_required and not m.is_tangent_to_identity():
+            raise InvalidParameter(f"sequence member {j} does not fix 0 with identity differential")
 
     def gen(j: int) -> MapLike:
         if not 1 <= j <= len(maps):
             raise InvalidParameter(f"sequence has {len(maps)} map(s), asked for map {j}")
         return maps[j - 1]
 
-    return MapSequence(gen, tangency_required=tangency_required)
+    return gen
+
+
+def _members(seq: MapSequence, n: int) -> list[MapLike]:
+    """Maps 1..n, all asked for before any work, so a late failing index
+    raises even when the computation would not reach it."""
+    return [seq(j) for j in range(1, n + 1)]
 
 
 def nonauto_orbit(seq: MapSequence, z: Point, n: int) -> tuple[list[Point], int | None]:
     """The composition orbit (z, f1 z, f2 f1 z, ...); truncates on overflow.
 
     Returns (states, overflow_step); overflow_step is None when all n steps
-    stayed under DEFAULT_CAP.  A non-finite z raises InvalidParameter.
+    stayed under DEFAULT_CAP.  A non-finite z, or a sequence without a map
+    for some step 1..n, raises InvalidParameter.
     """
     if n < 0:
         raise InvalidParameter("n must be >= 0")
     _check_finite(z)
+    maps = _members(seq, n)
     x, y = complex(z[0]), complex(z[1])
     states: list[Point] = [(x, y)]
-    for j in range(1, n + 1):
-        x, y = seq.map_at(j).apply(x, y)
+    for j, f in enumerate(maps, 1):
+        x, y = f.apply(x, y)
         m = max(abs(x), abs(y))
         if not math.isfinite(m) or m > DEFAULT_CAP:
             return states, j
@@ -124,8 +121,7 @@ def nonauto_attracting_probe(
         raise InvalidParameter(f"conv_tol must be positive and finite, got {conv_tol}")
     na, nb = grid
     xs, ys = grid_centres(box, grid)
-    # resolve every member first, so a late failing index raises even if all cells died
-    maps = [seq.map_at(j) for j in range(1, n_max + 1)]
+    maps = _members(seq, n_max)
 
     def advance(j, idx, xj, yj, run):
         nx, ny = maps[j - 1].apply(xj, yj)
@@ -299,13 +295,9 @@ def _sample_components(params: SectorSetParams, n: int, seed: int) -> dict[str, 
         return np.stack([v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]], axis=1)
 
     def slit(npts):
-        out = []
-        while len(out) < npts:
-            r = R * np.sqrt(g.random(npts))
-            th = eps + (2 * np.pi - 2 * eps) * g.random(npts)
-            w = r * np.exp(1j * th) - eps
-            out.extend(w.tolist())
-        return np.asarray(out[:npts])
+        r = R * np.sqrt(g.random(npts))
+        th = eps + (2 * np.pi - 2 * eps) * g.random(npts)
+        return r * np.exp(1j * th) - eps
 
     def seg(npts):
         return eps + (R - eps) * g.random(npts)
@@ -374,7 +366,7 @@ def pointwise_vs_uniform_report(
     if xs.size == 0:
         raise InvalidParameter("the report needs at least one grid cell or witness")
 
-    maps = [seq.map_at(j) for j in range(1, n_max + 1)]
+    maps = _members(seq, n_max)
     sup = np.full(n_max + 1, -np.inf)
     near = np.zeros(n_max + 1, dtype=np.int64)
 
@@ -467,6 +459,6 @@ def sequence_from_dict(d: dict) -> MapSequence:
             coeffs = param("coeffs", lambda vs: tuple(complex(v) for v in vs), [0.0, 1.0])
             fwd = AutoChain((ShearX(coeffs),))
             back = fwd.inverted()
-            return MapSequence(lambda j: fwd if j % 2 == 1 else back)
+            return lambda j: fwd if j % 2 == 1 else back
         raise InvalidParameter(f"unknown family {name!r}")
     raise InvalidParameter(f"unknown sequence kind {kind!r}")

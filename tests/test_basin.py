@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holodyn.basin import (
+    _first_reaching,
     bounded_set_probe,
     grid_centres,
     dichotomy_probe,
@@ -82,6 +83,59 @@ def test_dichotomy_witness_reverified_by_iteration(henon075, henon_saddle):
         except Overflow:
             break  # escape: certainly outside the ball from here on
         assert math.hypot(abs(z[0] - p[0]), abs(z[1] - p[1])) >= 0.5
+
+
+def _witness_table_per_m(runs, m_max):
+    """The table one sweep per m: (first index reaching m for each witnessed
+    m, cutoff_m0), the way dichotomy_probe built it before the one pass."""
+    first, cutoff = [], None
+    for m in range(1, m_max + 1):
+        ok = runs >= m
+        if not ok.any():
+            cutoff = m
+            break
+        first.append(int(np.argmax(ok)))
+    return first, cutoff
+
+
+def _witness_table_one_pass(runs, m_max):
+    first = _first_reaching(runs, m_max).tolist()
+    return first, len(first) + 1 if len(first) < m_max else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(st.integers(0, 40), max_size=60).map(lambda v: np.asarray(v, dtype=np.int64)),
+    m_max=st.integers(0, 40),
+)
+def test_witness_table_one_pass_matches_per_m_sweeps(runs, m_max):
+    runs = np.minimum(runs, m_max)  # the probe caps every run at m_max
+    assert _witness_table_one_pass(runs, m_max) == _witness_table_per_m(runs, m_max)
+
+
+@pytest.mark.parametrize(
+    "runs, m_max, cutoff",
+    [
+        ([], 5, 1),  # no samples: m = 1 is already unwitnessed
+        ([3, 0, 2], 0, None),  # no m asked for
+        ([0, 2, 1, 7, 7], 7, None),  # every m witnessed
+        ([0, 0], 3, 1),
+    ],
+)
+def test_witness_table_edge_cases(runs, m_max, cutoff):
+    runs = np.asarray(runs, dtype=np.int64)
+    table = _witness_table_one_pass(runs, m_max)
+    assert table == _witness_table_per_m(runs, m_max)
+    assert table[1] == cutoff
+
+
+def test_dichotomy_without_samples_or_steps():
+    ch = diag_linear_chain(0.5, 0.5)
+    fp = find_fixed_point(ch, (0.1, 0.1))  # attracting: no unstable-direction seeds
+    rep = dichotomy_probe(ch, fp, 1.0, 5, samples=0)
+    assert (rep.largest_witnessed_m, rep.cutoff_m0, rep.witnesses) == (0, 1, {})
+    rep = dichotomy_probe(ch, fp, 1.0, 0, samples=16)
+    assert (rep.largest_witnessed_m, rep.cutoff_m0, rep.witnesses) == (0, None, {})
 
 
 # -- interior -------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from holodyn.cli import CLAIMS, SUBCOMMANDS, Run, build_parser, main
 from holodyn.core import Classification, henon_chain, map_to_dict
 from holodyn import nonauto
+from holodyn.parabolic import tangent_shear_chain
 from holodyn.serialize import fields, json_dumps, write_csv, write_json
 
 from conftest import sample_points
@@ -265,7 +267,8 @@ def test_dataclass_and_enum_rendering():
 
 # -- CLI surface -----------------------------------------------------------------
 
-MAPS = Path(__file__).resolve().parents[1] / "maps"
+ROOT = Path(__file__).resolve().parents[1]
+MAPS = ROOT / "maps"
 REQUIRED = "<required>"
 
 HENON = str(MAPS / "henon075.json")
@@ -536,6 +539,18 @@ _BIG_INT_RATE = _json_file(
 _NAN_RATE = _json_file(
     "nan_rate.json", {"kind": "family", "name": "contraction", "params": {"rate": _NAN}}
 )
+_HENON_DICT = json.loads(Path(HENON).read_text())
+# the second member is not tangent to the identity, and a run of one step never asks for it
+_TANGENT_THEN_HENON = _json_file(
+    "tangent_then_henon.json",
+    {
+        "kind": "list",
+        "maps": [map_to_dict(tangent_shear_chain(3.0)), _HENON_DICT],
+        "tangency_required": True,
+    },
+)
+_TWO_HENON = _json_file("two_henon.json", {"kind": "list", "maps": [_HENON_DICT] * 2})
+TANGENCY = "sequence member 2 does not fix 0 with identity differential"
 FINITE = "expected a finite number"
 P2_FINITE = "P2 coefficients must be finite"
 GALLERY_FINITE = "--z and --theta must be finite"
@@ -731,6 +746,18 @@ _CONFIG_ERRORS = {
         ["nonauto-run", "--sequence", _one_map_list, "--mode", "probe", "--n", "3"],
         "sequence has 1 map(s), asked for map 2",
     ),
+    # the orbit overflows at step 1, but the list still has no 3rd map
+    "nonauto-orbit-overflow-before-list-ends": (
+        ["nonauto-run", "--sequence", _TWO_HENON, "--mode", "orbit", "--z", "1e7,0", "--n", "5"],
+        "sequence has 2 map(s), asked for map 3",
+    ),
+    # a sequence file is checked for tangency when it loads, not as maps are used
+    "nonauto-orbit-tangency-unused-member": (
+        ["nonauto-run", "--sequence", _TANGENT_THEN_HENON, "--mode", "orbit", "--n", "1"], TANGENCY,
+    ),
+    "nonauto-probe-tangency-unused-member": (
+        ["nonauto-run", "--sequence", _TANGENT_THEN_HENON, "--mode", "probe", "--n", "1"], TANGENCY,
+    ),
     # x = -0 has no blow-up chart, though the phase of -x is -0 and not pi
     "parabolic-graph-x-mesh-negative-zero": (["parabolic-graph", "--x-mesh=-0"], "x must satisfy"),
     # non-finite numbers are bad input wherever they enter
@@ -825,3 +852,26 @@ def test_malformed_values_are_config_errors(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith(f"holodyn: config error: {message}")
     assert "Traceback" not in err
+
+
+# -- README ----------------------------------------------------------------------
+
+
+def _readme_commands() -> list[str]:
+    """The holodyn lines of README's "Command line" block, continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("holodyn ")]
+
+
+def test_readme_command_block_is_found():
+    assert len(_readme_commands()) >= 7
+
+
+@pytest.mark.parametrize("command", _readme_commands(), ids=lambda c: c.split()[1])
+def test_readme_command_lines_run(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the README's map paths are relative to the repo root
+    argv = shlex.split(command)[1:]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+    assert main(argv) == 0

@@ -49,7 +49,6 @@ from holodyn.core import (
 )
 from holodyn.errors import InvalidParameter
 from holodyn.nonauto import (
-    MapSequence,
     PlanarDemo,
     constant_sequence,
     grid_centres,
@@ -197,7 +196,7 @@ def nonauto_probe_ref(seq, box, grid, n_max, conv_tol=1e-3):
     alive = np.ones(xs.shape[0], dtype=bool)
     run = (np.hypot(np.abs(xs), np.abs(ys)) < conv_tol).astype(np.int64)  # the start counts
     for j in range(1, n_max + 1):
-        nx, ny = seq.map_at(j).apply(xs, ys)
+        nx, ny = seq(j).apply(xs, ys)
         alive &= ~_escaped_ref(nx, ny)
         xs = np.where(alive, nx, xs)
         ys = np.where(alive, ny, ys)
@@ -234,7 +233,7 @@ def pointwise_ref(seq, box, n_max, grid, conv_tol=1e-3, witnesses=()):
     dist = np.hypot(np.abs(xs), np.abs(ys))
     rows = [(0, float(dist.max()), float(np.mean(dist < conv_tol)))]
     for j in range(1, n_max + 1):
-        nx, ny = seq.map_at(j).apply(xs, ys)
+        nx, ny = seq(j).apply(xs, ys)
         bad = _escaped_ref(nx, ny)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
@@ -257,7 +256,7 @@ def pointwise_full_array_ref(seq, box, n_max, grid, conv_tol=1e-3, witnesses=())
 
     rows = [row(0, xs, ys)]
     for j in range(1, n_max + 1):
-        nx, ny = seq.map_at(j).apply(xs, ys)
+        nx, ny = seq(j).apply(xs, ys)
         bad = _escaped_ref(nx, ny)
         xs = np.where(bad, xs, nx)
         ys = np.where(bad, ys, ny)
@@ -865,7 +864,7 @@ def test_dichotomy_empty_input_and_zero_steps():
 def _alternating(coeffs):
     fwd = AutoChain((ShearX(coeffs),))
     back = fwd.inverted()
-    return MapSequence(lambda j: fwd if j % 2 == 1 else back)
+    return lambda j: fwd if j % 2 == 1 else back
 
 
 _SEQUENCES = [
@@ -874,7 +873,7 @@ _SEQUENCES = [
     constant_sequence(henon_chain(0.75)),
     constant_sequence(PlanarDemo()),
     _alternating((0.0, 1.0)),
-    MapSequence(lambda j: diag_linear_chain(0.9 if j % 3 else 3.0, 0.8)),
+    lambda j: diag_linear_chain(0.9 if j % 3 else 3.0, 0.8),
 ]
 
 

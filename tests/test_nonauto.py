@@ -9,7 +9,6 @@ from holodyn.basin import orbit
 from holodyn.core import AutoChain, ShearX, diag_linear_chain
 from holodyn.errors import AmbiguousComponent, InvalidParameter
 from holodyn.nonauto import (
-    MapSequence,
     SectorSetParams,
     _dist_point_slit_disc,
     _planar_component_distances,
@@ -68,14 +67,31 @@ def test_orbit_overflow_recorded(henon075):
 
 
 def test_tangency_gate_rejects_henon(henon075):
-    seq = MapSequence(lambda j: henon075, tangency_required=True)
-    with pytest.raises(InvalidParameter, match="identity differential"):
-        seq.map_at(1)
+    maps = [tangent_shear_chain(3.0), henon075]
+    with pytest.raises(InvalidParameter, match="sequence member 2 does not fix 0 with identity"):
+        list_sequence(maps, tangency_required=True)
+    assert list_sequence(maps)(2) is henon075  # no gate, no check
 
 
 def test_tangency_gate_accepts_tangent_chain():
-    seq = MapSequence(lambda j: tangent_shear_chain(3.0), tangency_required=True)
-    assert seq.map_at(1).is_tangent_to_identity()
+    seq = list_sequence([tangent_shear_chain(3.0)], tangency_required=True)
+    assert seq(1).is_tangent_to_identity()
+
+
+def test_tangency_gate_rejects_a_sequence_file_before_any_work(henon075):
+    from holodyn.core import map_to_dict
+
+    maps = [map_to_dict(tangent_shear_chain(3.0)), map_to_dict(henon075)]
+    with pytest.raises(InvalidParameter, match="sequence member 2 does not fix 0 with identity"):
+        sequence_from_dict({"kind": "list", "maps": maps, "tangency_required": True})
+
+
+def test_orbit_requests_every_member_before_it_overflows():
+    seq = list_sequence([diag_linear_chain(1e7, 1e7)] * 2)
+    # the orbit of (1e7, 0) passes DEFAULT_CAP at step 1, yet the list has no 3rd map
+    with pytest.raises(InvalidParameter, match=r"sequence has 2 map\(s\), asked for map 3"):
+        nonauto_orbit(seq, (1e7, 0.0), 5)
+    assert nonauto_orbit(seq, (1e7, 0.0), 2)[1] == 1
 
 
 # -- attracting probe ----------------------------------------------------------
