@@ -1,12 +1,13 @@
 """Exact polynomial automorphisms of C^2 and their fixed points.
 
 An automorphism is stored as a finite composition of elementary steps --
-coordinate shears, invertible linear maps and translations -- each of which
-has an exact closed-form inverse and an exact Jacobian.  Evaluation,
-inversion and differentiation of the chain therefore never resort to
-root-finding or finite differences.  Arbitrary polynomial self-maps (no
-inverse) are supported through :class:`EndoChain` for local computations
-that only need forward evaluation.
+shears z -> z + p(w.z) v along any direction v with w.v = 0, invertible
+linear maps and translations -- each of which has an exact closed-form
+inverse and an exact Jacobian.  Evaluation, inversion and differentiation
+of the chain therefore never resort to root-finding or finite differences.
+Arbitrary polynomial self-maps (no inverse) are supported through
+:class:`EndoChain` for local computations that only need forward
+evaluation.
 
 Each step kind writes its map once, in _lines: source lines that update x,
 y and, for the tangent, dx, dy.  The skips are decided as the lines are
@@ -29,10 +30,10 @@ chain's Jacobian.  differential and differential_batch push the unit tangents
 same lines, placed by _compile inside a loop body, so that a whole orbit
 is one Python call.  Linear steps skip the same arithmetic in the
 tangent as in the value, so padding a chain with identity steps changes
-neither.  A shear's lines delete p (and dp) once used, so that in a chain's
-function no step's temporary array outlives its step, as it would not in the
-step's own function.  AutoChain.evaluate and evaluate_batch still run step
-by step, since they test the cap between steps.
+neither.  A shear's lines delete p and l (and dp, dl) once used, so that in
+a chain's function no step's temporary array outlives its step, as it would
+not in the step's own function.  AutoChain.evaluate and evaluate_batch still
+run step by step, since they test the cap between steps.
 differential_batch, like AutoChain.inverse_batch, has no library caller;
 both stay because perfbench/tracer.py wraps each from its class __dict__.
 
@@ -60,6 +61,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameter, NoConvergence, Overflow, SingularDifferential
@@ -155,37 +157,47 @@ class _Step:
 
 
 @dataclass(frozen=True)
-class ShearX(_Step):
-    """(x, y) -> (x + p(y), y) with p stored degree-ascending."""
+class Shear(_Step):
+    """z -> z + p(w.z) v, p stored degree-ascending, w.z = w[0] x + w[1] y and
+    w.v = 0 exactly: the step keeps w.z, so its inverse is z - p(w.z) v and its
+    Jacobian I + p'(w.z) v w^T has determinant 1 (Rosay-Rudin 1988).  x += p(y)
+    is v, w = (1, 0), (0, 1), and y += p(x) is v, w = (0, 1), (1, 0)."""
 
     coeffs: tuple[complex, ...]
+    v: tuple[complex, complex]
+    w: tuple[complex, complex]
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
+        for name in ("v", "w"):
+            pair = tuple(complex(c) for c in getattr(self, name))
+            if len(pair) != 2 or not all(map(cmath.isfinite, pair)) or pair == (0, 0):
+                raise InvalidParameter(f"shear {name} must be a finite nonzero pair, got {pair!r}")
+            object.__setattr__(self, name, pair)
+        # w.v in rational arithmetic, where no rounding of doubles hides a remainder
+        parts = [(Fraction(z.real), Fraction(z.imag)) for z in (*self.w, *self.v)]
+        (a, b), (c, d), (e, f), (g, h) = parts
+        if a * e - b * f + c * g - d * h or a * f + b * e + c * h + d * g:
+            raise InvalidParameter(f"shear needs w.v = 0 exactly, got v = {self.v}, w = {self.w}")
 
     def _lines(self, bind, tangent):
-        lines = [*_horner_lines(self.coeffs, "y", bind, tangent), "x = x + p"]
-        return lines + ["dx = dx + dp * dy", "del p, dp"] if tangent else lines + ["del p"]
+        l, dl = (_terms_src(None, zip(self.w, zs), bind) for zs in (("x", "y"), ("dx", "dy")))
+        bare = l in ("x", "y")  # w is (1, 0) or (0, 1): w.z is read by name, not put in l
+        lines = [] if bare else [f"l = {l}", f"dl = {dl}"][: 1 + tangent]
+        lines += _horner_lines(self.coeffs, l if bare else "l", bind, tangent)
+        # a constant p is bound with each v_i as one name: as 0-d arrays, which
+        # parabolic's loops bind, two names multiply otherwise than in Python
+        const = len(self.coeffs) == 1
+        lines += [f"{f} = {f} + {bind(c * self.coeffs[0])}" if const and c not in (1, -1)
+                  else f"{f} = {_terms_src(f, [(c, 'p')], bind)}"
+                  for c, f in zip(self.v, "xy") if c]
+        lines += [f"d{f} = {_terms_src('d' + f, [(c, 'dp', dl if bare else 'dl')], bind)}"
+                  for c, f in zip(self.v, "xy") if c and tangent]
+        temps = ("p", "dp")[: 1 + tangent] + (() if bare else ("l", "dl")[: 1 + tangent])
+        return lines + [f"del {', '.join(temps)}"]
 
-    def inverted(self) -> "ShearX":
-        return ShearX(tuple(-c for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class ShearY(_Step):
-    """(x, y) -> (x, y + q(x)) with q stored degree-ascending."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
-
-    def _lines(self, bind, tangent):
-        lines = [*_horner_lines(self.coeffs, "x", bind, tangent), "y = y + p"]
-        return lines + ["dy = dy + dp * dx", "del p, dp"] if tangent else lines + ["del p"]
-
-    def inverted(self) -> "ShearY":
-        return ShearY(tuple(-c for c in self.coeffs))
+    def inverted(self) -> "Shear":
+        return Shear(tuple(-c for c in self.coeffs), self.v, self.w)
 
 
 @dataclass(frozen=True)
@@ -266,8 +278,10 @@ class QuadraticJet(_Step):
         ]
 
 
-_INVERTIBLE_KINDS = (ShearX, ShearY, Linear, Translation)
-Step = ShearX | ShearY | Linear | Translation | QuadraticJet
+_INVERTIBLE_KINDS = (Shear, Linear, Translation)
+Step = Shear | Linear | Translation | QuadraticJet
+# the (v, w) of the shears that map files write as shear_x and shear_y
+_AXES = {"shear_x": ((1, 0), (0, 1)), "shear_y": ((0, 1), (1, 0))}
 
 
 class _ChainOps:
@@ -310,10 +324,12 @@ class _ChainOps:
         k (x x) here, and the normal forms are pinned to this order."""
         fx, fy = Poly2.x(), Poly2.y()
         for step in self.steps:
-            if isinstance(step, ShearX):
-                fx = fx + poly_of_poly(step.coeffs, fy)
-            elif isinstance(step, ShearY):
-                fy = fy + poly_of_poly(step.coeffs, fx)
+            if isinstance(step, Shear):
+                # no product for a factor of exactly 1, as in the emitted lines
+                terms = [f if c == 1 else f.scale(c) for c, f in zip(step.w, (fx, fy)) if c != 0]
+                p = poly_of_poly(step.coeffs, functools.reduce(Poly2.__add__, terms))
+                fx, fy = (f if c == 0 else f + (p if c == 1 else p.scale(c))
+                          for c, f in zip(step.v, (fx, fy)))
             elif isinstance(step, Linear):
                 fx, fy = (
                     fx.scale(step.a) + fy.scale(step.b),
@@ -730,7 +746,7 @@ def find_fixed_point(
 def henon_chain(c: float | complex) -> AutoChain:
     """The volume-preserving Henon-type map (x, y) -> (x^2 + c - y, x)."""
     rot = Linear(0.0, -1.0, 1.0, 0.0)
-    return AutoChain((rot, ShearX((complex(c), 0.0, 1.0))))
+    return AutoChain((rot, Shear((complex(c), 0.0, 1.0), *_AXES["shear_x"])))
 
 
 def diag_linear_chain(a: complex, d: complex) -> AutoChain:
@@ -758,65 +774,55 @@ def _cx_from_json(v) -> complex:
     return z
 
 
-def _cx_to_json(c: complex) -> list[float]:
-    return [c.real, c.imag]
+def _cxs(values) -> tuple[complex, ...]:
+    return tuple(_cx_from_json(v) for v in values)
+
+
+def _cxs_to_json(values) -> list[list[float]]:
+    return [[c.real, c.imag] for c in values]
 
 
 def step_from_dict(d: dict) -> Step:
-    kind = d.get("kind")
     try:
-        if kind == "shear_x":
-            return ShearX(tuple(_cx_from_json(c) for c in d["coeffs"]))
-        if kind == "shear_y":
-            return ShearY(tuple(_cx_from_json(c) for c in d["coeffs"]))
+        kind = d.get("kind")  # an AttributeError where d is not an object
+        if kind in _AXES:
+            return Shear(_cxs(d["coeffs"]), *_AXES[kind])
+        if kind == "shear":
+            return Shear(_cxs(d["coeffs"]), _cxs(d["v"]), _cxs(d["w"]))
         if kind == "linear":
-            m = d["matrix"]
-            return Linear(
-                _cx_from_json(m[0][0]), _cx_from_json(m[0][1]),
-                _cx_from_json(m[1][0]), _cx_from_json(m[1][1]),
-            )
+            return Linear(*_cxs(d["matrix"][0]), *_cxs(d["matrix"][1]))
         if kind == "translate":
-            return Translation(_cx_from_json(d["by"][0]), _cx_from_json(d["by"][1]))
+            return Translation(*_cxs(d["by"]))
         if kind == "quadratic_jet":
-            return QuadraticJet(
-                tuple(_cx_from_json(c) for c in d["p"]),
-                tuple(_cx_from_json(c) for c in d["q"]),
-            )
+            return QuadraticJet(_cxs(d["p"]), _cxs(d["q"]))
     except InvalidParameter:  # a ValueError whose message already names the bad value
         raise
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed step {d!r}: {exc}") from exc
     raise InvalidParameter(f"unknown step kind {kind!r}")
 
 
 def step_to_dict(step: Step) -> dict:
-    if isinstance(step, ShearX):
-        return {"kind": "shear_x", "coeffs": [_cx_to_json(c) for c in step.coeffs]}
-    if isinstance(step, ShearY):
-        return {"kind": "shear_y", "coeffs": [_cx_to_json(c) for c in step.coeffs]}
+    if isinstance(step, Shear):
+        kind = next((k for k, axes in _AXES.items() if (step.v, step.w) == axes), "shear")
+        d = {"kind": kind, "coeffs": _cxs_to_json(step.coeffs)}
+        if kind == "shear":
+            d.update(v=_cxs_to_json(step.v), w=_cxs_to_json(step.w))
+        return d
     if isinstance(step, Linear):
-        return {
-            "kind": "linear",
-            "matrix": [
-                [_cx_to_json(step.a), _cx_to_json(step.b)],
-                [_cx_to_json(step.c), _cx_to_json(step.d)],
-            ],
-        }
+        rows = ((step.a, step.b), (step.c, step.d))
+        return {"kind": "linear", "matrix": [_cxs_to_json(row) for row in rows]}
     if isinstance(step, Translation):
-        return {"kind": "translate", "by": [_cx_to_json(step.bx), _cx_to_json(step.by)]}
+        return {"kind": "translate", "by": _cxs_to_json((step.bx, step.by))}
     if isinstance(step, QuadraticJet):
-        return {
-            "kind": "quadratic_jet",
-            "p": [_cx_to_json(c) for c in step.p],
-            "q": [_cx_to_json(c) for c in step.q],
-        }
+        return {"kind": "quadratic_jet", "p": _cxs_to_json(step.p), "q": _cxs_to_json(step.q)}
     raise TypeError(f"unknown step {step!r}")
 
 
 def map_from_dict(d: dict) -> AutoChain | EndoChain:
     """Parse a map definition; quadratic_jet steps force an endomorphism.
     A declared "volume_preserving": true is checked against the steps."""
-    if not isinstance(d, dict) or "steps" not in d:
+    if not isinstance(d, dict) or not isinstance(d.get("steps"), list):
         raise InvalidParameter("map definition must be an object with a 'steps' list")
     steps = tuple(step_from_dict(s) for s in d["steps"])
     if any(isinstance(s, QuadraticJet) for s in steps):

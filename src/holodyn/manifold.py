@@ -32,6 +32,7 @@ from .core import (
     Classification,
     FixedPointInfo,
     Point,
+    Shear,
     find_fixed_point,
 )
 from .errors import (
@@ -475,12 +476,11 @@ def stability_experiment(
 def sheary_perturbation_family(
     chain: AutoChain, coeffs_of_t: Callable[[float], Sequence[complex]]
 ) -> Callable[[float], AutoChain]:
-    """Family t -> chain followed by a ShearY with t-dependent coefficients."""
-    from .core import ShearY
+    """Family t -> chain followed by the shear y += q(x), q's coefficients coeffs_of_t(t)."""
 
     def make(t: float) -> AutoChain:
         if t == 0:
             return chain
-        return chain.then(ShearY(tuple(coeffs_of_t(t))))
+        return chain.then(Shear(tuple(coeffs_of_t(t)), (0, 1), (1, 0)))
 
     return make

@@ -33,6 +33,7 @@ from .core import (
     DEFAULT_CAP,
     EndoChain,
     Point,
+    Shear,
     _check_finite,
     _distance_blocks,
     _escaped,
@@ -418,7 +419,9 @@ def sequence_from_dict(d: dict) -> MapSequence:
         raise InvalidParameter("sequence definition must be an object")
     kind = d.get("kind")
     if kind == "list":
-        maps = [map_from_dict(m) for m in d.get("maps", [])]
+        if not isinstance(maps := d.get("maps", []), list):
+            raise InvalidParameter(f"list sequence maps must be a list, got {maps!r}")
+        maps = [map_from_dict(m) for m in maps]
         if not maps:
             raise InvalidParameter("list sequence needs at least one map")
         return list_sequence(maps, tangency_required=bool(d.get("tangency_required", False)))
@@ -454,10 +457,8 @@ def sequence_from_dict(d: dict) -> MapSequence:
             fp = find_fixed_point(chain, seed)
             return constant_sequence(conjugate_by_translation(chain, fp.location))
         if name == "alternating_shear":
-            from .core import ShearX
-
             coeffs = param("coeffs", lambda vs: tuple(complex(v) for v in vs), [0.0, 1.0])
-            fwd = AutoChain((ShearX(coeffs),))
+            fwd = AutoChain((Shear(coeffs, (1, 0), (0, 1)),))
             back = fwd.inverted()
             return lambda j: fwd if j % 2 == 1 else back
         raise InvalidParameter(f"unknown family {name!r}")

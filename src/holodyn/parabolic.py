@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    AutoChain, EndoChain, Linear, QuadraticJet, ShearY, _compile, _distance_blocks, iterate_live,
+    AutoChain, EndoChain, Linear, QuadraticJet, Shear, _compile, _distance_blocks, iterate_live,
 )
 from .errors import (
     Ambiguous,
@@ -702,24 +702,14 @@ def parabolic_stability_experiment(
 # -- explicit tangent-to-identity automorphisms -------------------------------
 
 
-def quadratic_shear(m: complex, t: complex) -> AutoChain:
-    """The exact automorphism z -> z + t (1, m) (m x - y)^2 as a 3-step chain.
-
-    The linear form m x - y annihilates the direction (1, m), so the map is
-    a generalized shear with exact inverse z -> z - t (1, m) (m x - y)^2.
-    """
-    a = Linear(m, -1.0, 1.0, 0.0)
-    return AutoChain((a, ShearY((0.0, 0.0, complex(t))), a.inverted()))
-
-
 def tangent_shear_chain(c: complex) -> AutoChain:
     """A volume-preserving automorphism whose 2-jet is the normal form.
 
-    Two generalized quadratic shears with directions (1, m_i) and weights
-    t_i add their quadratic parts; matching the moments sum t m^k for
-    k = 0..3 to (c, -1, 1, 0) forces m_i to solve z^2 + a z + a = 0 with
-    a = 1 / (1 - c).  Fails for c = 1 (a blows up) and c = 3/4 (double
-    root); the composition carries genuine higher-order terms.
+    Two one-step shears z -> z + t_i (m_i x - y)^2 (1, m_i) add their
+    quadratic parts; matching the moments sum t m^k for k = 0..3 to
+    (c, -1, 1, 0) forces m_i to solve z^2 + a z + a = 0 with a = 1 / (1 - c).
+    Fails for c = 1 (a blows up) and c = 3/4 (double root); the composition
+    carries genuine higher-order terms.
     """
     c = complex(c)
     if abs(c - 1.0) < 1e-12:
@@ -732,7 +722,8 @@ def tangent_shear_chain(c: complex) -> AutoChain:
         raise InvalidParameter("double shear direction (c = 3/4); pick another c")
     t1 = (-1.0 - c * m2) / (m1 - m2)
     t2 = c - t1
-    return AutoChain(quadratic_shear(m1, t1).steps + quadratic_shear(m2, t2).steps)
+    shears = ((m1, t1), (m2, t2))
+    return AutoChain(tuple(Shear((0.0, 0.0, t), (1.0, m), (m, -1.0)) for m, t in shears))
 
 
 def normal_form_family(c: complex) -> EndoChain:

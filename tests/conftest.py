@@ -10,8 +10,7 @@ from holodyn.core import (
     AutoChain,
     Linear,
     QuadraticJet,
-    ShearX,
-    ShearY,
+    Shear,
     Translation,
     find_fixed_point,
     henon_chain,
@@ -36,6 +35,16 @@ def henon_saddle(henon075):
 @pytest.fixture(scope="session")
 def henon_graph(henon075, henon_saddle):
     return local_stable_graph(henon075, henon_saddle, 0.1, mesh=(10, 16), tol=1e-9)
+
+
+def shear_x(coeffs) -> Shear:
+    """The shear (x, y) -> (x + p(y), y)."""
+    return Shear(tuple(coeffs), (1, 0), (0, 1))
+
+
+def shear_y(coeffs) -> Shear:
+    """The shear (x, y) -> (x, y + q(x))."""
+    return Shear(tuple(coeffs), (0, 1), (1, 0))
 
 
 def quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -87,18 +96,19 @@ def polyval_ref(coeffs, z):
     return acc
 
 
-def _shear_x_ref(s):
-    return (
-        lambda x, y: (x + polyval_ref(s.coeffs, y), y),
-        lambda x, y: (1.0, polyval_ref(polyder(s.coeffs), y), 0.0, 1.0),
-    )
+def _shear_ref(s):
+    (v0, v1), (w0, w1) = s.v, s.w
 
+    def apply(x, y):
+        # a constant p is c_0 whatever w.z: the step adds c_0 v
+        p = polyval_ref(s.coeffs, w0 * x + w1 * y) if len(s.coeffs) > 1 else s.coeffs[0]
+        return x + v0 * p, y + v1 * p
 
-def _shear_y_ref(s):
-    return (
-        lambda x, y: (x, y + polyval_ref(s.coeffs, x)),
-        lambda x, y: (1.0, 0.0, polyval_ref(polyder(s.coeffs), x), 1.0),
-    )
+    def jacobian(x, y):
+        dp = polyval_ref(polyder(s.coeffs), w0 * x + w1 * y)
+        return 1.0 + v0 * dp * w0, v0 * dp * w1, v1 * dp * w0, 1.0 + v1 * dp * w1
+
+    return apply, jacobian
 
 
 def _linear_ref(s):
@@ -133,8 +143,7 @@ def _jet_ref(s):
 
 
 _REFS = {
-    ShearX: _shear_x_ref,
-    ShearY: _shear_y_ref,
+    Shear: _shear_ref,
     Linear: _linear_ref,
     Translation: _translation_ref,
     QuadraticJet: _jet_ref,
@@ -152,10 +161,14 @@ def literal_formulas(step):
 # product rounds within 2 sqrt(2) u and a sum within sqrt(2) u of its exact
 # value, relative to the operands' moduli, so the computed image of a step
 # differs from the exact image of the same computed input by at most K u S:
-# S sums |term| over the terms the formula adds (for ShearX, x + c_0 + c_1 y
-# + ... + c_d y^d gives S = |x| + sum |c_i| |y|^i, Horner's rule included)
-# and K = 8 (d + 2) counts d + 1 multiply-adds at under 4.3 u each, with
-# twice that to spare.  Linear rows a x + b y take K = 8; the inverted
+# S sums |term| over the terms the formula adds (for a shear's coordinate
+# z_i + v_i (c_0 + c_1 l + ... + c_d l^d) with l = w.z, S = |z_i| + |v_i|
+# sum |c_i| |l|^i, Horner's rule included) and K = 8 (d + 2) counts d + 1
+# multiply-adds at under 4.3 u each, with twice that to spare.  A shear off
+# the axes adds two roundings: the product v_i p, charged 8 u |v_i| sum
+# |c_i| |l|^i unless v_i is 1 or -1, and l itself, charged 8 u (|w_0 x| +
+# |w_1 y|) unless w is (1, 0) or (0, 1), which reaches p through p', at most
+# sum i |c_i| |l|^(i-1) in modulus.  Linear rows a x + b y take K = 8; the inverted
 # step's rows (d / det) x + (-b / det) y take K = 16 times
 # 1 + (|ad| + |bc|) / |det|, which covers the rounded determinant and the
 # rounding of each quotient once.
@@ -190,10 +203,18 @@ def coeff_terms(coeffs, w):
 
 def step_rounding(step, x, y, inverse=False):
     """K u S for one step (inverse: its inverse formula) at the input (x, y)."""
-    if isinstance(step, (ShearX, ShearY)):
-        keep, w = (x, y) if isinstance(step, ShearX) else (y, x)
-        k = 8 * (len(step.coeffs) + 1)
-        return k * (U * (abs(keep) + coeff_terms(step.coeffs, w)) + ETA)
+    if isinstance(step, Shear):
+        (w0, w1), k = step.w, 8 * (len(step.coeffs) + 1)
+        l = w0 * x + w1 * y
+        terms, slope = coeff_terms(step.coeffs, l), coeff_terms(polyder(step.coeffs), l)
+        bare = 0 in step.w and 1 in step.w  # w.z is x or y, read without rounding
+        l_err = 0.0 if bare else 8 * (U * (abs(w0 * x) + abs(w1 * y)) + ETA)
+        return max(
+            k * (U * (abs(z) + abs(v) * terms) + ETA)
+            + abs(v) * slope * l_err
+            + (0.0 if v in (1, -1) else 8 * (U * abs(v) * terms + ETA))
+            for z, v in zip((x, y), step.v) if v != 0
+        )
     if isinstance(step, Translation):
         return 4 * (U * max(abs(x) + abs(step.bx), abs(y) + abs(step.by)) + ETA)
     a, b, c, d = (abs(v) for v in (step.a, step.b, step.c, step.d))

@@ -11,7 +11,7 @@ import functools
 
 import mpmath as mp
 
-from holodyn.core import Linear, QuadraticJet, ShearX, ShearY, Translation
+from holodyn.core import Linear, QuadraticJet, Shear, Translation
 
 DPS = 50
 
@@ -26,11 +26,11 @@ ONE, ZERO = mp.mpc(1), mp.mpc(0)
 @functools.cache
 @mp.workdps(DPS)
 def _coeffs(s):
-    """The step's coefficients as exact mpc (for shears with the derivative's),
-    converted once per step so that long orbits stay fast."""
-    if isinstance(s, (ShearX, ShearY)):
+    """The step's coefficients as exact mpc (for shears with the derivative's,
+    then v and w), converted once per step so that long orbits stay fast."""
+    if isinstance(s, Shear):
         c = [mpc(v) for v in s.coeffs]
-        return c, [k * v for k, v in enumerate(c)][1:]
+        return c, [k * v for k, v in enumerate(c)][1:], tuple(mpc(v) for v in (*s.v, *s.w))
     if isinstance(s, Translation):
         return mpc(s.bx), mpc(s.by)
     if isinstance(s, Linear):
@@ -51,13 +51,13 @@ def _step(s, x, y, inverse=False):
     """The image of (x, y) under the step (or its inverse), and the step's
     Jacobian (a, b, c, d) at (x, y)."""
     k = _coeffs(s)
-    if isinstance(s, (ShearX, ShearY)):
-        w = y if isinstance(s, ShearX) else x
-        p, dp = _poly(k[0], w), _poly(k[1], w)
+    if isinstance(s, Shear):
+        c, dc, (v0, v1, w0, w1) = k
+        l = w0 * x + w1 * y
+        p, dp = _poly(c, l), _poly(dc, l)
         p = -p if inverse else p
-        if isinstance(s, ShearX):
-            return (x + p, y), (ONE, dp, ZERO, ONE)
-        return (x, y + p), (ONE, ZERO, dp, ONE)
+        jac = (1 + v0 * dp * w0, v0 * dp * w1, v1 * dp * w0, 1 + v1 * dp * w1)
+        return (x + p * v0, y + p * v1), jac
     if isinstance(s, Translation):
         bx, by = (-k[0], -k[1]) if inverse else k
         return (x + bx, y + by), (ONE, ZERO, ZERO, ONE)

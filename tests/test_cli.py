@@ -550,6 +550,21 @@ _TANGENT_THEN_HENON = _json_file(
     },
 )
 _TWO_HENON = _json_file("two_henon.json", {"kind": "list", "maps": [_HENON_DICT] * 2})
+_STEPS_NOT_LIST = _json_file("steps_not_list.json", {"steps": 5})
+_STEP_NOT_OBJECT = _json_file("step_not_object.json", {"steps": [5]})
+_MAPS_NOT_LIST = _json_file("maps_not_list.json", {"kind": "list", "maps": 5})
+_LIST_STEP_NOT_OBJECT = _json_file(
+    "list_step_not_object.json", {"kind": "list", "maps": [{"steps": [5]}]}
+)
+# 0.1 * 3 - 0.30000000000000004 is 0 in doubles, but not exactly
+_SHEAR_W_V_NOT_ZERO = _json_file(
+    "shear_w_v.json",
+    {"steps": [
+        {"kind": "shear", "coeffs": [0, 0, 1], "v": [3, 1], "w": [0.1, -0.30000000000000004]},
+    ]},
+)
+STEPS_LIST = "map definition must be an object with a 'steps' list"
+STEP_OBJECT = "malformed step 5"
 TANGENCY = "sequence member 2 does not fix 0 with identity differential"
 FINITE = "expected a finite number"
 P2_FINITE = "P2 coefficients must be finite"
@@ -801,6 +816,19 @@ _CONFIG_ERRORS = {
     "gallery-sphere-z-nan": (["gallery", "--example", "sphere", "--z", "nan"], GALLERY_FINITE),
     "gallery-planar-z-nan": (["gallery", "--example", "planar", "--z", "nan"], GALLERY_FINITE),
     "gallery-psi-theta-nan": (["gallery", "--example", "psi", "--theta", "nan"], GALLERY_FINITE),
+    # a malformed map or sequence file is bad input, not a crash
+    "fixed-point-map-steps-not-list": (["fixed-point", "--map", _STEPS_NOT_LIST], STEPS_LIST),
+    "fixed-point-map-step-not-object": (["fixed-point", "--map", _STEP_NOT_OBJECT], STEP_OBJECT),
+    "nonauto-list-maps-not-list": (
+        ["nonauto-run", "--sequence", _MAPS_NOT_LIST], "list sequence maps must be a list",
+    ),
+    "nonauto-list-step-not-object": (
+        ["nonauto-run", "--sequence", _LIST_STEP_NOT_OBJECT], STEP_OBJECT,
+    ),
+    # a shear must leave its form w.z unchanged exactly
+    "fixed-point-map-shear-w-v-not-zero": (
+        ["fixed-point", "--map", _SHEAR_W_V_NOT_ZERO], "shear needs w.v = 0 exactly",
+    ),
 }
 
 

@@ -20,8 +20,7 @@ from holodyn.core import (
     Linear,
     Overflow,
     QuadraticJet,
-    ShearX,
-    ShearY,
+    Shear,
     Translation,
     _escaped,
     _escaped_near,
@@ -35,7 +34,8 @@ from holodyn.core import (
     map_to_dict,
 )
 from holodyn.errors import InvalidParameter, NoConvergence, SingularDifferential
-from holodyn.poly import polyval
+from holodyn.parabolic import tangent_shear_chain
+from holodyn.poly import normalize_coeffs, polyval
 
 import mp_oracle
 from conftest import (
@@ -52,6 +52,8 @@ from conftest import (
     polyval_ref,
     quadratic_roots,
     round_trip_bound,
+    shear_x,
+    shear_y,
     step_orbit,
     step_rounding,
     total_degree,
@@ -74,7 +76,7 @@ def test_henon_fixed_point_from_quadratic_oracle(henon075):
 
 
 def test_single_shear_step():
-    ch = AutoChain((ShearX((0.0, 0.0, 1.0)),))
+    ch = AutoChain((shear_x((0.0, 0.0, 1.0)),))
     assert ch.evaluate((0.0, 2.0)) == (4.0, 2.0)
 
 
@@ -107,9 +109,14 @@ def test_henon_differential_hand_oracle(henon075):
 _coeff = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
 
 
+def _tilted(coeffs, v):
+    """The shear along v with w = (v_1, -v_0), so that w.v = 0 exactly."""
+    return Shear(tuple(coeffs), v, (v[1], -v[0]))
+
+
 def _steps_strategy():
-    shear_x = st.lists(_coeff, min_size=1, max_size=4).map(lambda c: ShearX(tuple(c)))
-    shear_y = st.lists(_coeff, min_size=1, max_size=4).map(lambda c: ShearY(tuple(c)))
+    coeffs = st.lists(_coeff, min_size=1, max_size=4)
+    tilted = st.tuples(coeffs, st.tuples(_coeff, _coeff).filter(any)).map(lambda t: _tilted(*t))
 
     def make_linear(a, b, c):
         a = a if abs(a) > 0.3 else a + 1.0
@@ -117,7 +124,8 @@ def _steps_strategy():
 
     linear = st.tuples(_coeff, _coeff, _coeff).map(lambda t: make_linear(*t))
     translation = st.tuples(_coeff, _coeff).map(lambda t: Translation(*t))
-    return st.lists(st.one_of(shear_x, shear_y, linear, translation), max_size=4)
+    shears = (coeffs.map(shear_x), coeffs.map(shear_y), tilted)
+    return st.lists(st.one_of(*shears, linear, translation), max_size=4)
 
 
 # -- rounding-error bounds (derived in conftest.py) ----------------------------
@@ -138,14 +146,23 @@ def _differential_bound(steps, z):
     err, j, forward = np.zeros((2, 2)), np.eye(2, dtype=complex), 0.0
     for s, p in zip(steps, step_orbit(steps, z)):
         m = np.array(literal_formulas(s)[1](*p), dtype=complex).reshape(2, 2)
-        entry = np.zeros((2, 2))
-        if isinstance(s, (ShearX, ShearY)):
-            w = p[1] if isinstance(s, ShearX) else p[0]
-            der = polyder(s.coeffs)
-            off = (0, 1) if isinstance(s, ShearX) else (1, 0)
-            rounding = 8 * len(der) * (U * coeff_terms(der, w) + ETA)
-            entry[off] = rounding + coeff_terms(polyder(der), w) * forward
-        err = np.abs(m) @ err + (entry + 8 * U * np.abs(m)) @ np.abs(j) + 8 * ETA
+        entry, rounding = np.zeros((2, 2)), 8 * U * np.abs(m)
+        if isinstance(s, Shear):
+            # m = I + p'(l) v w^T with l = w.z: p'(l) is rounded, and read at
+            # the computed l, off by |w| F and (off the axes) its own rounding.
+            # Off the axes the push dz + v p'(l) (w.dz) rounds four products
+            # and two sums, charged 16 u against |I| + |v| |p'(l)| |w|^T
+            (w0, w1), der = s.w, polyder(s.coeffs)
+            l = w0 * p[0] + w1 * p[1]
+            axes = (s.v, s.w) in core._AXES.values()
+            l_err = (abs(w0) + abs(w1)) * forward
+            l_err += 0.0 if axes else 8 * (U * (abs(w0 * p[0]) + abs(w1 * p[1])) + ETA)
+            outer = np.outer(np.abs(s.v), np.abs(s.w))
+            dp_err = 8 * len(der) * (U * coeff_terms(der, l) + ETA)
+            entry = outer * (dp_err + coeff_terms(polyder(der), l) * l_err)
+            if not axes:
+                rounding = 16 * U * (np.eye(2) + outer * abs(polyval_ref(der, l)))
+        err = np.abs(m) @ err + (entry + rounding) @ np.abs(j) + 8 * ETA
         j = m @ j
         forward = jac_norm(s, *p) * forward + step_rounding(s, *p)
     return err
@@ -378,8 +395,9 @@ def _linear_or_none(a, b, c, d):
 _leading_zero_shear = st.tuples(st.integers(2, 3), _cx).map(lambda t: (0.0,) * t[0] + (t[1],))
 _shear_coeffs = st.one_of(st.lists(_cx, min_size=1, max_size=5).map(tuple), _leading_zero_shear)
 _oracle_steps = st.one_of(
-    _shear_coeffs.map(ShearX),
-    _shear_coeffs.map(ShearY),
+    _shear_coeffs.map(shear_x),
+    _shear_coeffs.map(shear_y),
+    st.tuples(_shear_coeffs, st.tuples(_cx, _cx).filter(any)).map(lambda t: _tilted(*t)),
     st.tuples(_cx, _cx, _cx, _cx).map(lambda t: _linear_or_none(*t)).filter(bool),
     st.sampled_from(
         [Linear(0.0, -1.0, 1.0, 0.0), Linear(0.0, 1.0, 1.0, 0.0), Linear(1.0, -1.0, 1.0, 0.0)]
@@ -420,7 +438,7 @@ def test_steps_equal_their_literal_formulas_on_finite_inputs(step, xs, ys):
     _same_values(step.apply(x, y), ref_apply(x, y))
     x0, y0 = complex(xs[0]), complex(ys[0])
     _same_values(step.apply(x0, y0), ref_apply(x0, y0))
-    if isinstance(step, (ShearX, ShearY)):
+    if isinstance(step, Shear):
         _same_values((polyval(step.coeffs, x),), (polyval_ref(step.coeffs, x),))
 
 
@@ -555,7 +573,7 @@ def test_hypot_helpers_equal_libm_hypot(seed, n, bound):
 
 
 # steps that are exact no-ops, so apply returns its input arrays
-_NO_OPS = (Linear(1.0, 0.0, 0.0, 1.0), ShearX((0.0, 0.0)), Linear(0.0, 1.0, 1.0, 0.0))
+_NO_OPS = (Linear(1.0, 0.0, 0.0, 1.0), shear_x((0.0, 0.0)), Linear(0.0, 1.0, 1.0, 0.0))
 
 
 def test_callers_keep_their_input_arrays_when_a_step_returns_them():
@@ -581,3 +599,147 @@ def test_callers_keep_their_input_arrays_when_a_step_returns_them():
     assert (got.u, got.certified_radius, got.levels, got.final_horizon) == (
         want.u, want.certified_radius, want.levels, want.final_horizon,
     )
+
+
+# -- shears along any direction ----------------------------------------------------
+#
+# Shear(coeffs, v, w) replaced the axis shears ShearX and ShearY.  Their _lines,
+# frozen below, are the reference: along the axes Shear must emit the same
+# source and bind the same coefficients in the same order, so every chain
+# built from axis shears compiles to the code it compiled to before.
+
+
+def _shear_x_lines(coeffs, bind, tangent):
+    lines = [*core._horner_lines(coeffs, "y", bind, tangent), "x = x + p"]
+    return lines + ["dx = dx + dp * dy", "del p, dp"] if tangent else lines + ["del p"]
+
+
+def _shear_y_lines(coeffs, bind, tangent):
+    lines = [*core._horner_lines(coeffs, "x", bind, tangent), "y = y + p"]
+    return lines + ["dy = dy + dp * dx", "del p, dp"] if tangent else lines + ["del p"]
+
+
+def _emitted(lines_of):
+    """The value and tangent lines of lines_of(bind, tangent), each with the
+    bytes of the coefficients bound, in binding order."""
+    out = []
+    for tangent in (False, True):
+        bound = []
+
+        def bind(c):
+            bound.append(np.complex128(c).tobytes())
+            return f"k{len(bound)}"
+
+        out.append((lines_of(bind, tangent), bound))
+    return out
+
+
+_axis_coeffs = st.one_of(
+    _shear_coeffs,
+    st.tuples(st.lists(_cx, min_size=1, max_size=4), st.integers(1, 2)).map(
+        lambda t: (*t[0], *(0.0,) * t[1])  # zero top coefficients, normalised away
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_axis_coeffs)
+def test_axis_shears_emit_the_frozen_axis_shear_lines(coeffs):
+    norm = normalize_coeffs(coeffs)
+    for make, ref in ((shear_x, _shear_x_lines), (shear_y, _shear_y_lines)):
+        got = _emitted(make(coeffs)._lines)
+        assert got == _emitted(lambda bind, tangent: ref(norm, bind, tangent))
+
+
+_m = st.one_of(
+    _special, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_m, t=_cx, z=st.tuples(_finite_z, _finite_z))
+def test_tilted_shear_is_its_three_step_form(m, t, z):
+    # z -> z + t (m x - y)^2 (1, m) in one step, and as the linear map taking
+    # m x - y to x, the shear y += t x^2 and that linear map's inverse (whose
+    # coefficients 0, 1, -1, m are exact, as det = 1): the same exact map
+    one = AutoChain((Shear((0.0, 0.0, t), (1.0, m), (m, -1.0)),))
+    a = Linear(m, -1.0, 1.0, 0.0)
+    three = AutoChain((a, shear_y((0.0, 0.0, t)), a.inverted()))
+    exact = mp_oracle.forward(one, z)
+    assert _dist(exact, mp_oracle.forward(three, z)) <= 1e-40 * (1 + abs(exact[0]) + abs(exact[1]))
+    got, want = one.apply(*z), three.apply(*z)
+    assert _dist(got, exact) <= 2 * forward_bound(one.steps, z)
+    assert _dist(want, exact) <= 2 * forward_bound(three.steps, z)
+    assert _dist(got, want) <= 2 * (forward_bound(one.steps, z) + forward_bound(three.steps, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_m, coeffs=_shear_coeffs, z=st.tuples(_finite_z, _finite_z))
+def test_tilted_shear_inverts_and_preserves_volume(m, coeffs, z):
+    s = Shear(coeffs, (1.0, m), (m, -1.0))
+    assert AutoChain((s,)).volume_preserving
+    inv = s.inverted()
+    assert (inv.v, inv.w) == (s.v, s.w) and inv.coeffs == tuple(-c for c in s.coeffs)
+    back = inv.apply(*s.apply(*z))
+    assert _dist(back, z) <= 2 * round_trip_bound([s], z, [inv.apply])
+    with mp.workdps(mp_oracle.DPS):
+        (j11, j12), (j21, j22) = mp_oracle.differential(AutoChain((s,)), z)
+        assert abs(j11 * j22 - j12 * j21 - 1) <= mp.mpf(10) ** -40 * (1 + abs(j12 * j21))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_shear_coeffs, v=st.tuples(_cx, _cx).filter(any))
+def test_tilted_shear_map_round_trips_bit_for_bit(coeffs, v):
+    s = _tilted(coeffs, v)
+    d = map_to_dict(AutoChain((s,)))
+    if (s.v, s.w) in core._AXES.values():
+        assert d["steps"][0]["kind"] in core._AXES
+        return
+    assert d["steps"][0]["kind"] == "shear"
+    (back,) = map_from_dict(d).steps
+
+    def as_bytes(step):
+        return np.array([*step.coeffs, *step.v, *step.w], dtype=complex).tobytes()
+
+    assert as_bytes(back) == as_bytes(s)
+    assert map_to_dict(map_from_dict(json.loads(json.dumps(d)))) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_the_form_m_x_minus_y_annihilates_one_m_for_every_m(m):
+    s = Shear((0.0, 1.0), (1.0, m), (m, -1.0))
+    assert s.v == (1.0, m) and s.w == (m, -1.0)
+
+
+@pytest.mark.parametrize(
+    "v, w",
+    [
+        ((0.0, 0.0), (1.0, 0.0)),  # no direction
+        ((1.0, 0.0), (0.0, -0.0)),  # no form
+        ((1.0, 0.0), (1.0, 1.0)),  # w.v = 1
+        # w.v rounds to 0 in doubles, but 3 * 0.1 is not fl(3 * 0.1)
+        ((3.0, 1.0), (0.1, -0.30000000000000004)),
+        ((1.0, 1j), (1j, -1.0 + 1e-16j)),
+        ((math.inf, 0.0), (0.0, 1.0)),
+        ((1.0, 0.0), (0.0, math.nan)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0)),
+    ],
+)
+def test_shear_needs_nonzero_v_and_w_with_w_v_exactly_zero(v, w):
+    with pytest.raises(InvalidParameter):
+        Shear((0.0, 1.0), v, w)
+    d = {"kind": "shear", "coeffs": [0, 1], "v": [[c.real, c.imag] for c in map(complex, v)],
+         "w": [[c.real, c.imag] for c in map(complex, w)]}
+    with pytest.raises(InvalidParameter):
+        core.step_from_dict(d)
+
+
+def test_the_shipped_tangent_chain_is_tangent_shear_chain_at_zero():
+    chain = load_map(str(MAPS / "tangent_c0_chain.json"))
+    want = tangent_shear_chain(0.0)
+    assert len(chain.steps) == len(want.steps) == 2
+    for got, step in zip(chain.steps, want.steps):
+        assert np.array([*got.coeffs, *got.v, *got.w]).tobytes() == (
+            np.array([*step.coeffs, *step.v, *step.w]).tobytes()
+        )

@@ -32,9 +32,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mp_oracle
-from conftest import blowup_step, literal_formulas
+from conftest import blowup_step, literal_formulas, shear_x, shear_y
 from holodyn import parabolic
-from holodyn.core import EndoChain, Linear, QuadraticJet, ShearX, ShearY, Translation, _distance_blocks
+from holodyn.core import EndoChain, Linear, QuadraticJet, Shear, Translation, _distance_blocks
 from holodyn.errors import Ambiguous, BlowupSingular, InvalidParameter, NoConvergence, NoSurvivor
 from holodyn.parabolic import (
     HomogeneousQuadratic,
@@ -211,8 +211,12 @@ def _linear(a, b, c, d):
 
 
 _steps = st.one_of(
-    _coeffs.map(ShearX),
-    _coeffs.map(ShearY),
+    _coeffs.map(shear_x),
+    _coeffs.map(shear_y),
+    # a shear along v, with w = (v_1, -v_0) so that w.v = 0 exactly
+    st.tuples(_coeffs, _cx, _cx)
+    .filter(lambda t: t[1] or t[2])
+    .map(lambda t: Shear(t[0], (t[1], t[2]), (t[2], -t[1]))),
     st.tuples(_cx, _cx, _cx, _cx).map(lambda t: _linear(*t)).filter(bool),
     st.tuples(_cx, _cx).map(lambda t: Translation(*t)),
     st.tuples(st.tuples(_cx, _cx, _cx), st.tuples(_cx, _cx, _cx)).map(lambda t: QuadraticJet(*t)),
@@ -525,6 +529,11 @@ def test_compiled_ring_loop_is_apply_iterated(steps, zs, n):
 @example(steps=_AWAY, zs=[(complex(-(_RIM - 2.0**-8)), 0j)], near=[], eps=_RIM)  # |x1| = eps
 @example(steps=_TILT, zs=[(-0.005 + 0j, 0j)], near=[], eps=_TILTED)  # |arg(-x1)| = eps
 @example(steps=_HALVE, zs=[(complex(-_RIM), complex(2.0**-9))], near=[], eps=EPS)  # 2|u1| = |x1|
+# a constant p times v_1, where two 0-d arrays multiply otherwise than Python numbers
+@example(
+    steps=[shear_x((1.0,)), Shear((0.98 + 1j,), (0, 0.3125 + 0.5j), (0.3125 + 0.5j, 0))],
+    zs=[(0j, 0j)], near=[], eps=EPS,
+)
 def test_compiled_survival_step_is_blowup_batch_and_sector_mask(steps, zs, near, eps):
     chain = EndoChain(tuple(steps))
     xs, us = (np.array(v, dtype=complex) for v in zip(*zs, *near))

@@ -40,7 +40,6 @@ from holodyn.core import (
     EndoChain,
     Linear,
     QuadraticJet,
-    ShearX,
     diag_linear_chain,
     henon_chain,
     hypot_below,
@@ -67,6 +66,8 @@ from holodyn.parabolic import (
     tangent_shear_chain,
 )
 from holodyn.rng import ball4_points, make_generator
+
+from conftest import shear_x
 
 # -- reference loops ------------------------------------------------------------
 
@@ -363,7 +364,7 @@ _ORBIT_CHAINS = [
     henon_chain(-0.3 + 0.2j),
     diag_linear_chain(0.5, 0.9j),
     _swap(0.5, 1.9),
-    AutoChain((ShearX((0.0, 0.0, 1.0)),)),
+    AutoChain((shear_x((0.0, 0.0, 1.0)),)),
 ]
 
 
@@ -862,7 +863,7 @@ def test_dichotomy_empty_input_and_zero_steps():
 
 
 def _alternating(coeffs):
-    fwd = AutoChain((ShearX(coeffs),))
+    fwd = AutoChain((shear_x(coeffs),))
     back = fwd.inverted()
     return lambda j: fwd if j % 2 == 1 else back
 

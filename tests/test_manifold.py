@@ -9,8 +9,6 @@ import pytest
 from holodyn.core import (
     AutoChain,
     Linear,
-    ShearX,
-    ShearY,
     diag_linear_chain,
     find_fixed_point,
     henon_chain,
@@ -30,7 +28,9 @@ from holodyn.manifold import (
 )
 
 import mp_oracle
-from conftest import U, graph_transform, hausdorff_distance, sample_points, with_t_offset
+from conftest import (
+    U, graph_transform, hausdorff_distance, sample_points, shear_x, shear_y, with_t_offset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ def test_graph_series_terms_decrease(henon075, henon_saddle, henon_graph):
 def _odd_henon(d: int) -> AutoChain:
     """(x, y) -> (x^d + 3x - y, x), with a saddle at the origin whose graph has
     gamma_2 .. gamma_(d-1) zero: a cut at order d - 1 or below misses gamma_d."""
-    return AutoChain((Linear(0.0, -1.0, 1.0, 0.0), ShearX((0.0, 3.0) + (0.0,) * (d - 2) + (1.0,))))
+    return AutoChain((Linear(0.0, -1.0, 1.0, 0.0), shear_x((0.0, 3.0) + (0.0,) * (d - 2) + (1.0,))))
 
 
 # Henon c = 0.75, complex c, the saddle script's family member at t = 0.1,
@@ -102,9 +102,9 @@ def _odd_henon(d: int) -> AutoChain:
 _MAPS = {
     "henon": (henon_chain(0.75), (1.4, 1.4), 0.1),
     "complex_c": (henon_chain(0.75 + 0.2j), (1.5 - 0.2j, 1.5 - 0.2j), 0.1),
-    "family_t01": (henon_chain(0.75).then(ShearY((0.0, 0.0, 0.1))), (1.7, 2.0), 0.1),
+    "family_t01": (henon_chain(0.75).then(shear_y((0.0, 0.0, 0.1))), (1.7, 2.0), 0.1),
     "cubic_shear": (
-        AutoChain((Linear(0.0, -1.0, 1.0, 0.0), ShearX((0.75, 0.0, 1.0, 0.3)))),
+        AutoChain((Linear(0.0, -1.0, 1.0, 0.0), shear_x((0.75, 0.0, 1.0, 0.3)))),
         (0.9, 0.9),
         0.1,
     ),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holodyn.basin import orbit
-from holodyn.core import AutoChain, ShearX, diag_linear_chain
+from holodyn.core import AutoChain, diag_linear_chain
 from holodyn.errors import AmbiguousComponent, InvalidParameter
 from holodyn.nonauto import (
     SectorSetParams,
@@ -25,7 +25,7 @@ from holodyn.nonauto import (
 )
 from holodyn.parabolic import tangent_shear_chain
 
-from conftest import bidisc_points, identity_chain
+from conftest import bidisc_points, identity_chain, shear_x
 
 
 # -- orbits -----------------------------------------------------------------
@@ -48,7 +48,7 @@ def test_constant_sequence_matches_autonomous(henon075):
 
 
 def test_alternating_shear_cancels_every_even_step():
-    fwd = AutoChain((ShearX((0.0, 0.0, 1.0)),))
+    fwd = AutoChain((shear_x((0.0, 0.0, 1.0)),))
     seq = list_sequence([fwd, fwd.inverted()] * 4)
     states, _ = nonauto_orbit(seq, (0.4, 0.7), 8)
     for k in range(5):
